@@ -21,6 +21,10 @@ import numpy as np
 from .exact_linalg import Cyclotomic, exact_rank, field_of
 
 
+# int64 bitmasks: bit 63 is the sign bit
+MAX_MASK_BITS = 63
+
+
 class ArrangementError(ValueError):
     """Construction failed (typically: the normals do not span the space)."""
 
@@ -99,7 +103,12 @@ class Arrangement:
         return np.sum((vals * vals.conj()).real, axis=2)
 
     def gamma_masks(self, xbatch: np.ndarray) -> np.ndarray:
-        """Bitmask of {e : ||h_e(x)|| <= R_e} per configuration (ties count as inside)."""
+        """Bitmask of {e : ||h_e(x)|| <= R_e} per configuration (ties count as
+        inside), as int64: at most MAX_MASK_BITS hyperplanes."""
+        if self.size > MAX_MASK_BITS:
+            raise ArrangementError(
+                f"{self.size} hyperplanes do not fit an int64 bitmask "
+                f"(at most {MAX_MASK_BITS})")
         within = self.norms_sq(xbatch) <= np.asarray(self.radii) ** 2
         bits = 1 << np.arange(self.size, dtype=np.int64)
         return within @ bits

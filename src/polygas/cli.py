@@ -20,7 +20,7 @@ from . import arrangement as arr_mod
 from .arrangement import Arrangement, ArrangementError, from_descriptor, subset_labels
 from .dimred import (balanced_weight_check, check_asa_dr, check_dr,
                      tonks_series_check, typeD_unbalanced_check)
-from .exact_linalg import FieldMismatchError, SingularSystemError
+from .exact_linalg import FieldMismatchError
 from .geometry import capped_cylinder_shape, cylinder_shape, sphere_shape
 from .matroid import LinearOrder, MatroidView
 from .mayer import SpanningError, mmc_d0, mmc_mc, pressure_coefficient
@@ -447,8 +447,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"polygas: error: {exc}", file=sys.stderr)
         return 1
-    except (ArrangementError, SpanningError, FieldMismatchError,
-            SingularSystemError) as exc:
+    except (ValueError, FieldMismatchError) as exc:
+        # arrangement, spanning, matroid, singular-system and input-range
+        # errors are all ValueErrors: the run's inputs are at fault
         print(f"polygas: error: {exc}", file=sys.stderr)
         return 1
 

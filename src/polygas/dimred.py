@@ -60,7 +60,7 @@ def check_dr(arr: Arrangement, d: int, n_samples: int, seed: int,
     n = arr.ambient_dim
     lhs = pressure_coefficient(view, d, n_samples, seed, workers).scaled(
         (-2.0 * math.pi) ** n)
-    rhs = volume_mc(arr, d + 2, n_samples, seed + 1, workers)
+    rhs = volume_mc(view, d + 2, n_samples, seed + 1, workers)
     z = z_score(lhs, rhs)
     return DRReport(arr.to_descriptor(), d, lhs, rhs, z, abs(z) < 4.0,
                     time.perf_counter() - start)
@@ -235,7 +235,7 @@ def check_asa_dr(arr: Arrangement, shapes, d: int, n_samples: int, seed: int,
     n = arr.ambient_dim
     lhs = asa_pressure_coefficient(view, shapes, d, n_samples, seed,
                                    workers).scaled((-2.0 * math.pi) ** n)
-    rhs = asa_volume_mc(arr, shapes, n_samples, seed + 1, workers)
+    rhs = asa_volume_mc(view, shapes, n_samples, seed + 1, workers)
     z = z_score(lhs, rhs)
     report = DRReport(arr.to_descriptor(), d, lhs, rhs, z, abs(z) < 4.0,
                       time.perf_counter() - start)

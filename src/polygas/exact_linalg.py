@@ -1,15 +1,17 @@
 """Exact scalars over Q and over cyclotomic fields Q(zeta_k), with exact
-rank / inverse, and a guarded floating-point solve for geometry.
+rank / inverse, and a guarded floating-point solve.
 
-All matroid-level questions (independence, rank) are answered exactly:
-rationals use `fractions.Fraction`, cyclotomic numbers are vectors of
-rationals in the power basis of Q[x]/Phi_k(x).  Floating point is confined
-to `solve_float`, which refuses ill-conditioned systems instead of
-returning garbage.
+All matroid-level questions (independence, rank, inverses) are answered
+exactly: rationals use `fractions.Fraction` or integers, cyclotomic numbers
+are vectors of rationals in the power basis of Q[x]/Phi_k(x).  `solve_float`
+is a guarded float solve for callers; it refuses ill-conditioned systems
+instead of returning garbage, and no library path uses it.
 
 Integer rank computations take a fast path over GF(p) with p = 2^31 - 1;
 a Hadamard bound guarantees the modular rank equals the rational rank, and
 a fraction-free (Bareiss) elimination is kept as the general fallback.
+Rational inverses come from fraction-free Gauss-Jordan elimination on the
+integerized rows (`integer_inverse`).
 """
 
 from __future__ import annotations
@@ -323,12 +325,17 @@ def _rank_field(rows) -> int:
     return rank
 
 
+def _row_scale(row) -> int:
+    """The lcm of a rational row's denominators: the least positive integer
+    that makes the row integral."""
+    return math.lcm(*(Fraction(v).denominator for v in row)) if row else 1
+
+
 def _integerize(rows):
     """Scale each rational row by the lcm of denominators (rank-preserving)."""
     out = []
     for row in rows:
-        denoms = [Fraction(v).denominator for v in row]
-        scale = math.lcm(*denoms) if denoms else 1
+        scale = _row_scale(row)
         out.append([int(Fraction(v) * scale) for v in row])
     return out
 
@@ -367,28 +374,75 @@ def is_independent(vectors) -> bool:
 
 
 # --------------------------------------------------------------------------
-# exact inverse (Gauss-Jordan over the field)
+# exact inverse
 # --------------------------------------------------------------------------
+
+def _fraction_free_inverse(m):
+    """Fraction-free Gauss-Jordan elimination of [m | I] for a nonsingular
+    integer matrix.  Every division is exact (each entry stays a minor of the
+    augmented matrix), and the left block ends as p * I, so the right block
+    is p * m^-1.  Returns (right block, p) as Python ints, p = +-det(m)."""
+    n = len(m)
+    aug = [list(row) + [1 if j == i else 0 for j in range(n)]
+           for i, row in enumerate(m)]
+    prev = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise SingularSystemError("matrix is singular over its field")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col]
+        p = prow[col]
+        for r in range(n):
+            if r == col:
+                continue
+            row = aug[r]
+            f = row[col]
+            aug[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = p
+    return [row[n:] for row in aug], prev
+
+
+def integer_inverse(int_rows, scales):
+    """Exact inverse of the nonsingular rational matrix A whose row i is
+    int_rows[i] / scales[i], as (N, den): integer rows N and an integer
+    den > 0 with A^-1 = N / den.
+
+    int_rows (= S A with S = diag(scales)) is inverted by fraction-free
+    elimination, and the row scaling is undone on the columns of the
+    inverse: A^-1 = (S A)^-1 S.  `_integerize` and `_row_scale` give the
+    two arguments for rational rows.
+    """
+    n = len(int_rows)
+    if any(len(r) != n for r in int_rows) or len(scales) != n:
+        raise ValueError("matrix must be square")
+    adj, den = _fraction_free_inverse(int_rows)
+    sign = -1 if den < 0 else 1
+    num = [[sign * v * s for v, s in zip(row, scales)] for row in adj]
+    return num, sign * den
+
 
 def exact_inverse(rows):
     """Exact inverse of a square matrix over Q or Q(zeta_k).
 
-    Returns a list of lists in the same field.  Raises SingularSystemError
-    if the matrix is singular.
+    Returns a list of lists in the same field.  Rational matrices go through
+    fraction-free integer elimination (`integer_inverse`), cyclotomic ones
+    through Gauss-Jordan over Q(zeta_k).  Raises SingularSystemError if the
+    matrix is singular.
     """
     rows = [list(r) for r in rows]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
     kind, k = field_of(v for r in rows for v in r)
-    if kind == "cyclotomic":
-        one = Cyclotomic.from_rational(k, 1)
-        zero = Cyclotomic.from_rational(k, 0)
-        rows = [[v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(k, v)
-                 for v in r] for r in rows]
-    else:
-        one, zero = Fraction(1), Fraction(0)
-        rows = [[Fraction(v) for v in r] for r in rows]
+    if kind == "rational":
+        num, den = integer_inverse(_integerize(rows),
+                                   [_row_scale(r) for r in rows])
+        return [[Fraction(v, den) for v in row] for row in num]
+    one = Cyclotomic.from_rational(k, 1)
+    zero = Cyclotomic.from_rational(k, 0)
+    rows = [[v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(k, v)
+             for v in r] for r in rows]
     aug = [rows[i] + [one if j == i else zero for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = None

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import Arrangement
-from .exact_linalg import exact_inverse, scalar_abs
+from .matroid import mask_elements, view_of
 
 
 @dataclass(frozen=True)
@@ -240,30 +238,22 @@ class BoundingBox:
         return (2.0 * self.halfwidth) ** total_dims
 
 
-def bounding_halfwidth(arr: Arrangement, radii=None) -> BoundingBox:
+def bounding_halfwidth(arr, radii=None) -> BoundingBox:
     """Halfwidth M such that every configuration satisfying ||h_e(x)|| <= R_e
     for all e in some base has every coordinate within [-M, M].
 
-    Computed as max over bases B of (max row abs-sum of the exact inverse of
-    B's normal matrix) * max radius; every full-rank region contains a base,
-    so the box contains all of them.  A tiny relative pad absorbs the float
-    rounding of the exact bound.
+    `arr` is an Arrangement, or a MatroidView of one whose compiled bases and
+    base inverses are then reused.  Computed as max over bases B of (max row
+    abs-sum of the exact inverse of B's normal matrix) * max radius; every
+    full-rank region contains a base, so the box contains all of them.  A
+    tiny relative pad absorbs the float rounding of the exact bound.
     """
-    from .matroid import MatroidView, mask_elements  # local import, no cycle
-
-    radii = tuple(float(r) for r in (radii if radii is not None else arr.radii))
-    view = MatroidView(arr)
+    view = view_of(arr)
+    radii = tuple(float(r) for r in
+                  (radii if radii is not None else view.arrangement.radii))
     worst = 0.0
     for base_mask in view.bases():
-        elems = list(mask_elements(base_mask))
-        rows = [arr.normals[e] for e in elems]
-        inv = exact_inverse(rows)
-        rmax = max(radii[e] for e in elems)
-        for row in inv:
-            s = 0.0
-            if all(isinstance(v, (int, Fraction)) for v in row):
-                s = float(sum(abs(Fraction(v)) for v in row))
-            else:
-                s = sum(scalar_abs(v) for v in row)
+        rmax = max(radii[e] for e in mask_elements(base_mask))
+        for s in view.base_inverse(base_mask).row_abs_sums:
             worst = max(worst, s * rmax)
     return BoundingBox(worst * (1.0 + 1e-14))

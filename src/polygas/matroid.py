@@ -1,21 +1,42 @@
-"""The matroid of an arrangement: rank oracle, bases / spanning-subset
-enumeration, fundamental circuits, external activity, and the
-characteristic polynomial at zero by two independent formulas.
+"""The matroid of an arrangement: rank oracle, bases, fundamental circuits,
+external activity, and the characteristic polynomial at zero.
 
 Ground subsets are bitmasks over hyperplane indices.  All questions are
-answered with exact arithmetic; results are memoized per subset, and the
-caches may be read concurrently (inserts are lock-protected).
+answered with exact arithmetic.  Ranks are memoized per subset, and the
+cache may be read concurrently (inserts are lock-protected).
+
+A view compiles its arrangement's derived data the first time it is needed
+and keeps it:
+
+* the base list, by a backtracking search pruned by rank;
+* a spanning table and a chi table over all 2^|E| masks, from subset (zeta)
+  transforms of the base indicator: spanning[S] is the OR of the indicator
+  over the subsets of S, and chi[S] is the sum over T inside S of
+  (-1)^|T| spanning[T], which is chi_S(0) for a spanning S and 0 otherwise
+  (Crapo: chi(0) = (-1)^r T(1, 0));
+* each base's exact inverse, as float rows and as the rows' absolute sums.
+
+The tables hold 2^|E| entries, so they are refused above MAX_TABLE_SIZE
+hyperplanes.  The order-safe base count, computed per mask, stays as an
+independent second formula for chi(0); the tests keep subset expansion over
+rank calls as the tables' oracle.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arrangement import Arrangement
-from .exact_linalg import _P, _integerize, _rank_mod_p, exact_rank
+from .exact_linalg import (_P, _integerize, _rank_mod_p, _row_scale,
+                           exact_inverse, exact_rank, integer_inverse,
+                           scalar_abs)
+
+# chi and spanning tables index every subset: 2^24 int64 entries are 128 MB
+MAX_TABLE_SIZE = 24
 
 
 class MatroidError(ValueError):
@@ -61,38 +82,72 @@ class LinearOrder:
         return f"LinearOrder({list(self.elements)})"
 
 
+@dataclass(frozen=True)
+class BaseInverse:
+    """The inverse of a base's normal matrix: float (complex for cyclotomic
+    arrangements) rows, and each row's sum of absolute values, rounded once
+    from the exact value for rational arrangements."""
+
+    rows: np.ndarray
+    row_abs_sums: tuple
+
+
+def _subset_sums(table: np.ndarray) -> None:
+    """In place: table[S] becomes the sum of table[T] over all T inside S
+    (their OR for a bool table), one pass per ground element."""
+    for e in range(table.size.bit_length() - 1):
+        pairs = table.reshape(-1, 2, 1 << e)
+        pairs[:, 1, :] += pairs[:, 0, :]
+
+
+def _subset_parity_signs(size: int) -> np.ndarray:
+    """(-1)^|S| for every mask S of a ground set of the given size."""
+    signs = np.ones(1, dtype=np.int64)
+    for _ in range(size):
+        signs = np.concatenate([signs, -signs])
+    return signs
+
+
 class MatroidView:
-    """Rank oracle and derived machinery for the matroid of an arrangement."""
+    """Rank oracle and compiled data for the matroid of an arrangement."""
 
     def __init__(self, arrangement: Arrangement):
         self.arrangement = arrangement
         self.size = arrangement.size
         self.full_rank = arrangement.ambient_dim
         self._rank_cache: dict[int, int] = {0: 0}
-        self._chi_cache: dict[int, int] = {}
         self._safe_cache: dict[tuple, int] = {}
         self._bases: tuple | None = None
-        self._spanning: tuple | None = None
-        self._lock = threading.Lock()
-        # fast exact-rank path: pre-integerized rows + a Hadamard certificate
-        # that every minor survives reduction mod the working prime
+        self._spanning_table: np.ndarray | None = None
+        self._chi_table: np.ndarray | None = None
+        self._inverses: dict[int, BaseInverse] = {}
+        self._lock = threading.RLock()
+        # rational arrangements: integerized rows with their scales (for the
+        # integer base inverses), and a fast exact-rank path when a Hadamard
+        # certificate shows every minor survives reduction mod the prime
         self._int_rows = None
+        self._ints = self._scales = None
         if arrangement.field_kind == "rational":
-            ints = _integerize(arrangement.normals)
+            self._ints = _integerize(arrangement.normals)
+            self._scales = [_row_scale(row) for row in arrangement.normals]
             bound_sq = 1
-            for row in ints:
+            for row in self._ints:
                 bound_sq *= max(1, sum(v * v for v in row))
             if bound_sq < _P * _P:
-                self._int_rows = np.array(ints, dtype=np.int64)
+                self._int_rows = np.array(self._ints, dtype=np.int64)
 
     @property
     def ground_mask(self) -> int:
         return (1 << self.size) - 1
 
+    def _check_mask(self, mask: int) -> None:
+        if mask >> self.size:       # also nonzero for negative masks
+            raise MatroidError("subset outside the ground set")
+
     # -- rank ----------------------------------------------------------------
 
     def rank_of(self, mask: int) -> int:
-        if mask >> self.size:
+        if mask >> self.size:       # inline _check_mask: the hottest call
             raise MatroidError("subset outside the ground set")
         cached = self._rank_cache.get(mask)
         if cached is not None:
@@ -113,11 +168,11 @@ class MatroidView:
         return (popcount(mask) == self.full_rank
                 and self.rank_of(mask) == self.full_rank)
 
-    # -- enumeration -----------------------------------------------------------
+    # -- bases -----------------------------------------------------------------
 
     def bases(self):
         """All bases, each once, in ascending bitmask order (backtracking
-        search pruned by rank)."""
+        search pruned by rank, run once per view)."""
         if self._bases is None:
             found = []
             n, size = self.full_rank, self.size
@@ -138,34 +193,79 @@ class MatroidView:
             self._bases = tuple(found)
         return iter(self._bases)
 
+    def bases_of(self, mask: int):
+        """Bases of the sub-arrangement on `mask` (rank must be full), in
+        ascending bitmask order."""
+        self._check_mask(mask)
+        self.bases()
+        found = [b for b in self._bases if not b & ~mask]
+        if not found:
+            raise MatroidError("subset is not spanning")
+        return found
+
+    def base_inverse(self, base_mask: int) -> BaseInverse:
+        """The exact inverse of a base's normal matrix, computed once per
+        base: fraction-free integer elimination for rational arrangements,
+        Gauss-Jordan over Q(zeta_k) for cyclotomic ones."""
+        inv = self._inverses.get(base_mask)
+        if inv is not None:
+            return inv
+        if not self.is_base(base_mask):
+            raise MatroidError("mask is not a base")
+        elems = list(mask_elements(base_mask))
+        if self._ints is not None:
+            num, den = integer_inverse([self._ints[e] for e in elems],
+                                       [self._scales[e] for e in elems])
+            floats = np.array([[v / den for v in row] for row in num], dtype=float)
+            sums = tuple(sum(abs(v) for v in row) / den for row in num)
+        else:
+            exact = exact_inverse([self.arrangement.normals[e] for e in elems])
+            floats = np.array([[v.to_complex() for v in row] for row in exact],
+                              dtype=complex)
+            sums = tuple(sum(scalar_abs(v) for v in row) for row in exact)
+        floats.flags.writeable = False
+        inv = BaseInverse(floats, sums)
+        with self._lock:
+            self._inverses[base_mask] = inv
+        return inv
+
+    # -- tables over all subsets -------------------------------------------------
+
+    def _compile_tables(self) -> None:
+        with self._lock:
+            if self._chi_table is not None:
+                return
+            if self.size > MAX_TABLE_SIZE:
+                raise MatroidError(
+                    f"{self.size} hyperplanes: the chi and spanning tables "
+                    f"index all 2^{self.size} subsets, and at most "
+                    f"{MAX_TABLE_SIZE} hyperplanes are supported")
+            spanning = np.zeros(1 << self.size, dtype=bool)
+            spanning[list(self.bases())] = True
+            _subset_sums(spanning)
+            chi = np.where(spanning, _subset_parity_signs(self.size), 0)
+            _subset_sums(chi)
+            spanning.flags.writeable = False
+            chi.flags.writeable = False
+            self._spanning_table = spanning
+            self._chi_table = chi
+
+    @property
+    def spanning_table(self) -> np.ndarray:
+        """Read-only bool array: entry S is True iff subset S has full rank."""
+        self._compile_tables()
+        return self._spanning_table
+
+    @property
+    def chi_table(self) -> np.ndarray:
+        """Read-only int64 array: entry S is chi_S(0) for a spanning subset S
+        and 0 for every other subset."""
+        self._compile_tables()
+        return self._chi_table
+
     def spanning_subsets(self):
         """All subsets of full rank, ascending bitmask order."""
-        if self._spanning is None:
-            self._spanning = tuple(
-                m for m in range(1 << self.size) if self.is_spanning(m))
-        return iter(self._spanning)
-
-    def bases_of(self, mask: int):
-        """Bases of the sub-arrangement on `mask` (rank must be full)."""
-        if not self.is_spanning(mask):
-            raise MatroidError("subset is not spanning")
-        elems = list(mask_elements(mask))
-        n = self.full_rank
-        found = []
-
-        def extend(start, sub, count):
-            if count == n:
-                found.append(sub)
-                return
-            for idx in range(start, len(elems)):
-                if len(elems) - idx < n - count:
-                    break
-                m2 = sub | (1 << elems[idx])
-                if self.rank_of(m2) == count + 1:
-                    extend(idx + 1, m2, count + 1)
-
-        extend(0, 0, 0)
-        return found
+        return map(int, np.flatnonzero(self.spanning_table))
 
     # -- circuits and activity --------------------------------------------------
 
@@ -203,33 +303,19 @@ class MatroidView:
     # -- characteristic polynomial at 0 ------------------------------------------
 
     def chi_at_zero(self, mask: int | None = None) -> int:
-        """Subset expansion: sum over T inside the given spanning set of
-        (-1)^|T| over full-rank T.  Exact integer."""
+        """chi(0) of the sub-arrangement on a spanning subset (the whole
+        ground set by default), read from the chi table.  Exact integer."""
         if mask is None:
             mask = self.ground_mask
-        cached = self._chi_cache.get(mask)
-        if cached is not None:
-            return cached
-        if not self.is_spanning(mask):
+        self._check_mask(mask)
+        if not self.spanning_table[mask]:
             raise MatroidError("subset is not spanning")
-        n = self.full_rank
-        total = 0
-        sub = mask
-        while True:
-            if self.rank_of(sub) == n:
-                total += -1 if popcount(sub) & 1 else 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        with self._lock:
-            self._chi_cache[mask] = total
-        return total
+        return int(self.chi_table[mask])
 
     def chi_if_spanning(self, mask: int) -> int:
-        """chi_at_zero when the subset spans, else 0 (estimator fast path)."""
-        if not self.is_spanning(mask):
-            return 0
-        return self.chi_at_zero(mask)
+        """chi_at_zero when the subset spans, else 0."""
+        self._check_mask(mask)
+        return int(self.chi_table[mask])
 
     def safe_base_count(self, mask: int | None = None,
                         order: LinearOrder | None = None) -> int:
@@ -253,3 +339,10 @@ class MatroidView:
         if not self.is_spanning(mask):
             return 0
         return self.safe_base_count(mask, order)
+
+
+def view_of(source) -> MatroidView:
+    """`source` itself when it is a MatroidView, else a new view of the
+    arrangement `source`: lets one view's compiled data serve every helper
+    of a call."""
+    return source if isinstance(source, MatroidView) else MatroidView(source)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .geometry import ASAShape, BoundingBox, RNGStream, bounding_halfwidth
-from .matroid import LinearOrder, MatroidView, popcount
+from .matroid import MatroidView, popcount
 
 CHUNK = 1 << 16
 
@@ -207,7 +207,7 @@ def mmc_mc(view: MatroidView, subset_mask: int, d: int, n_samples: int,
     if not view.is_spanning(subset_mask):
         raise SpanningError("subset does not span")
     arr = view.arrangement
-    box = bounding_halfwidth(arr)
+    box = bounding_halfwidth(view)
     vol = _box_volume(arr, d, box.halfwidth)
     radii_sq = np.asarray(arr.radii) ** 2
     idx = [e for e in range(arr.size) if subset_mask >> e & 1]
@@ -232,19 +232,18 @@ def pressure_coefficient(view: MatroidView, d: int, n_samples: int, seed: int,
                          workers: int = 1) -> MCEstimate:
     """Sum over spanning subsets of the d-dimensional coefficients, via the
     one-pass region decomposition: sample x, find its within-radius subset G,
-    and add chi_G(0) when G has full rank."""
+    and add chi_G(0), read from the view's chi table (0 unless G has full
+    rank)."""
     arr = view.arrangement
     if d == 0:
         return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
-    box = bounding_halfwidth(arr)
+    chi = view.chi_table        # before the box: refuses oversized ground sets
+    box = bounding_halfwidth(view)
     vol = _box_volume(arr, d, box.halfwidth)
 
     def values(rng, count):
         pts = _draw_box(arr, rng, count, d, box.halfwidth)
-        masks = arr.gamma_masks(pts)
-        uniq, inverse = np.unique(masks, return_inverse=True)
-        chi = np.array([view.chi_if_spanning(int(m)) for m in uniq], dtype=float)
-        return chi[inverse] * vol
+        return chi[arr.gamma_masks(pts)] * vol
 
     return run_chunked(n_samples, seed, workers, values)
 
@@ -257,7 +256,7 @@ def pressure_coefficient_enumerated(view: MatroidView, d: int, n_samples: int,
     if d == 0:
         return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
     arr = view.arrangement
-    box = bounding_halfwidth(arr)
+    box = bounding_halfwidth(view)
     vol = _box_volume(arr, d, box.halfwidth)
     radii_sq = np.asarray(arr.radii) ** 2
     parts = []
@@ -275,27 +274,6 @@ def pressure_coefficient_enumerated(view: MatroidView, d: int, n_samples: int,
                           stream_base=h_index << 32)
         parts.append(est.scaled(sign))
     return mc_sum(parts, seed, workers)
-
-
-def safe_pressure_coefficient(view: MatroidView, d: int, order: LinearOrder,
-                              n_samples: int, seed: int,
-                              workers: int = 1) -> MCEstimate:
-    """Signed-free variant of the region decomposition: counts order-safe
-    bases of the within-radius subset instead of adding chi(0); the result
-    equals (-1)^rank times the pressure coefficient."""
-    arr = view.arrangement
-    box = bounding_halfwidth(arr)
-    vol = _box_volume(arr, d, box.halfwidth)
-
-    def values(rng, count):
-        pts = _draw_box(arr, rng, count, d, box.halfwidth)
-        masks = arr.gamma_masks(pts)
-        uniq, inverse = np.unique(masks, return_inverse=True)
-        counts = np.array([view.safe_count_if_spanning(int(m), order) for m in uniq],
-                          dtype=float)
-        return counts[inverse] * vol
-
-    return run_chunked(n_samples, seed, workers, values)
 
 
 # --------------------------------------------------------------------------
@@ -317,9 +295,9 @@ def _check_shapes(arr: Arrangement, shapes, d: int):
     return shapes
 
 
-def asa_bounding_box(arr: Arrangement, shapes) -> BoundingBox:
+def asa_bounding_box(view: MatroidView, shapes) -> BoundingBox:
     radii = [s.bottom_outer_radius for s in shapes]
-    return bounding_halfwidth(arr, radii=radii)
+    return bounding_halfwidth(view, radii=radii)
 
 
 def mmc_asa(view: MatroidView, subset_mask: int, shapes, d: int,
@@ -329,7 +307,7 @@ def mmc_asa(view: MatroidView, subset_mask: int, shapes, d: int,
         raise SpanningError("subset does not span")
     arr = view.arrangement
     shapes = _check_shapes(arr, shapes, d)
-    box = asa_bounding_box(arr, shapes)
+    box = asa_bounding_box(view, shapes)
     vol = _box_volume(arr, d, box.halfwidth)
     idx = [e for e in range(arr.size) if subset_mask >> e & 1]
     sign = -1.0 if len(idx) % 2 else 1.0
@@ -351,7 +329,8 @@ def asa_pressure_coefficient(view: MatroidView, shapes, d: int, n_samples: int,
     membership of each hyperplane's shape."""
     arr = view.arrangement
     shapes = _check_shapes(arr, shapes, d)
-    box = asa_bounding_box(arr, shapes)
+    chi = view.chi_table
+    box = asa_bounding_box(view, shapes)
     vol = _box_volume(arr, d, box.halfwidth)
     bits = 1 << np.arange(arr.size, dtype=np.int64)
 
@@ -360,9 +339,6 @@ def asa_pressure_coefficient(view: MatroidView, shapes, d: int, n_samples: int,
         vals = arr.values(pts)
         within = np.stack([shapes[e].bottom_contains(vals[:, e, :])
                            for e in range(arr.size)], axis=1)
-        masks = within @ bits
-        uniq, inverse = np.unique(masks, return_inverse=True)
-        chi = np.array([view.chi_if_spanning(int(m)) for m in uniq], dtype=float)
-        return chi[inverse] * vol
+        return chi[within @ bits] * vol
 
     return run_chunked(n_samples, seed, workers, values)

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement
-from .exact_linalg import exact_inverse
 from .geometry import (RNGStream, bounding_halfwidth, sample_unit_sphere,
                        sphere_area, surface_measure_total)
-from .matroid import LinearOrder, MatroidView, mask_elements
+from .matroid import LinearOrder, MatroidView, mask_elements, view_of
 from .mayer import (MCEstimate, _box_volume, _check_shapes, _draw_box, mc_sum,
                     run_chunked, z_score)
 
@@ -38,14 +37,12 @@ class PolymerSample:
     accepted: bool
 
 
-def _base_inverse(arr: Arrangement, base_mask: int) -> np.ndarray:
-    rows = [arr.normals[e] for e in mask_elements(base_mask)]
-    inv = exact_inverse(rows)
-    if arr.complexified:
-        return np.array([[float(v) for v in row] for row in inv], dtype=float)
-    from .exact_linalg import Cyclotomic
-    return np.array([[v.to_complex() if isinstance(v, Cyclotomic) else complex(v)
-                      for v in row] for row in inv], dtype=complex)
+def _per_base_budget(n_samples: int, n_bases: int) -> int:
+    """Samples per base when n_samples is split evenly across the bases."""
+    if n_samples < n_bases:
+        raise ValueError(f"n_samples = {n_samples} is smaller than the "
+                         f"{n_bases} bases it is split across")
+    return n_samples // n_bases
 
 
 def _polymer_dims(arr: Arrangement, dim: int):
@@ -87,35 +84,38 @@ def _accept_batch(arr: Arrangement, base_mask: int, dim: int, rng, count: int,
     return accepted, x
 
 
-def sample_for_base(arr: Arrangement, base_mask: int, dim: int,
+def sample_for_base(arr, base_mask: int, dim: int,
                     rng: np.random.Generator, radii=None) -> PolymerSample:
     """One polymer draw for a base: the configuration solving
     h_e(x) = R_e * u_e for e in the base, accepted iff every other
-    hyperplane's value strictly exceeds its radius."""
-    view = MatroidView(arr)
-    if not view.is_base(base_mask):
-        raise ValueError("mask is not a base")
+    hyperplane's value strictly exceeds its radius.  `arr` is an
+    Arrangement or a MatroidView of one."""
+    view = view_of(arr)
+    arr = view.arrangement
     radii = tuple(float(r) for r in (radii if radii is not None else arr.radii))
-    inv = _base_inverse(arr, base_mask)
+    inv = view.base_inverse(base_mask).rows
     accepted, x = _accept_batch(arr, base_mask, dim, rng, 1, radii, inv)
     base_idx = list(mask_elements(base_mask))
     u = (arr.coeff[base_idx] @ x[0]) / np.asarray(radii)[base_idx][:, None]
     return PolymerSample(base_mask, u, x[0], bool(accepted[0]))
 
 
-def volume_mc(arr: Arrangement, dim: int, n_samples: int, seed: int,
+def volume_mc(arr, dim: int, n_samples: int, seed: int,
               workers: int = 1, radii=None) -> MCEstimate:
     """Total polymer volume at the given ambient dimension: sum over bases of
     (sphere area)^n times that base's acceptance rate, the sample budget
-    split evenly across bases."""
-    view = MatroidView(arr)
+    split evenly across bases (n_samples must be at least the base count).
+    `arr` is an Arrangement, or a MatroidView of one whose compiled bases
+    and base inverses are then reused."""
+    view = view_of(arr)
+    arr = view.arrangement
     radii = tuple(float(r) for r in (radii if radii is not None else arr.radii))
     bases = list(view.bases())
-    per_base = max(1, n_samples // len(bases))
+    per_base = _per_base_budget(n_samples, len(bases))
     weight = sphere_area(dim) ** arr.ambient_dim
     parts = []
     for b_index, base_mask in enumerate(bases):
-        inv = _base_inverse(arr, base_mask)
+        inv = view.base_inverse(base_mask).rows
 
         def values(rng, count, base_mask=base_mask, inv=inv):
             accepted, _ = _accept_batch(arr, base_mask, dim, rng, count,
@@ -164,7 +164,7 @@ def planar_invariance_check(arr: Arrangement, radii_list, n_samples: int,
     target_est = MCEstimate(target, 0.0, 0, seed, workers)
     estimates = []
     for i, radii in enumerate(radii_list):
-        est = volume_mc(arr, 2, n_samples, seed + i, workers, radii=radii)
+        est = volume_mc(view, 2, n_samples, seed + i, workers, radii=radii)
         estimates.append(est)
     z_target = tuple(z_score(e, target_est) for e in estimates)
     pair = 0.0
@@ -225,13 +225,14 @@ def project_expectation(arr: Arrangement, d: int, g, n_samples: int, seed: int,
     g = _checked(g)
     dim = d + 2
     view = MatroidView(arr)
+    chi = view.chi_table
     n = arr.ambient_dim
     weight = sphere_area(dim) ** n
     bases = list(view.bases())
-    per_base = max(1, n_samples // len(bases))
+    per_base = _per_base_budget(n_samples, len(bases))
     parts = []
     for b_index, base_mask in enumerate(bases):
-        inv = _base_inverse(arr, base_mask)
+        inv = view.base_inverse(base_mask).rows
 
         def values(rng, count, base_mask=base_mask, inv=inv):
             accepted, x = _accept_batch(arr, base_mask, dim, rng, count,
@@ -242,15 +243,12 @@ def project_expectation(arr: Arrangement, d: int, g, n_samples: int, seed: int,
                                  stream_base=b_index << 32))
     polymer_side = mc_sum(parts, seed, workers)
 
-    box = bounding_halfwidth(arr)
+    box = bounding_halfwidth(view)
     vol = _box_volume(arr, d, box.halfwidth)
 
     def mmc_values(rng, count):
         pts = _draw_box(arr, rng, count, d, box.halfwidth)
-        masks = arr.gamma_masks(pts)
-        uniq, inverse = np.unique(masks, return_inverse=True)
-        chi = np.array([view.chi_if_spanning(int(m)) for m in uniq], dtype=float)
-        return chi[inverse] * g(pts) * vol
+        return chi[arr.gamma_masks(pts)] * g(pts) * vol
 
     # separate seed so the two sides are statistically independent
     mmc_side = run_chunked(n_samples, seed + 1, workers, mmc_values).scaled(
@@ -271,7 +269,7 @@ def safe_projection_expectation(arr: Arrangement, d: int, g, order: LinearOrder,
         g = G_FUNCTIONS[g]
     g = _checked(g)
     view = MatroidView(arr)
-    box = bounding_halfwidth(arr)
+    box = bounding_halfwidth(view)
     vol = _box_volume(arr, d, box.halfwidth)
 
     def values(rng, count):
@@ -290,13 +288,17 @@ def safe_projection_expectation(arr: Arrangement, d: int, g, order: LinearOrder,
 # warped-surface polymers
 # --------------------------------------------------------------------------
 
-def asa_volume_mc(arr: Arrangement, shapes, n_samples: int, seed: int,
+def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
                   workers: int = 1) -> MCEstimate:
     """Polymer volume with per-hyperplane surfaces: base functional values
     are drawn uniformly from each surface (bottom point + circle angle), the
     configuration solved, and a sample is accepted when every non-base value
     lies outside that hyperplane's closed solid body (bottom membership and
-    circle part within the warp radius never both hold)."""
+    circle part within the warp radius never both hold).  `arr` is an
+    Arrangement or a MatroidView of one; n_samples must be at least the
+    base count."""
+    view = view_of(arr)
+    arr = view.arrangement
     if not arr.complexified:
         raise ValueError("warped-surface polymers need a real arrangement")
     dims = {s.dim for s in shapes}
@@ -305,14 +307,13 @@ def asa_volume_mc(arr: Arrangement, shapes, n_samples: int, seed: int,
     dim = dims.pop()
     d = dim - 2
     shapes = _check_shapes(arr, shapes, d)
-    view = MatroidView(arr)
     bases = list(view.bases())
-    per_base = max(1, n_samples // len(bases))
+    per_base = _per_base_budget(n_samples, len(bases))
     parts = []
     for b_index, base_mask in enumerate(bases):
         base_idx = list(mask_elements(base_mask))
         outside_idx = [e for e in range(arr.size) if not base_mask >> e & 1]
-        inv = _base_inverse(arr, base_mask)
+        inv = view.base_inverse(base_mask).rows
         weight = 1.0
         for e in base_idx:
             weight *= surface_measure_total(shapes[e])
@@ -357,7 +358,7 @@ def dump_samples_csv(path, arr: Arrangement, dim: int, n_samples: int,
                            for j in range(dim)])
         for b_index, base_mask in enumerate(view.bases()):
             rng = RNGStream(seed, b_index).generator()
-            inv = _base_inverse(arr, base_mask)
+            inv = view.base_inverse(base_mask).rows
             accepted, x = _accept_batch(arr, base_mask, dim, rng, n_samples,
                                         radii, inv)
             coords = x.reshape(n_samples, -1)
@@ -377,7 +378,7 @@ def polymer_svg(path, arr: Arrangement, seed: int = 0, tries: int = 1000):
     sample = None
     for _ in range(tries):
         base_mask = bases[int(rng.integers(len(bases)))]
-        cand = sample_for_base(arr, base_mask, 2, rng)
+        cand = sample_for_base(view, base_mask, 2, rng)
         if cand.accepted:
             sample = cand
             break

@@ -57,10 +57,6 @@ class _ParityUF:
             self.parity[node] = p
         return i
 
-    def parity_to_root(self, i):
-        self.find(i)
-        return self.parity[i] if self.parent[i] != i else 0
-
     def union(self, i, j, want):
         ri, rj = self.find(i), self.find(j)
         pi = self.parity[i] if self.parent[i] != i else 0
@@ -231,10 +227,6 @@ def is_dn_independent(g: SignedGraph) -> bool:
         if len(edges) == len(verts) and _unique_cycle_sign(verts, edges) != -1:
             return False
     return True
-
-
-def dn_edge_count(n: int) -> int:
-    return n * (n - 1)
 
 
 def dn_mask_to_graph(n: int, mask: int) -> SignedGraph:

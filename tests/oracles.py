@@ -3,6 +3,10 @@
 Exact rational half-plane clipping in the plane: the d = 1 intersection
 volumes of slab constraints |a . x| <= R are convex polygon areas, computed
 here with Fraction arithmetic and no reference to the library's estimators.
+
+Also the slow paths the compiled matroid data is checked against: chi(0)
+by subset expansion over rank calls, and matrix inverses by Fraction
+Gauss-Jordan elimination.
 """
 
 from fractions import Fraction
@@ -113,3 +117,36 @@ def hard_rod_pressure_coefficient(m):
             raise ValueError("exact clipping oracle implemented for m <= 3")
         total += (-1) ** len(edges) * vol
     return total
+
+
+def chi_by_expansion(view, mask):
+    """Sum over subsets T of `mask` with full rank of (-1)^|T|, one rank call
+    per subset: chi_mask(0) for a spanning mask, 0 for any other."""
+    total = 0
+    sub = mask
+    while True:
+        if view.rank_of(sub) == view.full_rank:
+            total += -1 if bin(sub).count("1") & 1 else 1
+        if sub == 0:
+            return total
+        sub = (sub - 1) & mask
+
+
+def fraction_inverse(rows):
+    """Inverse of a rational matrix by Gauss-Jordan elimination over
+    Fractions; ZeroDivisionError when it is singular."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [v / p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]

@@ -229,3 +229,10 @@ def test_unknown_config_key_exit_one(tmp_path):
     cfg.write_text('{"familee": "braid"}')
     code, _ = run_cli(["chi", "--config", str(cfg)])
     assert code == 1
+
+
+def test_fewer_samples_than_bases_exit_one(capsys):
+    code, out = run_cli(["polymer-volume", "--family", "braid", "--n", "4",
+                         "--d", "3", "--samples", "5"])
+    assert code == 1 and out == ""
+    assert "16 bases" in capsys.readouterr().err

@@ -1,0 +1,164 @@
+"""The compiled matroid data (chi and spanning tables, base list, integer
+base inverses) against independent slow paths, and the guards around it."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import chi_by_expansion, fraction_inverse
+from polygas.arrangement import (ArrangementError, braid, coxeter_b, coxeter_d,
+                                 custom, dowling, threshold, widom_rowlinson)
+from polygas.dimred import check_dr
+from polygas.exact_linalg import (SingularSystemError, _integerize, _row_scale,
+                                  exact_inverse, integer_inverse)
+from polygas.matroid import (MAX_TABLE_SIZE, LinearOrder, MatroidError,
+                             MatroidView, mask_elements)
+from polygas.mayer import pressure_coefficient
+
+SMALL_FAMILIES = {
+    "braid2": braid(2), "braid3": braid(3), "braid4": braid(4),
+    "braid5": braid(5), "coxeterB2": coxeter_b(2), "coxeterB3": coxeter_b(3),
+    "coxeterD2": coxeter_d(2), "coxeterD3": coxeter_d(3),
+    "threshold3": threshold(3), "threshold4": threshold(4),
+    "dowling2_3": dowling(2, 3), "dowling3_3": dowling(3, 3),
+    "widom_rowlinson22": widom_rowlinson([2, 2]),
+    "widom_rowlinson23": widom_rowlinson([2, 3]),
+}
+
+RATIONAL_FAMILIES = {label: arr for label, arr in SMALL_FAMILIES.items()
+                     if arr.field_kind == "rational"}
+
+README_CUSTOM = custom([["1", "-1/2"], ["0", "1"]])
+
+
+@pytest.mark.parametrize("label", sorted(SMALL_FAMILIES))
+def test_tables_match_rank_and_subset_expansion(label):
+    arr = SMALL_FAMILIES[label]
+    assert arr.size <= 10
+    view = MatroidView(arr)
+    oracle = MatroidView(arr)      # rank calls only, no compiled data
+    n = arr.ambient_dim
+    rng = random.Random(label)
+    order = LinearOrder.shuffled(arr.size, rng)
+    assert view.chi_table.shape == view.spanning_table.shape == (1 << arr.size,)
+    for mask in range(1 << arr.size):
+        spanning = oracle.rank_of(mask) == n
+        assert bool(view.spanning_table[mask]) == spanning
+        chi = chi_by_expansion(oracle, mask)
+        assert view.chi_table[mask] == chi
+        assert view.chi_if_spanning(mask) == chi
+        if spanning:
+            assert view.chi_at_zero(mask) == chi
+            assert oracle.safe_base_count(mask, order) == (-1) ** n * chi
+        else:
+            assert chi == 0
+            with pytest.raises(MatroidError):
+                view.chi_at_zero(mask)
+
+
+@pytest.mark.parametrize("label", sorted(SMALL_FAMILIES))
+def test_bases_of_equals_full_rank_subsets_of_size_rank(label):
+    view = MatroidView(SMALL_FAMILIES[label])
+    oracle = MatroidView(SMALL_FAMILIES[label])
+    n = view.full_rank
+    for mask in view.spanning_subsets():
+        expected = sorted(sum(1 << e for e in elems)
+                          for elems in combinations(mask_elements(mask), n)
+                          if oracle.rank_of(sum(1 << e for e in elems)) == n)
+        assert view.bases_of(mask) == expected
+
+
+def test_mask_range_checked():
+    view = MatroidView(braid(3))
+    for bad in (-1, 1 << 3):
+        for query in (view.chi_at_zero, view.chi_if_spanning, view.bases_of,
+                      view.rank_of):
+            with pytest.raises(MatroidError):
+                query(bad)
+
+
+def _assert_inverse_matches_oracle(view, base_mask):
+    rows = [view.arrangement.normals[e] for e in mask_elements(base_mask)]
+    expected = fraction_inverse(rows)
+    assert exact_inverse(rows) == expected
+    num, den = integer_inverse(_integerize(rows), [_row_scale(r) for r in rows])
+    assert den > 0
+    assert [[Fraction(v, den) for v in row] for row in num] == expected
+    inv = view.base_inverse(base_mask)
+    assert inv.rows.tolist() == [[float(v) for v in row] for row in expected]
+    assert inv.row_abs_sums == tuple(float(sum(abs(v) for v in row))
+                                     for row in expected)
+
+
+@pytest.mark.parametrize("label", sorted(RATIONAL_FAMILIES))
+def test_integer_base_inverses_equal_fraction_gauss_jordan(label):
+    view = MatroidView(RATIONAL_FAMILIES[label])
+    for base_mask in view.bases():
+        _assert_inverse_matches_oracle(view, base_mask)
+
+
+def test_integer_inverse_undoes_row_scaling():
+    # rows with denominators: the integerized rows are scaled by 2 and 1
+    view = MatroidView(README_CUSTOM)
+    assert list(view.bases()) == [0b11]
+    _assert_inverse_matches_oracle(view, 0b11)
+    inv = view.base_inverse(0b11)
+    assert inv.rows.tolist() == [[1.0, 0.5], [0.0, 1.0]]
+    assert inv.row_abs_sums == (1.5, 1.0)
+
+
+_entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_integer_inverse_random_rational_matrices(rows):
+    scaled = (_integerize(rows), [_row_scale(r) for r in rows])
+    try:
+        expected = fraction_inverse(rows)
+    except ZeroDivisionError:
+        with pytest.raises(SingularSystemError):
+            integer_inverse(*scaled)
+        return
+    num, den = integer_inverse(*scaled)
+    assert [[Fraction(v, den) for v in row] for row in num] == expected
+
+
+def test_table_refused_above_the_limit():
+    assert MAX_TABLE_SIZE == 24
+    arr = braid(8)                                   # 28 hyperplanes
+    view = MatroidView(arr)
+    with pytest.raises(MatroidError, match="at most 24 hyperplanes"):
+        view.chi_at_zero()
+    with pytest.raises(MatroidError, match="at most 24 hyperplanes"):
+        pressure_coefficient(view, 1, 10, 0)
+    assert view._bases is None     # refused before any base enumeration
+    assert view.rank_of(view.ground_mask) == 7     # rank queries still work
+
+
+def test_check_dr_builds_one_view(monkeypatch):
+    built = []
+    original = MatroidView.__init__
+
+    def counting_init(self, arrangement):
+        built.append(arrangement)
+        original(self, arrangement)
+
+    monkeypatch.setattr(MatroidView, "__init__", counting_init)
+    check_dr(braid(3), 1, 2000, 0)
+    assert len(built) == 1
+
+
+def test_gamma_masks_refuse_more_bits_than_int64_holds():
+    arr = braid(12)                                  # 66 hyperplanes
+    with pytest.raises(ArrangementError, match="int64"):
+        arr.gamma_of(np.zeros((11, 1)))
+    # 63 hyperplanes still fit: every bit set at the origin
+    wide = custom([[1, k] for k in range(63)])
+    assert wide.gamma_of(np.zeros((2, 1))) == (1 << 63) - 1

@@ -232,3 +232,15 @@ def test_projection_rejects_non_finite_g():
     bad = lambda y: np.full(y.shape[0], math.inf)
     with pytest.raises(ValueError, match="non-finite"):
         project_expectation(braid(2), 1, bad, 2_000, 0)
+
+
+def test_polymer_samplers_refuse_fewer_samples_than_bases():
+    # braid(4) has 16 bases: 5 samples cannot give each base one
+    arr = braid(4)
+    with pytest.raises(ValueError, match="16 bases"):
+        volume_mc(arr, 3, 5, 0)
+    with pytest.raises(ValueError, match="16 bases"):
+        project_expectation(arr, 1, "const1", 5, 0)
+    with pytest.raises(ValueError, match="16 bases"):
+        asa_volume_mc(arr, [cylinder_shape(3, 1.0)] * arr.size, 5, 0)
+    assert volume_mc(arr, 3, 16, 0).n_samples == 16

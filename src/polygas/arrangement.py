@@ -13,6 +13,7 @@ order) is in the subset.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +28,27 @@ MAX_MASK_BITS = 63
 
 class ArrangementError(ValueError):
     """Construction failed (typically: the normals do not span the space)."""
+
+
+def _checked_radii(radii, size: int) -> tuple:
+    """The radii as floats, refused unless there is exactly one positive,
+    finite radius per hyperplane."""
+    radii = tuple(float(r) for r in radii)
+    if len(radii) != size or not all(0.0 < r < math.inf for r in radii):
+        raise ArrangementError(
+            f"need one positive finite radius per hyperplane ({size}), "
+            f"got {list(radii)}")
+    return radii
+
+
+def _mask_bits(size: int) -> np.ndarray:
+    """The int64 bit of each hyperplane, for packing membership rows into
+    masks: at most MAX_MASK_BITS hyperplanes."""
+    if size > MAX_MASK_BITS:
+        raise ArrangementError(
+            f"{size} hyperplanes do not fit an int64 bitmask "
+            f"(at most {MAX_MASK_BITS})")
+    return 1 << np.arange(size, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +95,9 @@ class Arrangement:
         return (1 << self.size) - 1
 
     def with_radii(self, radii) -> "Arrangement":
-        radii = tuple(float(r) for r in radii)
-        if len(radii) != self.size or any(r <= 0 for r in radii):
-            raise ArrangementError("need one positive radius per hyperplane")
         return Arrangement(self.ambient_dim, self.field_kind, self.cyclotomic_order,
-                           self.labels, self.normals, radii,
+                           self.labels, self.normals,
+                           _checked_radii(radii, self.size),
                            self.family, self.family_params, self.coeff)
 
     # -- evaluation ---------------------------------------------------------
@@ -105,12 +125,8 @@ class Arrangement:
     def gamma_masks(self, xbatch: np.ndarray) -> np.ndarray:
         """Bitmask of {e : ||h_e(x)|| <= R_e} per configuration (ties count as
         inside), as int64: at most MAX_MASK_BITS hyperplanes."""
-        if self.size > MAX_MASK_BITS:
-            raise ArrangementError(
-                f"{self.size} hyperplanes do not fit an int64 bitmask "
-                f"(at most {MAX_MASK_BITS})")
+        bits = _mask_bits(self.size)
         within = self.norms_sq(xbatch) <= np.asarray(self.radii) ** 2
-        bits = 1 << np.arange(self.size, dtype=np.int64)
         return within @ bits
 
     def gamma_of(self, x) -> int:
@@ -149,10 +165,8 @@ def _build(normals, labels, radii, family, params, k=None) -> Arrangement:
             f"{family}: not essential, normals have rank {rank} < {n}")
     if radii is None:
         radii = (1.0,) * len(normals)
-    radii = tuple(float(r) for r in radii)
-    if len(radii) != len(normals) or any(r <= 0 for r in radii):
-        raise ArrangementError("need one positive radius per hyperplane")
-    return Arrangement(n, kind, korder, tuple(labels), normals, radii,
+    return Arrangement(n, kind, korder, tuple(labels), normals,
+                       _checked_radii(radii, len(normals)),
                        family, tuple(params))
 
 

@@ -23,7 +23,8 @@ from .dimred import (balanced_weight_check, check_asa_dr, check_dr,
 from .exact_linalg import FieldMismatchError
 from .geometry import capped_cylinder_shape, cylinder_shape, sphere_shape
 from .matroid import LinearOrder, MatroidView
-from .mayer import SpanningError, mmc_d0, mmc_mc, pressure_coefficient
+from .mayer import (SpanningError, mmc_d0, mmc_mc, pressure_coefficient,
+                    z_score)
 from .polymer import (G_FUNCTIONS, dump_samples_csv, planar_invariance_check,
                       polymer_svg, project_expectation,
                       safe_projection_expectation, volume_mc)
@@ -310,7 +311,6 @@ def _cmd_project_law(cfg: ExperimentConfig):
         safe_est = safe_projection_expectation(arr, cfg.d, cfg.g, order,
                                                cfg.samples, cfg.seed + 7,
                                                cfg.workers)
-        from .mayer import z_score
         z_safe = z_score(safe_est, report.mmc_side)
         payload["safe_side"] = safe_est.to_json_dict("safe-base projection")
         payload["z_safe_vs_mmc"] = z_safe

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrangement import _checked_radii
 from .matroid import mask_elements, view_of
 
 
@@ -249,8 +250,8 @@ def bounding_halfwidth(arr, radii=None) -> BoundingBox:
     tiny relative pad absorbs the float rounding of the exact bound.
     """
     view = view_of(arr)
-    radii = tuple(float(r) for r in
-                  (radii if radii is not None else view.arrangement.radii))
+    radii = (view.arrangement.radii if radii is None
+             else _checked_radii(radii, view.size))
     worst = 0.0
     for base_mask in view.bases():
         rmax = max(radii[e] for e in mask_elements(base_mask))

@@ -118,6 +118,7 @@ class MatroidView:
         self._rank_cache: dict[int, int] = {0: 0}
         self._safe_cache: dict[tuple, int] = {}
         self._bases: tuple | None = None
+        self._base_set: frozenset | None = None
         self._spanning_table: np.ndarray | None = None
         self._chi_table: np.ndarray | None = None
         self._inverses: dict[int, BaseInverse] = {}
@@ -190,6 +191,7 @@ class MatroidView:
 
             extend(0, 0, 0)
             found.sort()
+            self._base_set = frozenset(found)
             self._bases = tuple(found)
         return iter(self._bases)
 
@@ -279,11 +281,13 @@ class MatroidView:
             raise MatroidError("element already in the base")
         if e >= self.size:
             raise MatroidError("element outside the ground set")
+        # an exchange has rank-many elements: it spans iff it is a base
+        if self._base_set is None:
+            self.bases()
         circuit = bit
-        n = self.full_rank
         for b in mask_elements(base_mask):
             swapped = (base_mask & ~(1 << b)) | bit
-            if self.rank_of(swapped) == n:
+            if swapped in self._base_set:
                 circuit |= 1 << b
         return circuit
 

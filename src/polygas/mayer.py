@@ -2,6 +2,13 @@
 plus the one-pass region-decomposition estimator for the pressure-series
 coefficient and the warped-surface (bottom membership) variants.
 
+Every box estimator is one call of the region kernel `_region_estimate`:
+draw x uniformly in the bounding box, find its within-radius mask G(x), and
+average weight(G(x)) (times g(x)) times the box volume.  The weights are
+the chi table (pressure coefficients), a subset indicator scaled by
+(-1)^|H| (single coefficients), and the order-safe base count (the safe
+projection law in polymer.py).
+
 Estimation contract: work is cut into fixed-size chunks, one deterministic
 random stream per chunk, merged in chunk order.  Worker count only decides
 which thread runs which chunk, so results are bit-identical across worker
@@ -16,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrangement import Arrangement
-from .geometry import ASAShape, BoundingBox, RNGStream, bounding_halfwidth
+from .arrangement import Arrangement, _mask_bits
+from .geometry import ASAShape, RNGStream, bounding_halfwidth
 from .matroid import MatroidView, popcount
 
 CHUNK = 1 << 16
@@ -159,34 +166,65 @@ def run_chunked(n_samples: int, seed: int, workers: int, values_fn,
 
 
 # --------------------------------------------------------------------------
-# box sampling helpers
+# the region kernel
 # --------------------------------------------------------------------------
 
-def _sampling_dims(arr: Arrangement, d: int):
-    """Per-point real dimension and per-point functional-value layout.
-
-    Complexified arrangements sample R^d per point.  Cyclotomic arrangements
-    require even d and sample C^(d/2) per point (the same d real numbers).
-    """
+def _draw_box(arr: Arrangement, rng, count: int, d: int, halfwidth: float):
+    """Uniform box points: R^d per point for complexified arrangements;
+    cyclotomic ones require even d and get C^(d/2) per point (the same d
+    real numbers)."""
     if d < 1:
         raise ValueError("d must be >= 1 for Monte Carlo estimation")
-    if arr.complexified:
-        return d, False
-    if d % 2:
+    if not arr.complexified and d % 2:
         raise ValueError("cyclotomic arrangements need even d")
-    return d, True
-
-
-def _draw_box(arr: Arrangement, rng, count: int, d: int, halfwidth: float):
-    real_d, as_complex = _sampling_dims(arr, d)
-    pts = rng.uniform(-halfwidth, halfwidth, (count, arr.ambient_dim, real_d))
-    if as_complex:
+    pts = rng.uniform(-halfwidth, halfwidth, (count, arr.ambient_dim, d))
+    if not arr.complexified:
         pts = pts[..., 0::2] + 1j * pts[..., 1::2]
     return pts
 
 
-def _box_volume(arr: Arrangement, d: int, halfwidth: float) -> float:
-    return (2.0 * halfwidth) ** (d * arr.ambient_dim)
+def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
+                     seed: int, workers: int, *, shapes=None, g=None,
+                     stream_base: int = 0) -> MCEstimate:
+    """Box estimate of the integral over configurations x of
+    weight(G(x)) * g(x), G(x) the within-radius mask: ball membership, or
+    bottom membership of each hyperplane's shape when shapes are given.
+
+    weight maps an int64 mask array to per-sample weights.  The box is the
+    bounding box of the balls (or of the bottoms' outer radii).
+    """
+    arr = view.arrangement
+    radii = None
+    if shapes is not None:
+        bits = _mask_bits(arr.size)
+        radii = [s.bottom_outer_radius for s in shapes]
+    box = bounding_halfwidth(view, radii=radii)
+    vol = box.volume(d * arr.ambient_dim)
+
+    def mmc_values(rng, count):
+        pts = _draw_box(arr, rng, count, d, box.halfwidth)
+        if shapes is None:
+            masks = arr.gamma_masks(pts)
+        else:
+            vals = arr.values(pts)
+            within = np.stack([shapes[e].bottom_contains(vals[:, e, :])
+                               for e in range(arr.size)], axis=1)
+            masks = within @ bits
+        if g is None:
+            return weight(masks) * vol
+        return weight(masks) * g(pts) * vol
+
+    return run_chunked(n_samples, seed, workers, mmc_values,
+                       stream_base=stream_base)
+
+
+def _contains(subset_mask: int):
+    """Weight: 1 where the mask contains subset_mask, else 0."""
+    return lambda masks: (masks & subset_mask) == subset_mask
+
+
+def _parity(subset_mask: int) -> float:
+    return -1.0 if popcount(subset_mask) & 1 else 1.0
 
 
 # --------------------------------------------------------------------------
@@ -206,20 +244,8 @@ def mmc_mc(view: MatroidView, subset_mask: int, d: int, n_samples: int,
     by uniform sampling in the bounding box."""
     if not view.is_spanning(subset_mask):
         raise SpanningError("subset does not span")
-    arr = view.arrangement
-    box = bounding_halfwidth(view)
-    vol = _box_volume(arr, d, box.halfwidth)
-    radii_sq = np.asarray(arr.radii) ** 2
-    idx = [e for e in range(arr.size) if subset_mask >> e & 1]
-    sign = -1.0 if len(idx) % 2 else 1.0
-
-    def values(rng, count):
-        pts = _draw_box(arr, rng, count, d, box.halfwidth)
-        norms = arr.norms_sq(pts)
-        inside = np.all(norms[:, idx] <= radii_sq[idx], axis=1)
-        return inside * vol
-
-    return run_chunked(n_samples, seed, workers, values).scaled(sign)
+    return _region_estimate(view, d, _contains(subset_mask), n_samples, seed,
+                            workers).scaled(_parity(subset_mask))
 
 
 def pressure_exact_d0(view: MatroidView) -> int:
@@ -234,18 +260,10 @@ def pressure_coefficient(view: MatroidView, d: int, n_samples: int, seed: int,
     one-pass region decomposition: sample x, find its within-radius subset G,
     and add chi_G(0), read from the view's chi table (0 unless G has full
     rank)."""
-    arr = view.arrangement
     if d == 0:
         return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
     chi = view.chi_table        # before the box: refuses oversized ground sets
-    box = bounding_halfwidth(view)
-    vol = _box_volume(arr, d, box.halfwidth)
-
-    def values(rng, count):
-        pts = _draw_box(arr, rng, count, d, box.halfwidth)
-        return chi[arr.gamma_masks(pts)] * vol
-
-    return run_chunked(n_samples, seed, workers, values)
+    return _region_estimate(view, d, chi.__getitem__, n_samples, seed, workers)
 
 
 def pressure_coefficient_enumerated(view: MatroidView, d: int, n_samples: int,
@@ -255,24 +273,10 @@ def pressure_coefficient_enumerated(view: MatroidView, d: int, n_samples: int,
     desk scale only."""
     if d == 0:
         return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
-    arr = view.arrangement
-    box = bounding_halfwidth(view)
-    vol = _box_volume(arr, d, box.halfwidth)
-    radii_sq = np.asarray(arr.radii) ** 2
-    parts = []
-    for h_index, mask in enumerate(view.spanning_subsets()):
-        idx = [e for e in range(arr.size) if mask >> e & 1]
-        sign = -1.0 if len(idx) % 2 else 1.0
-
-        def values(rng, count, idx=idx):
-            pts = _draw_box(arr, rng, count, d, box.halfwidth)
-            norms = arr.norms_sq(pts)
-            inside = np.all(norms[:, idx] <= radii_sq[idx], axis=1)
-            return inside * vol
-
-        est = run_chunked(n_samples, seed, workers, values,
-                          stream_base=h_index << 32)
-        parts.append(est.scaled(sign))
+    parts = [_region_estimate(view, d, _contains(mask), n_samples, seed,
+                              workers, stream_base=h_index << 32
+                              ).scaled(_parity(mask))
+             for h_index, mask in enumerate(view.spanning_subsets())]
     return mc_sum(parts, seed, workers)
 
 
@@ -295,50 +299,21 @@ def _check_shapes(arr: Arrangement, shapes, d: int):
     return shapes
 
 
-def asa_bounding_box(view: MatroidView, shapes) -> BoundingBox:
-    radii = [s.bottom_outer_radius for s in shapes]
-    return bounding_halfwidth(view, radii=radii)
-
-
 def mmc_asa(view: MatroidView, subset_mask: int, shapes, d: int,
             n_samples: int, seed: int, workers: int = 1) -> MCEstimate:
     """(-1)^|H| * vol{x : h_e(x) in bottom_e for e in H}."""
     if not view.is_spanning(subset_mask):
         raise SpanningError("subset does not span")
-    arr = view.arrangement
-    shapes = _check_shapes(arr, shapes, d)
-    box = asa_bounding_box(view, shapes)
-    vol = _box_volume(arr, d, box.halfwidth)
-    idx = [e for e in range(arr.size) if subset_mask >> e & 1]
-    sign = -1.0 if len(idx) % 2 else 1.0
-
-    def values(rng, count):
-        pts = _draw_box(arr, rng, count, d, box.halfwidth)
-        vals = arr.values(pts)
-        inside = np.ones(count, dtype=bool)
-        for e in idx:
-            inside &= shapes[e].bottom_contains(vals[:, e, :])
-        return inside * vol
-
-    return run_chunked(n_samples, seed, workers, values).scaled(sign)
+    shapes = _check_shapes(view.arrangement, shapes, d)
+    return _region_estimate(view, d, _contains(subset_mask), n_samples, seed,
+                            workers, shapes=shapes).scaled(_parity(subset_mask))
 
 
 def asa_pressure_coefficient(view: MatroidView, shapes, d: int, n_samples: int,
                              seed: int, workers: int = 1) -> MCEstimate:
     """Region-decomposition estimator with ball membership replaced by bottom
     membership of each hyperplane's shape."""
-    arr = view.arrangement
-    shapes = _check_shapes(arr, shapes, d)
+    shapes = _check_shapes(view.arrangement, shapes, d)
     chi = view.chi_table
-    box = asa_bounding_box(view, shapes)
-    vol = _box_volume(arr, d, box.halfwidth)
-    bits = 1 << np.arange(arr.size, dtype=np.int64)
-
-    def values(rng, count):
-        pts = _draw_box(arr, rng, count, d, box.halfwidth)
-        vals = arr.values(pts)
-        within = np.stack([shapes[e].bottom_contains(vals[:, e, :])
-                           for e in range(arr.size)], axis=1)
-        return chi[within @ bits] * vol
-
-    return run_chunked(n_samples, seed, workers, values)
+    return _region_estimate(view, d, chi.__getitem__, n_samples, seed, workers,
+                            shapes=shapes)

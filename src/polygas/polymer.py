@@ -1,12 +1,19 @@
 """Polymer sampling and volume estimation for an arrangement: per base,
-draw one direction per hyperplane, solve the linear system that pins the
-configuration, and accept when every non-base functional exceeds its
-radius.  Also: the planar radius-invariance check, the projection laws
-onto the last d coordinates, and the warped-surface variant.
+draw one surface point per base hyperplane, solve the linear system that
+pins the configuration, and accept when every non-base functional lies
+outside its hyperplane's body.  Also: the planar radius-invariance check,
+the projection laws onto the last d coordinates, and the warped-surface
+variant.
 
 The volume of a base's stratum is measured on direction space (the product
 of surface measures), so each base contributes
-(total surface measure)^n * acceptance probability.
+(product of total surface measures) * acceptance probability.
+
+Every polymer volume (`volume_mc`, `asa_volume_mc`, the polymer side of
+`project_expectation`) is one call of the per-base kernel
+`_polymer_estimate`, which differs between them only in how the base
+values are drawn, how a non-base value is tested, and the base weight.  The
+box sides of the projection laws are calls of the mayer region kernel.
 """
 
 from __future__ import annotations
@@ -18,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Arrangement
-from .geometry import (RNGStream, bounding_halfwidth, sample_unit_sphere,
-                       sphere_area, surface_measure_total)
+from .arrangement import Arrangement, _checked_radii
+from .geometry import (RNGStream, sample_unit_sphere, sphere_area,
+                       surface_measure_total)
 from .matroid import LinearOrder, MatroidView, mask_elements, view_of
-from .mayer import (MCEstimate, _box_volume, _check_shapes, _draw_box, mc_sum,
+from .mayer import (MCEstimate, _check_shapes, _region_estimate, mc_sum,
                     run_chunked, z_score)
 
 
@@ -37,51 +44,80 @@ class PolymerSample:
     accepted: bool
 
 
-def _per_base_budget(n_samples: int, n_bases: int) -> int:
-    """Samples per base when n_samples is split evenly across the bases."""
-    if n_samples < n_bases:
-        raise ValueError(f"n_samples = {n_samples} is smaller than the "
-                         f"{n_bases} bases it is split across")
-    return n_samples // n_bases
-
-
-def _polymer_dims(arr: Arrangement, dim: int):
-    """Real ambient dimension per point -> per-point storage (complex halves
-    the column count for non-complexified arrangements)."""
+def _draw_directions(arr: Arrangement, rng, count: int, dim: int) -> np.ndarray:
+    """(count, n, .) unit direction vectors in R^dim; cyclotomic arrangements
+    need an even dim and get complex rows (complex halves the columns)."""
     if dim < 2:
         raise ValueError("polymer dimension must be >= 2")
-    if arr.complexified:
-        return dim, False
-    if dim % 2:
+    if not arr.complexified and dim % 2:
         raise ValueError("cyclotomic arrangements need an even polymer dimension")
-    return dim, True
-
-
-def _draw_directions(arr: Arrangement, rng, count: int, dim: int) -> np.ndarray:
-    """(count, n, .) unit direction vectors, complex for cyclotomic fields."""
-    _, as_complex = _polymer_dims(arr, dim)
     flat = sample_unit_sphere(dim, rng, count * arr.ambient_dim)
     u = flat.reshape(count, arr.ambient_dim, dim)
-    if as_complex:
+    if not arr.complexified:
         u = u[..., 0::2] + 1j * u[..., 1::2]
     return u
 
 
-def _accept_batch(arr: Arrangement, base_mask: int, dim: int, rng, count: int,
-                  radii, inv: np.ndarray):
-    """Draw `count` samples for one base; returns (accepted bool array, x)."""
+def _ball_sides(arr: Arrangement, dim: int, radii):
+    """(draw, outside) of `_accept_batch` for balls of the given radii: base
+    values R_e * u_e with u_e a uniform direction, and a non-base value
+    outside when its norm exceeds R_e."""
     radii = np.asarray(radii, dtype=float)
+
+    def draw(rng, count, base_idx):
+        u = _draw_directions(arr, rng, count, dim)
+        return u * radii[base_idx][None, :, None]
+
+    def outside(vals, outside_idx):
+        norms_sq = np.sum((vals * vals.conj()).real, axis=2)
+        return np.all(norms_sq > radii[outside_idx][None, :] ** 2, axis=1)
+
+    return draw, outside
+
+
+def _accept_batch(arr: Arrangement, base_mask: int, inv: np.ndarray, rng,
+                  count: int, draw, outside):
+    """Draw `count` samples for one base: base functional values from
+    draw(rng, count, base_idx), the configuration solved with the base
+    inverse, accepted where outside(values, outside_idx) holds for every
+    non-base hyperplane.  Returns (accepted bool array, x)."""
     base_idx = list(mask_elements(base_mask))
     outside_idx = [e for e in range(arr.size) if not base_mask >> e & 1]
-    u = _draw_directions(arr, rng, count, dim)
-    targets = u * radii[base_idx][None, :, None]
+    targets = draw(rng, count, base_idx)
     x = np.einsum("ij,cjd->cid", inv, targets)
     if not outside_idx:
         return np.ones(count, dtype=bool), x
     vals = np.einsum("en,cnd->ced", arr.coeff[outside_idx], x)
-    norms_sq = np.sum((vals * vals.conj()).real, axis=2)
-    accepted = np.all(norms_sq > radii[outside_idx][None, :] ** 2, axis=1)
-    return accepted, x
+    return outside(vals, outside_idx), x
+
+
+def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
+                      workers: int, draw, outside, base_weight,
+                      g=None) -> MCEstimate:
+    """Sum over bases of base_weight(base) times the mean over that base's
+    draws of accepted (times g(x)): the budget split evenly across bases,
+    one block of random streams per base."""
+    arr = view.arrangement
+    bases = list(view.bases())
+    if n_samples < len(bases):
+        raise ValueError(f"n_samples = {n_samples} is smaller than the "
+                         f"{len(bases)} bases it is split across")
+    per_base = n_samples // len(bases)
+    parts = []
+    for b_index, base_mask in enumerate(bases):
+        inv = view.base_inverse(base_mask).rows
+        weight = base_weight(base_mask)
+
+        def values(rng, count, base_mask=base_mask, inv=inv, weight=weight):
+            accepted, x = _accept_batch(arr, base_mask, inv, rng, count, draw,
+                                        outside)
+            if g is None:
+                return accepted * weight
+            return accepted * g(x) * weight
+
+        parts.append(run_chunked(per_base, seed, workers, values,
+                                 stream_base=b_index << 32))
+    return mc_sum(parts, seed, workers)
 
 
 def sample_for_base(arr, base_mask: int, dim: int,
@@ -92,9 +128,10 @@ def sample_for_base(arr, base_mask: int, dim: int,
     Arrangement or a MatroidView of one."""
     view = view_of(arr)
     arr = view.arrangement
-    radii = tuple(float(r) for r in (radii if radii is not None else arr.radii))
+    radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
     inv = view.base_inverse(base_mask).rows
-    accepted, x = _accept_batch(arr, base_mask, dim, rng, 1, radii, inv)
+    draw, outside = _ball_sides(arr, dim, radii)
+    accepted, x = _accept_batch(arr, base_mask, inv, rng, 1, draw, outside)
     base_idx = list(mask_elements(base_mask))
     u = (arr.coeff[base_idx] @ x[0]) / np.asarray(radii)[base_idx][:, None]
     return PolymerSample(base_mask, u, x[0], bool(accepted[0]))
@@ -109,22 +146,11 @@ def volume_mc(arr, dim: int, n_samples: int, seed: int,
     and base inverses are then reused."""
     view = view_of(arr)
     arr = view.arrangement
-    radii = tuple(float(r) for r in (radii if radii is not None else arr.radii))
-    bases = list(view.bases())
-    per_base = _per_base_budget(n_samples, len(bases))
+    radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
     weight = sphere_area(dim) ** arr.ambient_dim
-    parts = []
-    for b_index, base_mask in enumerate(bases):
-        inv = view.base_inverse(base_mask).rows
-
-        def values(rng, count, base_mask=base_mask, inv=inv):
-            accepted, _ = _accept_batch(arr, base_mask, dim, rng, count,
-                                        radii, inv)
-            return accepted * weight
-
-        parts.append(run_chunked(per_base, seed, workers, values,
-                                 stream_base=b_index << 32))
-    return mc_sum(parts, seed, workers)
+    draw, outside = _ball_sides(arr, dim, radii)
+    return _polymer_estimate(view, n_samples, seed, workers, draw, outside,
+                             lambda _: weight)
 
 
 # --------------------------------------------------------------------------
@@ -158,6 +184,7 @@ def planar_invariance_check(arr: Arrangement, radii_list, n_samples: int,
     """Planar polymer volume for several radii assignments; each must agree
     with (2 pi)^n |chi(0)| and with the others within 4 sigma."""
     start = time.perf_counter()
+    radii_list = [_checked_radii(radii, arr.size) for radii in radii_list]
     view = MatroidView(arr)
     n = arr.ambient_dim
     target = (2.0 * math.pi) ** n * abs(view.chi_at_zero())
@@ -172,8 +199,8 @@ def planar_invariance_check(arr: Arrangement, radii_list, n_samples: int,
         for j in range(i + 1, len(estimates)):
             pair = max(pair, abs(z_score(estimates[i], estimates[j])))
     passed = all(abs(z) < 4.0 for z in z_target) and pair < 4.0
-    return InvarianceReport(tuple(tuple(float(r) for r in rs) for rs in radii_list),
-                            tuple(estimates), target, z_target, pair, passed,
+    return InvarianceReport(tuple(radii_list), tuple(estimates), target,
+                            z_target, pair, passed,
                             time.perf_counter() - start)
 
 
@@ -228,31 +255,13 @@ def project_expectation(arr: Arrangement, d: int, g, n_samples: int, seed: int,
     chi = view.chi_table
     n = arr.ambient_dim
     weight = sphere_area(dim) ** n
-    bases = list(view.bases())
-    per_base = _per_base_budget(n_samples, len(bases))
-    parts = []
-    for b_index, base_mask in enumerate(bases):
-        inv = view.base_inverse(base_mask).rows
-
-        def values(rng, count, base_mask=base_mask, inv=inv):
-            accepted, x = _accept_batch(arr, base_mask, dim, rng, count,
-                                        arr.radii, inv)
-            return accepted * g(x[:, :, 2:]) * weight
-
-        parts.append(run_chunked(per_base, seed, workers, values,
-                                 stream_base=b_index << 32))
-    polymer_side = mc_sum(parts, seed, workers)
-
-    box = bounding_halfwidth(view)
-    vol = _box_volume(arr, d, box.halfwidth)
-
-    def mmc_values(rng, count):
-        pts = _draw_box(arr, rng, count, d, box.halfwidth)
-        return chi[arr.gamma_masks(pts)] * g(pts) * vol
-
+    draw, outside = _ball_sides(arr, dim, arr.radii)
+    polymer_side = _polymer_estimate(view, n_samples, seed, workers, draw,
+                                     outside, lambda _: weight,
+                                     g=lambda x: g(x[:, :, 2:]))
     # separate seed so the two sides are statistically independent
-    mmc_side = run_chunked(n_samples, seed + 1, workers, mmc_values).scaled(
-        (-2.0 * math.pi) ** n)
+    mmc_side = _region_estimate(view, d, chi.__getitem__, n_samples, seed + 1,
+                                workers, g=g).scaled((-2.0 * math.pi) ** n)
     z = z_score(polymer_side, mmc_side)
     return ProjectionReport(polymer_side, mmc_side, z, abs(z) < 4.0)
 
@@ -269,18 +278,14 @@ def safe_projection_expectation(arr: Arrangement, d: int, g, order: LinearOrder,
         g = G_FUNCTIONS[g]
     g = _checked(g)
     view = MatroidView(arr)
-    box = bounding_halfwidth(view)
-    vol = _box_volume(arr, d, box.halfwidth)
 
-    def values(rng, count):
-        pts = _draw_box(arr, rng, count, d, box.halfwidth)
-        masks = arr.gamma_masks(pts)
+    def safe_counts(masks):
         uniq, inverse = np.unique(masks, return_inverse=True)
         counts = np.array(
             [view.safe_count_if_spanning(int(m), order) for m in uniq], dtype=float)
-        return counts[inverse] * g(pts) * vol
+        return counts[inverse]
 
-    est = run_chunked(n_samples, seed, workers, values)
+    est = _region_estimate(view, d, safe_counts, n_samples, seed, workers, g=g)
     return est.scaled((2.0 * math.pi) ** arr.ambient_dim)
 
 
@@ -307,38 +312,30 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
     dim = dims.pop()
     d = dim - 2
     shapes = _check_shapes(arr, shapes, d)
-    bases = list(view.bases())
-    per_base = _per_base_budget(n_samples, len(bases))
-    parts = []
-    for b_index, base_mask in enumerate(bases):
-        base_idx = list(mask_elements(base_mask))
-        outside_idx = [e for e in range(arr.size) if not base_mask >> e & 1]
-        inv = view.base_inverse(base_mask).rows
+
+    def draw(rng, count, base_idx):
+        return np.stack([shapes[e].sample_surface(rng, count)
+                         for e in base_idx], axis=1)
+
+    def outside(vals, outside_idx):
+        accepted = np.ones(len(vals), dtype=bool)
+        for pos, e in enumerate(outside_idx):
+            w_part = vals[:, pos, :2]
+            y_part = vals[:, pos, 2:]
+            rho = shapes[e].warp(y_part)
+            inside_solid = (shapes[e].bottom_contains(y_part)
+                            & (np.sum(w_part * w_part, axis=1) <= rho ** 2))
+            accepted &= ~inside_solid
+        return accepted
+
+    def base_weight(base_mask):
         weight = 1.0
-        for e in base_idx:
+        for e in mask_elements(base_mask):
             weight *= surface_measure_total(shapes[e])
+        return weight
 
-        def values(rng, count, base_idx=base_idx, outside_idx=outside_idx,
-                   inv=inv, weight=weight):
-            targets = np.stack([shapes[e].sample_surface(rng, count)
-                                for e in base_idx], axis=1)
-            x = np.einsum("ij,cjd->cid", inv, targets)
-            if not outside_idx:
-                return np.full(count, weight)
-            vals = np.einsum("en,cnd->ced", arr.coeff[outside_idx], x)
-            accepted = np.ones(count, dtype=bool)
-            for pos, e in enumerate(outside_idx):
-                w_part = vals[:, pos, :2]
-                y_part = vals[:, pos, 2:]
-                rho = shapes[e].warp(y_part)
-                inside_solid = (shapes[e].bottom_contains(y_part)
-                                & (np.sum(w_part * w_part, axis=1) <= rho ** 2))
-                accepted &= ~inside_solid
-            return accepted * weight
-
-        parts.append(run_chunked(per_base, seed, workers, values,
-                                 stream_base=b_index << 32))
-    return mc_sum(parts, seed, workers)
+    return _polymer_estimate(view, n_samples, seed, workers, draw, outside,
+                             base_weight)
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +347,8 @@ def dump_samples_csv(path, arr: Arrangement, dim: int, n_samples: int,
     """Write (base mask, accepted, flattened coordinates) rows for a small
     number of draws from every base."""
     view = MatroidView(arr)
-    radii = tuple(float(r) for r in (radii if radii is not None else arr.radii))
+    radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
+    draw, outside = _ball_sides(arr, dim, radii)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["base_mask", "accepted"]
@@ -359,8 +357,8 @@ def dump_samples_csv(path, arr: Arrangement, dim: int, n_samples: int,
         for b_index, base_mask in enumerate(view.bases()):
             rng = RNGStream(seed, b_index).generator()
             inv = view.base_inverse(base_mask).rows
-            accepted, x = _accept_batch(arr, base_mask, dim, rng, n_samples,
-                                        radii, inv)
+            accepted, x = _accept_batch(arr, base_mask, inv, rng, n_samples,
+                                        draw, outside)
             coords = x.reshape(n_samples, -1)
             if np.iscomplexobj(coords):
                 coords = np.concatenate([coords.real, coords.imag], axis=1)

@@ -194,3 +194,12 @@ def test_essentiality_checked_for_all_families():
     for arr in (braid(5), coxeter_d(3), coxeter_b(3), threshold(4),
                 dowling(3, 3), widom_rowlinson([2, 2, 1])):
         assert exact_rank(arr.normals) == arr.ambient_dim
+
+
+def test_radii_must_be_finite_and_positive():
+    with pytest.raises(ArrangementError, match="finite"):
+        braid(3, radii=[1.0, 1.0, math.inf])
+    with pytest.raises(ArrangementError, match="finite"):
+        braid(3).with_radii([math.nan] * 3)
+    with pytest.raises(ArrangementError):
+        braid(3).with_radii([1.0, 1.0])

@@ -236,3 +236,10 @@ def test_fewer_samples_than_bases_exit_one(capsys):
                          "--d", "3", "--samples", "5"])
     assert code == 1 and out == ""
     assert "16 bases" in capsys.readouterr().err
+
+
+def test_invariance_radii_of_wrong_length_exit_one(capsys):
+    code, out = run_cli(["invariance", "--family", "braid", "--n", "3",
+                         "--samples", "3000", "--radii-list", "1,1;1,2"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("polygas: error:")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from polygas.arrangement import braid, coxeter_d
+from polygas.arrangement import ArrangementError, braid, coxeter_d
 from polygas.geometry import (ASAShape, RNGStream, archimedes_split, ball_volume,
                               bounding_halfwidth, capped_cylinder_shape,
                               cylinder_shape, sample_unit_sphere, sphere_shape,
@@ -174,3 +174,10 @@ def test_bounding_box_contains_full_rank_regions():
             keep = np.array([lookup[int(m)] for m in masks])
             inside = np.abs(pts[keep]) <= box.halfwidth + 1e-12
             assert inside.all()
+
+
+def test_bounding_halfwidth_checks_radii_override():
+    with pytest.raises(ArrangementError):
+        bounding_halfwidth(braid(3), radii=[1.0, 1.0, 1.0, 9.0])
+    with pytest.raises(ArrangementError):
+        bounding_halfwidth(braid(3), radii=[1.0, 0.0, 1.0])

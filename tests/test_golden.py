@@ -3,8 +3,13 @@
 box shows up here; a refactor that leaves the streams alone must leave
 these bits alone too."""
 
-from polygas import (MatroidView, braid, bounding_halfwidth, check_dr, dowling,
-                     pressure_coefficient, volume_mc)
+from polygas import (LinearOrder, MatroidView, RNGStream, asa_volume_mc, braid,
+                     bounding_halfwidth, capped_cylinder_shape, check_dr,
+                     coxeter_b, cylinder_shape, dowling, mmc_asa, mmc_mc,
+                     pressure_coefficient, pressure_coefficient_enumerated,
+                     project_expectation, safe_projection_expectation,
+                     sample_for_base, volume_mc)
+from polygas.mayer import asa_pressure_coefficient
 
 
 def _triple(est):
@@ -30,3 +35,57 @@ def test_check_dr_dowling_2_3():
 
 def test_bounding_halfwidth_braid5():
     assert bounding_halfwidth(braid(5)).halfwidth == 4.00000000000004
+
+
+def test_mmc_mc_braid4():
+    view = MatroidView(braid(4))
+    est = mmc_mc(view, view.ground_mask, 1, 2 ** 17, 21)
+    assert _triple(est) == (4.020996093750122, 0.08064174979668733, 131072)
+
+
+def test_mmc_asa_braid3_capped():
+    view = MatroidView(braid(3))
+    est = mmc_asa(view, view.ground_mask, [capped_cylinder_shape(3, 1.0)] * 3,
+                  1, 2 ** 17, 22)
+    assert _triple(est) == (-6.740112304687636, 0.03878971488654505, 131072)
+
+
+def test_asa_pressure_coefficient_braid3_cylinder():
+    est = asa_pressure_coefficient(MatroidView(braid(3)),
+                                   [cylinder_shape(3, 1.0)] * 3, 1, 2 ** 17, 23)
+    assert _triple(est) == (2.252197265625045, 0.023088747866952725, 131072)
+
+
+def test_asa_volume_braid3_capped():
+    est = asa_volume_mc(braid(3), [capped_cylinder_shape(3, 1.0)] * 3, 2 ** 17, 24)
+    # 2^17 samples split over 3 bases: 43690 each
+    assert _triple(est) == (798.6206475222698, 1.2761678721353213, 131070)
+
+
+def test_pressure_coefficient_enumerated_coxeter_b2():
+    est = pressure_coefficient_enumerated(MatroidView(coxeter_b(2)), 1, 2 ** 13, 25)
+    # 11 spanning subsets, 2^13 samples each
+    assert _triple(est) == (13.908203125000274, 0.22960554011257606, 90112)
+
+
+def test_project_expectation_coxeter_b2():
+    report = project_expectation(coxeter_b(2), 1, "norm_sq", 2 ** 17, 26)
+    assert _triple(report.polymer_side) == (606.0745919290098, 2.2214035854226686,
+                                            131070)
+    assert _triple(report.mmc_side) == (603.4259772860036, 2.0190713654134527,
+                                        131072)
+
+
+def test_safe_projection_expectation_braid3():
+    est = safe_projection_expectation(braid(3), 1, "norm_sq", LinearOrder([2, 0, 1]),
+                                      2 ** 17, 27)
+    assert _triple(est) == (354.3799376573429, 1.625883399365664, 131072)
+
+
+def test_sample_for_base_braid3():
+    sample = sample_for_base(braid(3), 0b011, 3, RNGStream(28, 0).generator())
+    assert sample.x.tolist() == [[0.5341635887283264, -0.6895463045884838,
+                                  0.4890758165205488],
+                                 [0.8467606256323202, -1.63789463549253,
+                                  0.43505234208255095]]
+    assert sample.accepted

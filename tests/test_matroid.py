@@ -93,7 +93,7 @@ def test_fundamental_circuit_errors():
 
 
 def test_fundamental_circuit_is_minimal_dependent():
-    for arr in (braid(4), coxeter_b(2), coxeter_d(3)):
+    for arr in (braid(4), coxeter_b(2), coxeter_d(3), dowling(2, 3)):
         v = MatroidView(arr)
         for base in v.bases():
             for e in mask_elements(v.ground_mask & ~base):

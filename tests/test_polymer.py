@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polygas.arrangement import braid, coxeter_b, coxeter_d
+from polygas.arrangement import ArrangementError, braid, coxeter_b, coxeter_d
 from polygas.geometry import (RNGStream, capped_cylinder_shape, cylinder_shape,
                               sphere_area, sphere_shape)
 from polygas.matroid import LinearOrder, mask_elements
@@ -244,3 +244,21 @@ def test_polymer_samplers_refuse_fewer_samples_than_bases():
     with pytest.raises(ValueError, match="16 bases"):
         asa_volume_mc(arr, [cylinder_shape(3, 1.0)] * arr.size, 5, 0)
     assert volume_mc(arr, 3, 16, 0).n_samples == 16
+
+
+def test_planar_invariance_refuses_negative_radii():
+    with pytest.raises(ArrangementError):
+        planar_invariance_check(braid(3), [(1, 1, 1), (-2, -2, -2)], 3_000, 0)
+
+
+def test_volume_refuses_extra_radii():
+    with pytest.raises(ArrangementError):
+        volume_mc(braid(3), 2, 3_000, 0, radii=(1, 1, 1, 7, 9))
+
+
+def test_sampler_radii_overrides_checked(tmp_path):
+    arr = braid(3)
+    with pytest.raises(ArrangementError):
+        sample_for_base(arr, 0b011, 2, rng_for(5), radii=(1, 1, 1, 2))
+    with pytest.raises(ArrangementError):
+        dump_samples_csv(tmp_path / "s.csv", arr, 2, 5, 0, radii=(1, 1, 1, 2))

@@ -9,7 +9,7 @@ from .dimred import (DRReport, balanced_weight_check, check_asa_dr, check_dr,
                      typeD_unbalanced_check)
 from .exact_linalg import (Cyclotomic, FieldMismatchError, SingularSystemError,
                            cyclotomic_polynomial, exact_inverse, exact_rank,
-                           is_independent, solve_float)
+                           is_independent)
 from .geometry import (ASAShape, BoundingBox, RNGStream, archimedes_split,
                        ball_volume, bounding_halfwidth, capped_cylinder_shape,
                        cylinder_shape, sample_unit_sphere, sphere_area,

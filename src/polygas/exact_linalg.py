@@ -1,26 +1,24 @@
 """Exact scalars over Q and over cyclotomic fields Q(zeta_k), with exact
-rank / inverse, and a guarded floating-point solve.
+rank and inverse.
 
 All matroid-level questions (independence, rank, inverses) are answered
 exactly: rationals use `fractions.Fraction` or integers, cyclotomic numbers
-are vectors of rationals in the power basis of Q[x]/Phi_k(x).  `solve_float`
-is a guarded float solve for callers; it refuses ill-conditioned systems
-instead of returning garbage, and no library path uses it.
+are vectors of rationals in the power basis of Q[x]/Phi_k(x).
 
-Integer rank computations take a fast path over GF(p) with p = 2^31 - 1;
-a Hadamard bound guarantees the modular rank equals the rational rank, and
-a fraction-free (Bareiss) elimination is kept as the general fallback.
-Rational inverses come from fraction-free Gauss-Jordan elimination on the
-integerized rows (`integer_inverse`).
+Ranks and inverses come from two fraction-free eliminations (Bareiss,
+Math. Comp. 22, 1968), one for rank and one Gauss-Jordan for inverses.
+They run on ring rows (`_ring_rows`): rational rows scaled to integers, or
+rows lifted to Cyclotomic.  Each step divides by the previous pivot, with
+floor division on integers and by one multiplication with the pivot's
+inverse on Cyclotomic entries; both quotients are exact.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 
 class FieldMismatchError(TypeError):
@@ -28,7 +26,7 @@ class FieldMismatchError(TypeError):
 
 
 class SingularSystemError(ValueError):
-    """Square system is singular or too ill-conditioned to solve reliably."""
+    """Square matrix is singular over its field."""
 
 
 # --------------------------------------------------------------------------
@@ -169,6 +167,8 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):      # no reduction mod Phi_k
+            return Cyclotomic(self.k, [c * other for c in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -240,104 +240,59 @@ def field_of(values):
 
 
 # --------------------------------------------------------------------------
-# exact rank
+# fraction-free elimination over Z and Q(zeta_k)
 # --------------------------------------------------------------------------
 
-_P = (1 << 31) - 1  # Mersenne prime; (P-1)^2 fits in int64
+def _ring_rows(rows):
+    """The rows the fraction-free loops run on, and each row's scale.
+
+    Rational rows are multiplied by the lcm of their denominators, the least
+    positive integer that makes them integral, and these scales are returned
+    as a list; a row scaling keeps the rank, and `integer_inverse` undoes it
+    on the inverse.  Rows over Q(zeta_k) are lifted entry by entry to
+    Cyclotomic, and the scales are None.
+    """
+    kind, k = field_of(v for r in rows for v in r)
+    if kind == "cyclotomic":
+        return [[v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(k, v)
+                 for v in r] for r in rows], None
+    scales = [math.lcm(*(Fraction(v).denominator for v in r)) if r else 1
+              for r in rows]
+    return [[int(Fraction(v) * s) for v in r] for r, s in zip(rows, scales)], scales
 
 
-def _rank_mod_p(mat: np.ndarray) -> int:
-    m = (mat % _P).astype(np.int64)
-    rows, cols = m.shape
+def _quotient_by(pivot):
+    """Division of the next elimination step's entries by `pivot`, as an
+    (operator, operand) pair; the quotients are exact.  Integers use floor
+    division.  Cyclotomic entries are multiplied by the pivot's inverse,
+    computed here once per step instead of once per entry."""
+    if isinstance(pivot, Cyclotomic):
+        return operator.mul, pivot.inverse()
+    return operator.floordiv, pivot
+
+
+def _fraction_free_rank(rows) -> int:
+    """Rank of ring rows by fraction-free (Bareiss) elimination, exact for
+    any magnitudes: each entry stays a minor of the rows, so every division
+    by the previous pivot is exact.  Each step drops the column it has
+    cleared; a column without a pivot is dropped unchanged.  The given rows
+    are not modified."""
+    m = list(rows)
     rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if m[r, col]:
-                piv = r
-                break
+    divide, by = operator.mul, 1        # the first step divides by 1
+    while m and m[0]:
+        piv = next((i for i, row in enumerate(m) if row[0]), None)
         if piv is None:
+            m = [row[1:] for row in m]
             continue
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), _P - 2, _P)
-        m[rank, col:] = (m[rank, col:] * inv) % _P
-        if rank + 1 < rows:
-            f = m[rank + 1:, col:col + 1]
-            m[rank + 1:, col:] = (m[rank + 1:, col:] - f * m[rank, col:]) % _P
+        prow = m.pop(piv)
+        p, rest = prow[0], prow[1:]
         rank += 1
-        if rank == rows:
-            break
+        m = [[divide(p * a - row[0] * b, by) for a, b in zip(row[1:], rest)]
+             for row in m]
+        if m and m[0]:
+            divide, by = _quotient_by(p)
     return rank
-
-
-def _rank_bareiss(rows) -> int:
-    """Fraction-free elimination on integer rows; exact for any magnitudes."""
-    m = [list(map(int, r)) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            for c in range(col, ncols):
-                m[r][c] = (m[r][c] * p - f * m[rank][c]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_field(rows) -> int:
-    """Plain Gaussian elimination with exact division; works over any field."""
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, nrows):
-            if m[r][col]:
-                f = m[r][col] / p
-                for c in range(col, ncols):
-                    m[r][c] = m[r][c] - f * m[rank][c]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _row_scale(row) -> int:
-    """The lcm of a rational row's denominators: the least positive integer
-    that makes the row integral."""
-    return math.lcm(*(Fraction(v).denominator for v in row)) if row else 1
-
-
-def _integerize(rows):
-    """Scale each rational row by the lcm of denominators (rank-preserving)."""
-    out = []
-    for row in rows:
-        scale = _row_scale(row)
-        out.append([int(Fraction(v) * scale) for v in row])
-    return out
 
 
 def exact_rank(rows) -> int:
@@ -348,21 +303,7 @@ def exact_rank(rows) -> int:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError("ragged matrix")
-    kind, _ = field_of(v for r in rows for v in r)
-    if kind == "cyclotomic":
-        k = next(v.k for r in rows for v in r if isinstance(v, Cyclotomic))
-        lifted = [[v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(k, v)
-                   for v in r] for r in rows]
-        return _rank_field(lifted)
-    ints = _integerize(rows)
-    # Hadamard: |minor|^2 <= prod of row square-sums, for any row subset
-    bound_sq = 1
-    for r in ints:
-        s = sum(v * v for v in r)
-        bound_sq *= max(1, s)
-    if bound_sq < _P * _P:
-        return _rank_mod_p(np.array(ints, dtype=np.int64))
-    return _rank_bareiss(ints)
+    return _fraction_free_rank(_ring_rows(rows)[0])
 
 
 def is_independent(vectors) -> bool:
@@ -373,34 +314,33 @@ def is_independent(vectors) -> bool:
     return exact_rank(vectors) == len(vectors)
 
 
-# --------------------------------------------------------------------------
-# exact inverse
-# --------------------------------------------------------------------------
-
 def _fraction_free_inverse(m):
     """Fraction-free Gauss-Jordan elimination of [m | I] for a nonsingular
-    integer matrix.  Every division is exact (each entry stays a minor of the
-    augmented matrix), and the left block ends as p * I, so the right block
-    is p * m^-1.  Returns (right block, p) as Python ints, p = +-det(m)."""
+    square matrix of ring rows.  Every division is exact (each entry stays a
+    minor of the augmented matrix), and the left block ends as p * I, so the
+    right block is p * m^-1.  Returns (right block, p), p = +-det(m).  The
+    left block's cleared columns are never read again, so each step
+    updates only the columns right of its pivot."""
     n = len(m)
     aug = [list(row) + [1 if j == i else 0 for j in range(n)]
            for i, row in enumerate(m)]
-    prev = 1
+    divide, by = operator.mul, 1        # the first step divides by 1
+    p = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise SingularSystemError("matrix is singular over its field")
         aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        p = prow[col]
+        p, rest = aug[col][col], aug[col][col + 1:]
         for r in range(n):
-            if r == col:
-                continue
-            row = aug[r]
-            f = row[col]
-            aug[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-        prev = p
-    return [row[n:] for row in aug], prev
+            if r != col:
+                row = aug[r]
+                f = row[col]
+                row[col + 1:] = [divide(p * a - f * b, by)
+                                 for a, b in zip(row[col + 1:], rest)]
+        if col + 1 < n:
+            divide, by = _quotient_by(p)
+    return [row[n:] for row in aug], p
 
 
 def integer_inverse(int_rows, scales):
@@ -410,8 +350,8 @@ def integer_inverse(int_rows, scales):
 
     int_rows (= S A with S = diag(scales)) is inverted by fraction-free
     elimination, and the row scaling is undone on the columns of the
-    inverse: A^-1 = (S A)^-1 S.  `_integerize` and `_row_scale` give the
-    two arguments for rational rows.
+    inverse: A^-1 = (S A)^-1 S.  `_ring_rows` gives both arguments for
+    rational rows.
     """
     n = len(int_rows)
     if any(len(r) != n for r in int_rows) or len(scales) != n:
@@ -425,41 +365,23 @@ def integer_inverse(int_rows, scales):
 def exact_inverse(rows):
     """Exact inverse of a square matrix over Q or Q(zeta_k).
 
-    Returns a list of lists in the same field.  Rational matrices go through
-    fraction-free integer elimination (`integer_inverse`), cyclotomic ones
-    through Gauss-Jordan over Q(zeta_k).  Raises SingularSystemError if the
-    matrix is singular.
+    Returns a list of lists in the same field.  Both fields go through
+    fraction-free Gauss-Jordan elimination: rational matrices on their
+    integerized rows (`integer_inverse`), cyclotomic ones on their
+    Cyclotomic rows, whose adjugate is multiplied by the inverse of the
+    determinant.  Raises SingularSystemError if the matrix is singular.
     """
     rows = [list(r) for r in rows]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    kind, k = field_of(v for r in rows for v in r)
-    if kind == "rational":
-        num, den = integer_inverse(_integerize(rows),
-                                   [_row_scale(r) for r in rows])
+    ring, scales = _ring_rows(rows)
+    if scales is not None:
+        num, den = integer_inverse(ring, scales)
         return [[Fraction(v, den) for v in row] for row in num]
-    one = Cyclotomic.from_rational(k, 1)
-    zero = Cyclotomic.from_rational(k, 0)
-    rows = [[v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(k, v)
-             for v in r] for r in rows]
-    aug = [rows[i] + [one if j == i else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularSystemError("matrix is singular over its field")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [v / p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    adj, det = _fraction_free_inverse(ring)
+    inv = det.inverse()
+    return [[v * inv for v in row] for row in adj]
 
 
 def scalar_abs(value) -> float:
@@ -467,35 +389,3 @@ def scalar_abs(value) -> float:
     if isinstance(value, Cyclotomic):
         return abs(value.to_complex())
     return abs(float(Fraction(value)))
-
-
-# --------------------------------------------------------------------------
-# guarded float solve
-# --------------------------------------------------------------------------
-
-_COND_LIMIT = 1e12
-_RESIDUAL_REL = 1e-9
-
-
-def solve_float(basis, rhs):
-    """Solve the square system basis @ x = rhs in floating point.
-
-    Refuses matrices with condition estimate above 1e12.  The returned
-    solution satisfies ||A x - rhs||_inf <= 1e-9 * ||rhs||_inf.
-    """
-    a = np.asarray(basis, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("basis must be square")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError("rhs length does not match basis")
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularSystemError(f"condition estimate {cond:.3e} exceeds 1e12")
-    x = np.linalg.solve(a, b)
-    residual = np.max(np.abs(a @ x - b))
-    scale = max(np.max(np.abs(b)), 1e-300)
-    if residual > _RESIDUAL_REL * scale:
-        raise SingularSystemError(
-            f"residual {residual:.3e} exceeds {_RESIDUAL_REL} * ||rhs||")
-    return x

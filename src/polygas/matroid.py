@@ -2,8 +2,11 @@
 external activity, and the characteristic polynomial at zero.
 
 Ground subsets are bitmasks over hyperplane indices.  All questions are
-answered with exact arithmetic.  Ranks are memoized per subset, and the
-cache may be read concurrently (inserts are lock-protected).
+answered with exact arithmetic: a view scales (rational) or lifts
+(cyclotomic) its normals once to the ring rows of `exact_linalg`, and every
+rank is one fraction-free elimination on some of them.  Ranks are memoized
+per subset, and the cache may be read concurrently (inserts are
+lock-protected).
 
 A view compiles its arrangement's derived data the first time it is needed
 and keeps it:
@@ -14,7 +17,9 @@ and keeps it:
   over the subsets of S, and chi[S] is the sum over T inside S of
   (-1)^|T| spanning[T], which is chi_S(0) for a spanning S and 0 otherwise
   (Crapo: chi(0) = (-1)^r T(1, 0));
-* each base's exact inverse, as float rows and as the rows' absolute sums.
+* each base's exact inverse, as float rows and as the rows' absolute sums;
+* the base set, which fundamental circuits and order-safety checks read
+  both to validate their base argument and to test exchanges.
 
 The tables hold 2^|E| entries, so they are refused above MAX_TABLE_SIZE
 hyperplanes.  The order-safe base count, computed per mask, stays as an
@@ -31,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement
-from .exact_linalg import (_P, _integerize, _rank_mod_p, _row_scale,
-                           exact_inverse, exact_rank, integer_inverse,
-                           scalar_abs)
+from .exact_linalg import (_fraction_free_rank, _ring_rows, exact_inverse,
+                           integer_inverse, scalar_abs)
 
 # chi and spanning tables index every subset: 2^24 int64 entries are 128 MB
 MAX_TABLE_SIZE = 24
@@ -123,19 +127,9 @@ class MatroidView:
         self._chi_table: np.ndarray | None = None
         self._inverses: dict[int, BaseInverse] = {}
         self._lock = threading.RLock()
-        # rational arrangements: integerized rows with their scales (for the
-        # integer base inverses), and a fast exact-rank path when a Hadamard
-        # certificate shows every minor survives reduction mod the prime
-        self._int_rows = None
-        self._ints = self._scales = None
-        if arrangement.field_kind == "rational":
-            self._ints = _integerize(arrangement.normals)
-            self._scales = [_row_scale(row) for row in arrangement.normals]
-            bound_sq = 1
-            for row in self._ints:
-                bound_sq *= max(1, sum(v * v for v in row))
-            if bound_sq < _P * _P:
-                self._int_rows = np.array(self._ints, dtype=np.int64)
+        # the fraction-free loops' rows, and the integerizing row scales
+        # (None for cyclotomic arrangements)
+        self._rows, self._scales = _ring_rows(arrangement.normals)
 
     @property
     def ground_mask(self) -> int:
@@ -153,11 +147,7 @@ class MatroidView:
         cached = self._rank_cache.get(mask)
         if cached is not None:
             return cached
-        if self._int_rows is not None:
-            r = _rank_mod_p(self._int_rows[list(mask_elements(mask))])
-        else:
-            r = exact_rank([self.arrangement.normals[e]
-                            for e in mask_elements(mask)])
+        r = _fraction_free_rank([self._rows[e] for e in mask_elements(mask)])
         with self._lock:
             self._rank_cache[mask] = r
         return r
@@ -207,16 +197,17 @@ class MatroidView:
 
     def base_inverse(self, base_mask: int) -> BaseInverse:
         """The exact inverse of a base's normal matrix, computed once per
-        base: fraction-free integer elimination for rational arrangements,
-        Gauss-Jordan over Q(zeta_k) for cyclotomic ones."""
+        base by fraction-free Gauss-Jordan elimination: on the integerized
+        rows for rational arrangements (`integer_inverse`), on the
+        Cyclotomic rows for cyclotomic ones (`exact_inverse`)."""
         inv = self._inverses.get(base_mask)
         if inv is not None:
             return inv
         if not self.is_base(base_mask):
             raise MatroidError("mask is not a base")
         elems = list(mask_elements(base_mask))
-        if self._ints is not None:
-            num, den = integer_inverse([self._ints[e] for e in elems],
+        if self._scales is not None:
+            num, den = integer_inverse([self._rows[e] for e in elems],
                                        [self._scales[e] for e in elems])
             floats = np.array([[v / den for v in row] for row in num], dtype=float)
             sums = tuple(sum(abs(v) for v in row) / den for row in num)
@@ -271,19 +262,23 @@ class MatroidView:
 
     # -- circuits and activity --------------------------------------------------
 
+    def _check_base(self, base_mask: int) -> None:
+        """Raise MatroidError unless the mask is in the compiled base set."""
+        if self._base_set is None:
+            self.bases()
+        if base_mask not in self._base_set:
+            raise MatroidError("first argument is not a base")
+
     def fundamental_circuit(self, base_mask: int, e: int) -> int:
         """The unique circuit of base + e; contains e, and dropping any of its
         elements restores independence."""
-        if not self.is_base(base_mask):
-            raise MatroidError("first argument is not a base")
+        self._check_base(base_mask)
         bit = 1 << e
         if base_mask & bit:
             raise MatroidError("element already in the base")
         if e >= self.size:
             raise MatroidError("element outside the ground set")
         # an exchange has rank-many elements: it spans iff it is a base
-        if self._base_set is None:
-            self.bases()
         circuit = bit
         for b in mask_elements(base_mask):
             swapped = (base_mask & ~(1 << b)) | bit
@@ -295,8 +290,7 @@ class MatroidView:
         """True iff no external element is minimal (under `order`) in its
         fundamental circuit; externals are taken inside `within` when given."""
         scope = self.ground_mask if within is None else within
-        if not self.is_base(base_mask):
-            raise MatroidError("first argument is not a base")
+        self._check_base(base_mask)
         outside = scope & ~base_mask
         for e in mask_elements(outside):
             circ = self.fundamental_circuit(base_mask, e)
@@ -324,7 +318,8 @@ class MatroidView:
     def safe_base_count(self, mask: int | None = None,
                         order: LinearOrder | None = None) -> int:
         """Number of order-safe bases of the sub-arrangement; equals
-        (-1)^rank * chi_at_zero for every linear order."""
+        (-1)^rank * chi_at_zero for every linear order.  The order must be
+        a permutation of the ground set (MatroidError otherwise)."""
         if mask is None:
             mask = self.ground_mask
         if order is None:
@@ -333,6 +328,7 @@ class MatroidView:
         cached = self._safe_cache.get(key)
         if cached is not None:
             return cached
+        self._check_order(order)
         count = sum(1 for b in self.bases_of(mask)
                     if self.is_safe(b, order, within=mask))
         with self._lock:
@@ -340,9 +336,19 @@ class MatroidView:
         return count
 
     def safe_count_if_spanning(self, mask: int, order: LinearOrder) -> int:
-        if not self.is_spanning(mask):
-            return 0
-        return self.safe_base_count(mask, order)
+        if self.is_spanning(mask):
+            return self.safe_base_count(mask, order)
+        self._check_order(order)
+        return 0
+
+    def _check_order(self, order: LinearOrder) -> None:
+        """Raise MatroidError unless the order lists exactly the ground set
+        (its elements are distinct, and a cached count was made under a
+        checked order)."""
+        if set(order.elements) != set(range(self.size)):
+            raise MatroidError(
+                f"order {list(order.elements)} is not a permutation of the "
+                f"ground set 0..{self.size - 1}")
 
 
 def view_of(source) -> MatroidView:

@@ -4,9 +4,9 @@ Exact rational half-plane clipping in the plane: the d = 1 intersection
 volumes of slab constraints |a . x| <= R are convex polygon areas, computed
 here with Fraction arithmetic and no reference to the library's estimators.
 
-Also the slow paths the compiled matroid data is checked against: chi(0)
-by subset expansion over rank calls, and matrix inverses by Fraction
-Gauss-Jordan elimination.
+Also the slow paths the exact layer is checked against: chi(0) by subset
+expansion over rank calls, and rank and inverse by plain Gaussian and
+Gauss-Jordan elimination with exact division over Q or Q(zeta_k).
 """
 
 from fractions import Fraction
@@ -132,11 +132,37 @@ def chi_by_expansion(view, mask):
         sub = (sub - 1) & mask
 
 
+def _field_entry(v):
+    """Integers become Fractions so that division is exact; Fraction and
+    Cyclotomic entries are kept as they are."""
+    return Fraction(v) if isinstance(v, int) else v
+
+
+def field_rank(rows):
+    """Rank by plain Gaussian elimination with exact division, over Q
+    (int or Fraction entries) or Q(zeta_k) (Cyclotomic entries)."""
+    m = [[_field_entry(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            if m[r][col] != 0:
+                f = m[r][col] / p
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def fraction_inverse(rows):
-    """Inverse of a rational matrix by Gauss-Jordan elimination over
-    Fractions; ZeroDivisionError when it is singular."""
+    """Inverse of a matrix over Q or Q(zeta_k) by Gauss-Jordan elimination
+    with exact division; ZeroDivisionError when it is singular."""
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+    aug = [[_field_entry(v) for v in row]
+           + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(rows)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)

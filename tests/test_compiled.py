@@ -1,5 +1,6 @@
-"""The compiled matroid data (chi and spanning tables, base list, integer
-base inverses) against independent slow paths, and the guards around it."""
+"""The compiled matroid data (chi and spanning tables, base list, base
+inverses over Q and Q(zeta_k)) against independent slow paths, and the
+guards around it."""
 
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from oracles import chi_by_expansion, fraction_inverse
 from polygas.arrangement import (ArrangementError, braid, coxeter_b, coxeter_d,
                                  custom, dowling, threshold, widom_rowlinson)
 from polygas.dimred import check_dr
-from polygas.exact_linalg import (SingularSystemError, _integerize, _row_scale,
+from polygas.exact_linalg import (SingularSystemError, _ring_rows,
                                   exact_inverse, integer_inverse)
 from polygas.matroid import (MAX_TABLE_SIZE, LinearOrder, MatroidError,
                              MatroidView, mask_elements)
@@ -31,6 +32,9 @@ SMALL_FAMILIES = {
 
 RATIONAL_FAMILIES = {label: arr for label, arr in SMALL_FAMILIES.items()
                      if arr.field_kind == "rational"}
+
+CYCLOTOMIC_FAMILIES = {"dowling2_3": dowling(2, 3), "dowling3_3": dowling(3, 3),
+                       "dowling2_4": dowling(2, 4)}
 
 README_CUSTOM = custom([["1", "-1/2"], ["0", "1"]])
 
@@ -85,7 +89,7 @@ def _assert_inverse_matches_oracle(view, base_mask):
     rows = [view.arrangement.normals[e] for e in mask_elements(base_mask)]
     expected = fraction_inverse(rows)
     assert exact_inverse(rows) == expected
-    num, den = integer_inverse(_integerize(rows), [_row_scale(r) for r in rows])
+    num, den = integer_inverse(*_ring_rows(rows))
     assert den > 0
     assert [[Fraction(v, den) for v in row] for row in num] == expected
     inv = view.base_inverse(base_mask)
@@ -99,6 +103,20 @@ def test_integer_base_inverses_equal_fraction_gauss_jordan(label):
     view = MatroidView(RATIONAL_FAMILIES[label])
     for base_mask in view.bases():
         _assert_inverse_matches_oracle(view, base_mask)
+
+
+@pytest.mark.parametrize("label", sorted(CYCLOTOMIC_FAMILIES))
+def test_cyclotomic_base_inverses_equal_gauss_jordan(label):
+    view = MatroidView(CYCLOTOMIC_FAMILIES[label])
+    for base_mask in view.bases():
+        rows = [view.arrangement.normals[e] for e in mask_elements(base_mask)]
+        expected = fraction_inverse(rows)
+        assert exact_inverse(rows) == expected
+        inv = view.base_inverse(base_mask)
+        assert inv.rows.tolist() == [[v.to_complex() for v in row]
+                                     for row in expected]
+        assert inv.row_abs_sums == tuple(sum(abs(v.to_complex()) for v in row)
+                                         for row in expected)
 
 
 def test_integer_inverse_undoes_row_scaling():
@@ -119,7 +137,7 @@ _entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n),
                        min_size=n, max_size=n)))
 def test_integer_inverse_random_rational_matrices(rows):
-    scaled = (_integerize(rows), [_row_scale(r) for r in rows])
+    scaled = _ring_rows(rows)
     try:
         expected = fraction_inverse(rows)
     except ZeroDivisionError:

@@ -2,15 +2,14 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import field_rank, fraction_inverse
 from polygas.exact_linalg import (Cyclotomic, FieldMismatchError,
-                                  SingularSystemError, _rank_bareiss,
-                                  cyclotomic_polynomial, exact_inverse,
-                                  exact_rank, field_of, is_independent,
-                                  solve_float)
+                                  SingularSystemError, cyclotomic_polynomial,
+                                  exact_inverse, exact_rank, field_of,
+                                  is_independent)
 
 KNOWN_PHI = {
     1: [-1, 1],
@@ -101,11 +100,42 @@ def test_rank_fractions():
     assert exact_rank(rows) == 2
 
 
-@settings(max_examples=150)
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-                min_size=1, max_size=5))
-def test_mod_p_path_matches_bareiss(rows):
-    assert exact_rank(rows) == _rank_bareiss(rows)
+def _entries(kind):
+    """Matrix entries of one kind; small ranges so that dependent rows and
+    zero pivots come up often."""
+    if kind == "int":
+        return st.integers(-9, 9)
+    if kind == "fraction":
+        return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    k = int(kind[len("cyclotomic"):])
+    return st.builds(lambda c, p: c * Cyclotomic.zeta(k, p),
+                     st.integers(-2, 2), st.integers(0, k - 1))
+
+
+@st.composite
+def _matrices(draw, kind, n=None):
+    """A matrix of `kind` entries, n x n when n is given.  Up to two rows are
+    replaced by linear combinations of rows, so dependent rows come up
+    often."""
+    width = n or draw(st.integers(1, 4))
+    count = n or draw(st.integers(1, 6))
+    entry = _entries(kind)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         min_size=count, max_size=count))
+    index = st.integers(0, count - 1)
+    for target, i, j, c in draw(st.lists(st.tuples(index, index, index, entry),
+                                         max_size=2)):
+        rows[target] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "cyclotomic3",
+                                  "cyclotomic4", "cyclotomic5"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rank_matches_field_elimination(kind, data):
+    rows = data.draw(_matrices(kind))
+    assert exact_rank(rows) == field_rank(rows)
 
 
 @settings(max_examples=80)
@@ -162,31 +192,18 @@ def test_exact_inverse_singular():
         exact_inverse([[1, 2], [2, 4]])
 
 
-def test_solve_float_identity():
-    x = solve_float(np.eye(2), [1.0, 2.0])
-    assert np.allclose(x, [1.0, 2.0])
-
-
-def test_solve_float_back_substitution():
-    x = solve_float([[1.0, 0.0], [1.0, -1.0]], [1.0, 0.0])
-    assert np.allclose(x, [1.0, 1.0])
-
-
-def test_solve_float_rejects_singular():
-    with pytest.raises(SingularSystemError):
-        solve_float([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000))
-def test_solve_float_residual_property(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 7))
-    a = rng.standard_normal((n, n)) + n * np.eye(n)  # comfortably conditioned
-    b = rng.standard_normal(n)
-    x = solve_float(a, b)
-    scale = max(np.max(np.abs(b)), 1e-300)
-    assert np.max(np.abs(a @ x - b)) <= 1e-9 * scale
+@pytest.mark.parametrize("k", [3, 4, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_inverse_random_cyclotomic_matrices(k, data):
+    rows = data.draw(_matrices(f"cyclotomic{k}", n=data.draw(st.integers(1, 3))))
+    try:
+        expected = fraction_inverse(rows)
+    except ZeroDivisionError:
+        with pytest.raises(SingularSystemError):
+            exact_inverse(rows)
+        return
+    assert exact_inverse(rows) == expected
 
 
 def test_field_of():

@@ -115,6 +115,37 @@ def test_is_safe_examples():
     assert v2.is_safe(0b11, LinearOrder([0, 1])) is True
 
 
+def test_safe_base_count_refuses_short_order():
+    v = MatroidView(braid(4))
+    with pytest.raises(MatroidError, match="permutation"):
+        v.safe_base_count(order=LinearOrder([0, 1, 2]))
+
+
+def test_safe_base_count_refuses_order_beyond_ground_set():
+    v = MatroidView(braid(4))
+    with pytest.raises(MatroidError, match="permutation"):
+        v.safe_base_count(order=LinearOrder(range(10)))
+    with pytest.raises(MatroidError, match="permutation"):
+        v.safe_count_if_spanning(0b1, LinearOrder(range(10)))
+
+
+def test_safe_checks_read_the_base_set():
+    v = MatroidView(braid(4))
+    v.bases()
+    calls = []
+    rank_of = v.rank_of
+    v.rank_of = lambda mask: calls.append(mask) or rank_of(mask)
+    assert v.safe_base_count() == 6
+    for base in v.bases():
+        v.fundamental_circuit(base, next(mask_elements(v.ground_mask & ~base)))
+    assert calls == []
+    for bad in (0b11, 1 << 6, -1):
+        with pytest.raises(MatroidError, match="not a base"):
+            v.is_safe(bad, LinearOrder.default(v.size))
+        with pytest.raises(MatroidError, match="not a base"):
+            v.fundamental_circuit(bad, 0)
+
+
 def test_chi_examples():
     assert MatroidView(braid(2)).chi_at_zero() == -1
     assert MatroidView(braid(3)).chi_at_zero() == 2

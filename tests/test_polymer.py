@@ -6,7 +6,7 @@ import pytest
 from polygas.arrangement import ArrangementError, braid, coxeter_b, coxeter_d
 from polygas.geometry import (RNGStream, capped_cylinder_shape, cylinder_shape,
                               sphere_area, sphere_shape)
-from polygas.matroid import LinearOrder, mask_elements
+from polygas.matroid import LinearOrder, MatroidError, mask_elements
 from polygas.mayer import z_score
 from polygas.polymer import (asa_volume_mc, dump_samples_csv,
                              planar_invariance_check, polymer_svg,
@@ -174,6 +174,12 @@ def test_safe_projection_braid2_matches_mmc_side():
     safe = safe_projection_expectation(arr, 1, "norm_sq",
                                        LinearOrder.default(1), 150_000, 13)
     assert agree(safe, rep.mmc_side)
+
+
+def test_safe_projection_refuses_short_order():
+    with pytest.raises(MatroidError, match="permutation"):
+        safe_projection_expectation(braid(3), 1, "const1", LinearOrder([0, 1]),
+                                    1000, 0)
 
 
 def test_safe_projection_braid3_two_g_choices():

@@ -116,7 +116,7 @@ class Arrangement:
         xbatch: (m, n, dim) real for complexified arrangements, complex for
         cyclotomic ones.  Returns (m, size, dim).
         """
-        return np.einsum("en,mnd->med", self.coeff, xbatch)
+        return self.coeff @ xbatch
 
     def norms_sq(self, xbatch: np.ndarray) -> np.ndarray:
         vals = self.values(xbatch)
@@ -246,28 +246,28 @@ def threshold(n: int, radii=None) -> Arrangement:
 
 def dowling(n: int, k: int, radii=None) -> Arrangement:
     """x_i - zeta^m x_j for i < j and 0 <= m < k, zeta a primitive k-th root
-    of unity.  Rational for k <= 2 (k = 2 reproduces coxeter_d); a genuine
+    of unity.  Rational for k = 2 (it reproduces coxeter_d); a genuine
     cyclotomic arrangement for k >= 3."""
     if n < 2:
         raise ArrangementError("dowling needs n >= 2")
-    if k < 1:
-        raise ArrangementError("dowling needs k >= 1")
+    if k < 2:
+        raise ArrangementError(
+            f"dowling needs k >= 2, got k = {k} (k = 1 gives the normals "
+            f"x_i - x_j, of rank {n - 1} < {n}: use braid({n}))")
     normals, labels = [], []
     for i in range(n):
         for j in range(i + 1, n):
             for m in range(k):
                 row = [0] * n
                 row[i] = 1
-                if k == 1:
-                    row[j] = -1
-                elif k == 2:
+                if k == 2:
                     row[j] = -1 if m == 0 else 1
                 else:
                     row = [Cyclotomic.from_rational(k, v) for v in row]
                     row[j] = -Cyclotomic.zeta(k, m)
                 normals.append(row)
                 labels.append(f"x{i+1}-z^{m}*x{j+1}" if k >= 3
-                              else (f"x{i+1}-x{j+1}" if (k == 1 or m == 0)
+                              else (f"x{i+1}-x{j+1}" if m == 0
                                     else f"x{i+1}+x{j+1}"))
     return _build(normals, labels, radii, "dowling", (("n", n), ("k", k)),
                   k=k if k >= 3 else None)

@@ -12,12 +12,14 @@ A view compiles its arrangement's derived data the first time it is needed
 and keeps it:
 
 * the base list, by a backtracking search pruned by rank;
-* a spanning table and a chi table over all 2^|E| masks, from subset (zeta)
-  transforms of the base indicator: spanning[S] is the OR of the indicator
-  over the subsets of S, and chi[S] is the sum over T inside S of
+* an nb table, a spanning table and a chi table over all 2^|E| masks, from
+  subset (zeta) transforms of the base indicator: nb[S] is the number of
+  bases inside S (the sum of the indicator over the subsets of S), S spans
+  exactly when nb[S] > 0, and chi[S] is the sum over T inside S of
   (-1)^|T| spanning[T], which is chi_S(0) for a spanning S and 0 otherwise
   (Crapo: chi(0) = (-1)^r T(1, 0));
-* each base's exact inverse, as float rows and as the rows' absolute sums;
+* each base's exact inverse, as float rows and as the rows' absolute sums,
+  and the absolute value of its exact determinant;
 * the base set, which fundamental circuits and order-safety checks read
   both to validate their base argument and to test exchanges.
 
@@ -29,6 +31,7 @@ rank calls as the tables' oracle.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from dataclasses import dataclass
@@ -36,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement
-from .exact_linalg import (_fraction_free_rank, _ring_rows, exact_inverse,
-                           integer_inverse, scalar_abs)
+from .exact_linalg import (_fraction_free_inverse, _fraction_free_rank,
+                           _ring_rows, integer_inverse, scalar_abs)
 
-# chi and spanning tables index every subset: 2^24 int64 entries are 128 MB
+# the tables index every subset: at 2^24 entries the int64 chi table is
+# 128 MB and the int32 nb table 64 MB
 MAX_TABLE_SIZE = 24
 
 
@@ -90,15 +94,18 @@ class LinearOrder:
 class BaseInverse:
     """The inverse of a base's normal matrix: float (complex for cyclotomic
     arrangements) rows, and each row's sum of absolute values, rounded once
-    from the exact value for rational arrangements."""
+    from the exact value for rational arrangements; and |det| of the base's
+    normal matrix (the complex modulus for cyclotomic arrangements), rounded
+    once from the exact determinant."""
 
     rows: np.ndarray
     row_abs_sums: tuple
+    abs_det: float
 
 
 def _subset_sums(table: np.ndarray) -> None:
-    """In place: table[S] becomes the sum of table[T] over all T inside S
-    (their OR for a bool table), one pass per ground element."""
+    """In place: table[S] becomes the sum of table[T] over all T inside S,
+    one pass per ground element."""
     for e in range(table.size.bit_length() - 1):
         pairs = table.reshape(-1, 2, 1 << e)
         pairs[:, 1, :] += pairs[:, 0, :]
@@ -123,6 +130,7 @@ class MatroidView:
         self._safe_cache: dict[tuple, int] = {}
         self._bases: tuple | None = None
         self._base_set: frozenset | None = None
+        self._nb_table: np.ndarray | None = None
         self._spanning_table: np.ndarray | None = None
         self._chi_table: np.ndarray | None = None
         self._inverses: dict[int, BaseInverse] = {}
@@ -196,10 +204,12 @@ class MatroidView:
         return found
 
     def base_inverse(self, base_mask: int) -> BaseInverse:
-        """The exact inverse of a base's normal matrix, computed once per
-        base by fraction-free Gauss-Jordan elimination: on the integerized
-        rows for rational arrangements (`integer_inverse`), on the
-        Cyclotomic rows for cyclotomic ones (`exact_inverse`)."""
+        """The exact inverse of a base's normal matrix and its |det|,
+        computed once per base by fraction-free Gauss-Jordan elimination: on
+        the integerized rows S A for rational arrangements
+        (`integer_inverse`, whose denominator is |det S A| = |det A| times
+        the product of the row scales), on the Cyclotomic rows for
+        cyclotomic ones (the adjugate over the pivot, which is +-det)."""
         inv = self._inverses.get(base_mask)
         if inv is not None:
             return inv
@@ -207,17 +217,21 @@ class MatroidView:
             raise MatroidError("mask is not a base")
         elems = list(mask_elements(base_mask))
         if self._scales is not None:
-            num, den = integer_inverse([self._rows[e] for e in elems],
-                                       [self._scales[e] for e in elems])
+            scales = [self._scales[e] for e in elems]
+            num, den = integer_inverse([self._rows[e] for e in elems], scales)
             floats = np.array([[v / den for v in row] for row in num], dtype=float)
             sums = tuple(sum(abs(v) for v in row) / den for row in num)
+            abs_det = den / math.prod(scales)
         else:
-            exact = exact_inverse([self.arrangement.normals[e] for e in elems])
+            adj, det = _fraction_free_inverse([self._rows[e] for e in elems])
+            inv_det = det.inverse()
+            exact = [[v * inv_det for v in row] for row in adj]
             floats = np.array([[v.to_complex() for v in row] for row in exact],
                               dtype=complex)
             sums = tuple(sum(scalar_abs(v) for v in row) for row in exact)
+            abs_det = scalar_abs(det)
         floats.flags.writeable = False
-        inv = BaseInverse(floats, sums)
+        inv = BaseInverse(floats, sums, abs_det)
         with self._lock:
             self._inverses[base_mask] = inv
         return inv
@@ -230,18 +244,27 @@ class MatroidView:
                 return
             if self.size > MAX_TABLE_SIZE:
                 raise MatroidError(
-                    f"{self.size} hyperplanes: the chi and spanning tables "
+                    f"{self.size} hyperplanes: the nb, chi and spanning tables "
                     f"index all 2^{self.size} subsets, and at most "
                     f"{MAX_TABLE_SIZE} hyperplanes are supported")
-            spanning = np.zeros(1 << self.size, dtype=bool)
-            spanning[list(self.bases())] = True
-            _subset_sums(spanning)
+            nb = np.zeros(1 << self.size, dtype=np.int32)   # <= C(24, 12) bases
+            nb[list(self.bases())] = 1
+            _subset_sums(nb)
+            spanning = nb > 0
             chi = np.where(spanning, _subset_parity_signs(self.size), 0)
             _subset_sums(chi)
-            spanning.flags.writeable = False
-            chi.flags.writeable = False
+            for table in (nb, spanning, chi):
+                table.flags.writeable = False
+            self._nb_table = nb
             self._spanning_table = spanning
             self._chi_table = chi
+
+    @property
+    def nb_table(self) -> np.ndarray:
+        """Read-only int32 array: entry S is the number of bases inside
+        subset S."""
+        self._compile_tables()
+        return self._nb_table
 
     @property
     def spanning_table(self) -> np.ndarray:

@@ -2,12 +2,23 @@
 plus the one-pass region-decomposition estimator for the pressure-series
 coefficient and the warped-surface (bottom membership) variants.
 
-Every box estimator is one call of the region kernel `_region_estimate`:
-draw x uniformly in the bounding box, find its within-radius mask G(x), and
-average weight(G(x)) (times g(x)) times the box volume.  The weights are
+Every region estimator is one call of the tube kernel `_region_estimate`.
+A configuration x with within-radius mask G(x) lies in the tube of every
+base inside G(x), and only spanning masks carry weight, so the kernel draws
+x from the mixture of base tubes: base B with probability proportional to
+its tube volume vol_B = |det B|^-d * prod_{e in B} vol(ball_e or bottom_e),
+then the values h_e(x) (e in B) uniformly in their balls or bottoms, and x
+by the base's exact inverse.  That x has density nb[G(x)] / V, nb[S] the
+number of bases inside S and V the sum of the vol_B, so each sample adds
+V * weight(G(x)) (times g(x)) / nb[G(x)]: one-sample multiple importance
+sampling with the balance heuristic (Veach and Guibas, SIGGRAPH 1995).  No
+sample lands where the weight is 0 for want of a base, and an arrangement
+with a single base gets an exact (zero-variance) answer.  The weights are
 the chi table (pressure coefficients), a subset indicator scaled by
-(-1)^|H| (single coefficients), and the order-safe base count (the safe
-projection law in polymer.py).
+(-1)^|H| (single coefficients, sampled from the tubes of the bases inside
+H), and the order-safe base count (the safe projection law in polymer.py).
+The tests check every estimator against an independent slow path, a
+uniform bounding-box sampler (tests/oracles.py).
 
 Estimation contract: work is cut into fixed-size chunks, one deterministic
 random stream per chunk, merged in chunk order.  Worker count only decides
@@ -24,8 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arrangement import Arrangement, _mask_bits
-from .geometry import ASAShape, RNGStream, bounding_halfwidth
-from .matroid import MatroidView, popcount
+from .geometry import ASAShape, RNGStream, ball_volume, uniform_ball
+from .matroid import MatroidView, mask_elements, popcount
 
 CHUNK = 1 << 16
 
@@ -169,50 +180,114 @@ def run_chunked(n_samples: int, seed: int, workers: int, values_fn,
 # the region kernel
 # --------------------------------------------------------------------------
 
-def _draw_box(arr: Arrangement, rng, count: int, d: int, halfwidth: float):
-    """Uniform box points: R^d per point for complexified arrangements;
-    cyclotomic ones require even d and get C^(d/2) per point (the same d
-    real numbers)."""
+# rows per block of the tube kernel: bounds the memory of the gathered
+# (rows, n, n) inverses and of the functional values
+BLOCK = 8192
+
+
+def _ball_draw(arr: Arrangement, d: int):
+    """draw(rng, elems) of the tube kernel for balls: h_e uniform in the
+    radius-R_e ball of R^d for each e in `elems` (an int array), shaped
+    elems.shape + (d,); cyclotomic arrangements pair the d real coordinates
+    into d/2 complex ones."""
+    radii = np.asarray(arr.radii, dtype=float)
+
+    def draw(rng, elems):
+        r = radii[elems]
+        if d == 1:
+            return (rng.uniform(-1.0, 1.0, r.shape) * r)[..., None]
+        h = uniform_ball(d, rng, r.size).reshape(*r.shape, d) * r[..., None]
+        if not arr.complexified:
+            h = h[..., 0::2] + 1j * h[..., 1::2]
+        return h
+
+    return draw
+
+
+def _bottom_draw(shapes, d: int):
+    """draw(rng, elems) of the tube kernel for warped shapes: h_e uniform on
+    the bottom of shapes[e], one sample_bottom call per distinct shape."""
+    distinct = list(dict.fromkeys(shapes))
+    shape_of = np.array([distinct.index(s) for s in shapes])
+
+    def draw(rng, elems):
+        if len(distinct) == 1:      # the same draws, without the scatter
+            return distinct[0].sample_bottom(rng, elems.size).reshape(
+                elems.shape + (d,))
+        which = shape_of[elems]
+        h = np.empty(elems.shape + (d,))
+        for i, shape in enumerate(distinct):
+            pick = which == i
+            h[pick] = shape.sample_bottom(rng, int(np.count_nonzero(pick)))
+        return h
+
+    return draw
+
+
+def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
+                     seed: int, workers: int, *, within: int | None = None,
+                     shapes=None, g=None, stream_base: int = 0) -> MCEstimate:
+    """Estimate of the integral over configurations x of
+    weight(G(x)) * g(x), G(x) the within-radius mask: ball membership, or
+    bottom membership of each hyperplane's shape when shapes are given.
+
+    x is drawn from a mixture of base tubes.  For a base B inside `within`
+    (the ground set by default), tube_B = {x : h_e(x) in body_e for e in B}
+    has volume vol_B = |det B|^-d * prod over e in B of vol(body_e), with d
+    real dimensions per point (|det_C B| for cyclotomic arrangements).
+    Picking B with probability vol_B / V, V the sum of the vol_B, and x
+    uniform in tube_B gives x the density nb[G(x) & within] / V, so each
+    sample contributes V * weight(G) * g(x) / nb[G & within].  weight maps
+    an int64 mask array to per-sample weights, and must vanish on masks
+    holding no base inside `within`.  The drawn base's bits are ORed into
+    the mask, so float rounding at |h_e| = R_e cannot drop x out of its own
+    tube: nb >= 1 on every sample.
+    """
+    arr = view.arrangement
     if d < 1:
         raise ValueError("d must be >= 1 for Monte Carlo estimation")
     if not arr.complexified and d % 2:
         raise ValueError("cyclotomic arrangements need even d")
-    pts = rng.uniform(-halfwidth, halfwidth, (count, arr.ambient_dim, d))
-    if not arr.complexified:
-        pts = pts[..., 0::2] + 1j * pts[..., 1::2]
-    return pts
-
-
-def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
-                     seed: int, workers: int, *, shapes=None, g=None,
-                     stream_base: int = 0) -> MCEstimate:
-    """Box estimate of the integral over configurations x of
-    weight(G(x)) * g(x), G(x) the within-radius mask: ball membership, or
-    bottom membership of each hyperplane's shape when shapes are given.
-
-    weight maps an int64 mask array to per-sample weights.  The box is the
-    bounding box of the balls (or of the bottoms' outer radii).
-    """
-    arr = view.arrangement
-    radii = None
-    if shapes is not None:
+    nb = view.nb_table          # refuses oversized ground sets before the bases
+    within = view.ground_mask if within is None else within
+    bases = [b for b in view.bases() if not b & ~within]
+    inverses = [view.base_inverse(b) for b in bases]
+    inv = np.stack([i.rows for i in inverses])
+    elems = np.array([list(mask_elements(b)) for b in bases])
+    base_bits = np.array(bases, dtype=np.int64)
+    if shapes is None:
+        draw = _ball_draw(arr, d)
+        body = ball_volume(d) * np.asarray(arr.radii) ** d
+    else:
         bits = _mask_bits(arr.size)
-        radii = [s.bottom_outer_radius for s in shapes]
-    box = bounding_halfwidth(view, radii=radii)
-    vol = box.volume(d * arr.ambient_dim)
+        draw = _bottom_draw(shapes, d)
+        body = np.array([s.bottom_volume for s in shapes])
+    vol = (np.array([i.abs_det for i in inverses]) ** -d
+           * np.prod(body[elems], axis=1))
+    total = float(vol.sum())
+    cdf = np.cumsum(vol) / total
+    last = len(bases) - 1
 
     def mmc_values(rng, count):
-        pts = _draw_box(arr, rng, count, d, box.halfwidth)
-        if shapes is None:
-            masks = arr.gamma_masks(pts)
-        else:
-            vals = arr.values(pts)
-            within = np.stack([shapes[e].bottom_contains(vals[:, e, :])
-                               for e in range(arr.size)], axis=1)
-            masks = within @ bits
-        if g is None:
-            return weight(masks) * vol
-        return weight(masks) * g(pts) * vol
+        base = np.minimum(np.searchsorted(cdf, rng.random(count),
+                                          side="right"), last)
+        h = draw(rng, elems[base])
+        values = np.empty(count)
+        for start in range(0, count, BLOCK):
+            rows = slice(start, start + BLOCK)
+            b = base[rows]
+            x = inv[b] @ h[rows]
+            if shapes is None:
+                masks = arr.gamma_masks(x)
+            else:
+                vals = arr.values(x)
+                inside = np.stack([shapes[e].bottom_contains(vals[:, e, :])
+                                   for e in range(arr.size)], axis=1)
+                masks = inside @ bits
+            masks |= base_bits[b]
+            w = weight(masks) * (total / nb[masks & within])
+            values[rows] = w if g is None else w * g(x)
+        return values
 
     return run_chunked(n_samples, seed, workers, mmc_values,
                        stream_base=stream_base)
@@ -241,11 +316,12 @@ def mmc_d0(view: MatroidView, subset_mask: int) -> int:
 def mmc_mc(view: MatroidView, subset_mask: int, d: int, n_samples: int,
            seed: int, workers: int = 1) -> MCEstimate:
     """Unbiased estimate of (-1)^|H| * vol{x : ||h_e(x)|| <= R_e for e in H},
-    by uniform sampling in the bounding box."""
+    sampling the tubes of the bases inside H."""
     if not view.is_spanning(subset_mask):
         raise SpanningError("subset does not span")
     return _region_estimate(view, d, _contains(subset_mask), n_samples, seed,
-                            workers).scaled(_parity(subset_mask))
+                            workers, within=subset_mask
+                            ).scaled(_parity(subset_mask))
 
 
 def pressure_exact_d0(view: MatroidView) -> int:
@@ -262,8 +338,8 @@ def pressure_coefficient(view: MatroidView, d: int, n_samples: int, seed: int,
     rank)."""
     if d == 0:
         return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
-    chi = view.chi_table        # before the box: refuses oversized ground sets
-    return _region_estimate(view, d, chi.__getitem__, n_samples, seed, workers)
+    return _region_estimate(view, d, view.chi_table.__getitem__, n_samples,
+                            seed, workers)
 
 
 def pressure_coefficient_enumerated(view: MatroidView, d: int, n_samples: int,
@@ -274,7 +350,7 @@ def pressure_coefficient_enumerated(view: MatroidView, d: int, n_samples: int,
     if d == 0:
         return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
     parts = [_region_estimate(view, d, _contains(mask), n_samples, seed,
-                              workers, stream_base=h_index << 32
+                              workers, within=mask, stream_base=h_index << 32
                               ).scaled(_parity(mask))
              for h_index, mask in enumerate(view.spanning_subsets())]
     return mc_sum(parts, seed, workers)
@@ -306,7 +382,8 @@ def mmc_asa(view: MatroidView, subset_mask: int, shapes, d: int,
         raise SpanningError("subset does not span")
     shapes = _check_shapes(view.arrangement, shapes, d)
     return _region_estimate(view, d, _contains(subset_mask), n_samples, seed,
-                            workers, shapes=shapes).scaled(_parity(subset_mask))
+                            workers, within=subset_mask, shapes=shapes
+                            ).scaled(_parity(subset_mask))
 
 
 def asa_pressure_coefficient(view: MatroidView, shapes, d: int, n_samples: int,
@@ -314,6 +391,5 @@ def asa_pressure_coefficient(view: MatroidView, shapes, d: int, n_samples: int,
     """Region-decomposition estimator with ball membership replaced by bottom
     membership of each hyperplane's shape."""
     shapes = _check_shapes(view.arrangement, shapes, d)
-    chi = view.chi_table
-    return _region_estimate(view, d, chi.__getitem__, n_samples, seed, workers,
-                            shapes=shapes)
+    return _region_estimate(view, d, view.chi_table.__getitem__, n_samples,
+                            seed, workers, shapes=shapes)

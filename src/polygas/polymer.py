@@ -13,7 +13,7 @@ Every polymer volume (`volume_mc`, `asa_volume_mc`, the polymer side of
 `project_expectation`) is one call of the per-base kernel
 `_polymer_estimate`, which differs between them only in how the base
 values are drawn, how a non-base value is tested, and the base weight.  The
-box sides of the projection laws are calls of the mayer region kernel.
+region sides of the projection laws are calls of the mayer tube kernel.
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ def _accept_batch(arr: Arrangement, base_mask: int, inv: np.ndarray, rng,
     base_idx = list(mask_elements(base_mask))
     outside_idx = [e for e in range(arr.size) if not base_mask >> e & 1]
     targets = draw(rng, count, base_idx)
-    x = np.einsum("ij,cjd->cid", inv, targets)
+    x = inv @ targets
     if not outside_idx:
         return np.ones(count, dtype=bool), x
-    vals = np.einsum("en,cnd->ced", arr.coeff[outside_idx], x)
+    vals = arr.coeff[outside_idx] @ x
     return outside(vals, outside_idx), x
 
 

@@ -7,10 +7,20 @@ here with Fraction arithmetic and no reference to the library's estimators.
 Also the slow paths the exact layer is checked against: chi(0) by subset
 expansion over rank calls, and rank and inverse by plain Gaussian and
 Gauss-Jordan elimination with exact division over Q or Q(zeta_k).
+
+And the slow path the region estimators are checked against:
+`box_estimate`, which draws configurations uniformly in the bounding box of
+the base tubes instead of from their mixture.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
+
+from polygas.arrangement import _mask_bits
+from polygas.geometry import bounding_halfwidth
+from polygas.mayer import run_chunked
 
 
 def clip_halfplane(poly, a, b, c):
@@ -176,3 +186,53 @@ def fraction_inverse(rows):
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def _draw_box(arr, rng, count, d, halfwidth):
+    """Uniform box points: R^d per point for complexified arrangements;
+    cyclotomic ones require even d and get C^(d/2) per point (the same d
+    real numbers)."""
+    if d < 1:
+        raise ValueError("d must be >= 1 for Monte Carlo estimation")
+    if not arr.complexified and d % 2:
+        raise ValueError("cyclotomic arrangements need even d")
+    pts = rng.uniform(-halfwidth, halfwidth, (count, arr.ambient_dim, d))
+    if not arr.complexified:
+        pts = pts[..., 0::2] + 1j * pts[..., 1::2]
+    return pts
+
+
+def box_estimate(view, d, weight, n_samples, seed, workers=1, *, shapes=None,
+                 g=None, stream_base=0):
+    """Box estimate of the integral over configurations x of
+    weight(G(x)) * g(x), G(x) the within-radius mask: ball membership, or
+    bottom membership of each hyperplane's shape when shapes are given.
+
+    x is uniform in the bounding box of the balls (or of the bottoms' outer
+    radii), which holds every configuration whose mask spans, so the
+    estimate is unbiased for any weight that vanishes on non-spanning
+    masks.
+    """
+    arr = view.arrangement
+    radii = None
+    if shapes is not None:
+        bits = _mask_bits(arr.size)
+        radii = [s.bottom_outer_radius for s in shapes]
+    box = bounding_halfwidth(view, radii=radii)
+    vol = box.volume(d * arr.ambient_dim)
+
+    def values(rng, count):
+        pts = _draw_box(arr, rng, count, d, box.halfwidth)
+        if shapes is None:
+            masks = arr.gamma_masks(pts)
+        else:
+            vals = arr.values(pts)
+            within = np.stack([shapes[e].bottom_contains(vals[:, e, :])
+                               for e in range(arr.size)], axis=1)
+            masks = within @ bits
+        if g is None:
+            return weight(masks) * vol
+        return weight(masks) * g(pts) * vol
+
+    return run_chunked(n_samples, seed, workers, values,
+                       stream_base=stream_base)

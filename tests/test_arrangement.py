@@ -78,8 +78,11 @@ def test_dowling_2_3_is_essential():
 
 
 def test_dowling_k1_rejected():
-    with pytest.raises(ArrangementError, match="rank"):
-        dowling(3, 1)
+    for n in (2, 3):
+        with pytest.raises(ArrangementError, match=r"k >= 2, got k = 1 .* rank"):
+            dowling(n, 1)
+    with pytest.raises(ArrangementError, match="k >= 2"):
+        dowling(3, 0)
 
 
 def test_dowling_k2_is_pair_arrangement():

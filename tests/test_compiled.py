@@ -76,6 +76,35 @@ def test_bases_of_equals_full_rank_subsets_of_size_rank(label):
         assert view.bases_of(mask) == expected
 
 
+NB_FAMILIES = {label: SMALL_FAMILIES[label]
+               for label in ("braid2", "braid3", "braid4", "braid5",
+                             "coxeterB2", "coxeterB3", "dowling2_3")}
+
+
+@pytest.mark.parametrize("label", sorted(NB_FAMILIES))
+def test_nb_table_counts_the_bases_inside_each_mask(label):
+    view = MatroidView(NB_FAMILIES[label])
+    nb = view.nb_table
+    assert nb.dtype == np.int32 and not nb.flags.writeable
+    for mask in range(1 << view.size):
+        try:
+            expected = len(view.bases_of(mask))
+        except MatroidError:
+            expected = 0
+        assert nb[mask] == expected
+        assert bool(view.spanning_table[mask]) == (expected > 0)
+
+
+@pytest.mark.parametrize("label", sorted(SMALL_FAMILIES))
+def test_base_abs_det_matches_float_determinant(label):
+    arr = SMALL_FAMILIES[label]
+    view = MatroidView(arr)
+    for base_mask in view.bases():
+        det = np.linalg.det(arr.coeff[list(mask_elements(base_mask))])
+        assert view.base_inverse(base_mask).abs_det == pytest.approx(
+            abs(det), rel=1e-12)
+
+
 def test_mask_range_checked():
     view = MatroidView(braid(3))
     for bad in (-1, 1 << 3):
@@ -127,6 +156,7 @@ def test_integer_inverse_undoes_row_scaling():
     inv = view.base_inverse(0b11)
     assert inv.rows.tolist() == [[1.0, 0.5], [0.0, 1.0]]
     assert inv.row_abs_sums == (1.5, 1.0)
+    assert inv.abs_det == 1.0       # the integerized rows have det 2
 
 
 _entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)

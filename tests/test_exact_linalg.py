@@ -212,8 +212,8 @@ def test_field_of():
 
 
 def test_rank_large_entries_use_exact_fallback():
-    # entries big enough that the Hadamard certificate exceeds the prime
-    # bound; the fraction-free path must still give the exact rank
+    # entries near 2^22, whose minors outgrow float precision; fraction-free
+    # elimination on Python integers must still give the exact rank
     big = 1 << 22
     rows = [[big, big + 1, 0], [0, big, big + 1], [big, 2 * big + 1, big + 1],
             [big, big, big], [1, 2, 3]]

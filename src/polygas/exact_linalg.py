@@ -362,6 +362,15 @@ def integer_inverse(int_rows, scales):
     return num, sign * den
 
 
+def _cyclotomic_inverse(ring):
+    """Exact inverse of a nonsingular square matrix of Cyclotomic rows, and
+    the pivot p = +-det of `_fraction_free_inverse`: the adjugate block
+    times the inverse of p."""
+    adj, det = _fraction_free_inverse(ring)
+    inv = det.inverse()
+    return [[v * inv for v in row] for row in adj], det
+
+
 def exact_inverse(rows):
     """Exact inverse of a square matrix over Q or Q(zeta_k).
 
@@ -379,9 +388,7 @@ def exact_inverse(rows):
     if scales is not None:
         num, den = integer_inverse(ring, scales)
         return [[Fraction(v, den) for v in row] for row in num]
-    adj, det = _fraction_free_inverse(ring)
-    inv = det.inverse()
-    return [[v * inv for v in row] for row in adj]
+    return _cyclotomic_inverse(ring)[0]
 
 
 def scalar_abs(value) -> float:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement
-from .exact_linalg import (_fraction_free_inverse, _fraction_free_rank,
+from .exact_linalg import (_cyclotomic_inverse, _fraction_free_rank,
                            _ring_rows, integer_inverse, scalar_abs)
 
 # the tables index every subset: at 2^24 entries the int64 chi table is
@@ -209,7 +209,8 @@ class MatroidView:
         the integerized rows S A for rational arrangements
         (`integer_inverse`, whose denominator is |det S A| = |det A| times
         the product of the row scales), on the Cyclotomic rows for
-        cyclotomic ones (the adjugate over the pivot, which is +-det)."""
+        cyclotomic ones (`_cyclotomic_inverse`: the adjugate over the
+        pivot, which is +-det)."""
         inv = self._inverses.get(base_mask)
         if inv is not None:
             return inv
@@ -223,9 +224,7 @@ class MatroidView:
             sums = tuple(sum(abs(v) for v in row) / den for row in num)
             abs_det = den / math.prod(scales)
         else:
-            adj, det = _fraction_free_inverse([self._rows[e] for e in elems])
-            inv_det = det.inverse()
-            exact = [[v * inv_det for v in row] for row in adj]
+            exact, det = _cyclotomic_inverse([self._rows[e] for e in elems])
             floats = np.array([[v.to_complex() for v in row] for row in exact],
                               dtype=complex)
             sums = tuple(sum(scalar_abs(v) for v in row) for row in exact)

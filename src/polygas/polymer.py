@@ -19,6 +19,7 @@ region sides of the projection laws are calls of the mayer tube kernel.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -29,8 +30,8 @@ from .arrangement import Arrangement, _checked_radii
 from .geometry import (RNGStream, sample_unit_sphere, sphere_area,
                        surface_measure_total)
 from .matroid import LinearOrder, MatroidView, mask_elements, view_of
-from .mayer import (MCEstimate, _check_shapes, _region_estimate, mc_sum,
-                    run_chunked, z_score)
+from .mayer import (MCEstimate, _check_shapes, _chi_weight, _region_estimate,
+                    mc_sum, run_chunked, z_score)
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,7 @@ def project_expectation(arr: Arrangement, d: int, g, n_samples: int, seed: int,
     g = _checked(g)
     dim = d + 2
     view = MatroidView(arr)
-    chi = view.chi_table
+    chi_weight = _chi_weight(view)
     n = arr.ambient_dim
     weight = sphere_area(dim) ** n
     draw, outside = _ball_sides(arr, dim, arr.radii)
@@ -260,7 +261,7 @@ def project_expectation(arr: Arrangement, d: int, g, n_samples: int, seed: int,
                                      outside, lambda _: weight,
                                      g=lambda x: g(x[:, :, 2:]))
     # separate seed so the two sides are statistically independent
-    mmc_side = _region_estimate(view, d, chi.__getitem__, n_samples, seed + 1,
+    mmc_side = _region_estimate(view, d, chi_weight, n_samples, seed + 1,
                                 workers, g=g).scaled((-2.0 * math.pi) ** n)
     z = z_score(polymer_side, mmc_side)
     return ProjectionReport(polymer_side, mmc_side, z, abs(z) < 4.0)
@@ -279,11 +280,17 @@ def safe_projection_expectation(arr: Arrangement, d: int, g, order: LinearOrder,
     g = _checked(g)
     view = MatroidView(arr)
 
+    @functools.lru_cache(maxsize=None)
+    def base_count(mask):
+        # every mask holds the drawn base, so bases_of never raises
+        return len(view.bases_of(mask))
+
     def safe_counts(masks):
         uniq, inverse = np.unique(masks, return_inverse=True)
         counts = np.array(
             [view.safe_count_if_spanning(int(m), order) for m in uniq], dtype=float)
-        return counts[inverse]
+        nbs = np.array([base_count(int(m)) for m in uniq])
+        return counts[inverse], nbs[inverse]
 
     est = _region_estimate(view, d, safe_counts, n_samples, seed, workers, g=g)
     return est.scaled((2.0 * math.pi) ** arr.ambient_dim)

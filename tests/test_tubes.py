@@ -6,15 +6,17 @@ the boundary of a tube."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import box_estimate
+from oracles import box_estimate, slab_region_area
 from polygas import mayer
-from polygas.arrangement import braid, coxeter_b, dowling
+from polygas.arrangement import braid, coxeter_b, custom, dowling
 from polygas.geometry import capped_cylinder_shape, cylinder_shape
-from polygas.matroid import LinearOrder, MatroidView, mask_elements
+from polygas.matroid import (MAX_TABLE_SIZE, LinearOrder, MatroidError,
+                             MatroidView, mask_elements)
 from polygas.mayer import (asa_pressure_coefficient, mc_sum, mmc_asa, mmc_mc,
                            pressure_coefficient,
                            pressure_coefficient_enumerated, z_score)
@@ -184,3 +186,23 @@ def test_single_base_arrangements_are_exact():
     shapes = [capped_cylinder_shape(3, 1.0)]
     est = asa_pressure_coefficient(view, shapes, 1, 10_000, 0)
     assert est.mean == pytest.approx(-3.0, rel=1e-15) and est.stderr < 1e-12
+
+
+def test_single_coefficients_need_no_tables():
+    # 30 hyperplanes of rank 2: too many for the tables over all subsets,
+    # but only 435 bases, whose tubes the single coefficients and the safe
+    # projection law sample without the nb table
+    normals = [[1, Fraction(k, 4)] for k in range(29)] + [[0, 1]]
+    arr = custom(normals)
+    view = MatroidView(arr)
+    assert arr.size > MAX_TABLE_SIZE
+    with pytest.raises(MatroidError):
+        view.nb_table
+    est = mmc_mc(view, view.ground_mask, 1, 1 << 14, 0)
+    assert abs(est.mean - float(slab_region_area(normals))) < 4 * est.stderr
+    shapes = [capped_cylinder_shape(3, 1.0)] * arr.size
+    est = mmc_asa(view, view.ground_mask, shapes, 1, 1 << 12, 0)
+    assert est.mean > 0 and math.isfinite(est.stderr)
+    est = safe_projection_expectation(arr, 1, norm_sq,
+                                      LinearOrder.default(arr.size), 1 << 10, 0)
+    assert est.mean > 0 and math.isfinite(est.stderr)

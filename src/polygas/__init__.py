@@ -10,8 +10,8 @@ from .dimred import (DRReport, balanced_weight_check, check_asa_dr, check_dr,
 from .exact_linalg import (Cyclotomic, FieldMismatchError, SingularSystemError,
                            cyclotomic_polynomial, exact_inverse, exact_rank,
                            is_independent)
-from .geometry import (ASAShape, BoundingBox, RNGStream, archimedes_split,
-                       ball_volume, bounding_halfwidth, capped_cylinder_shape,
+from .geometry import (ASAShape, BoundingBox, RNGStream, ball_volume,
+                       bounding_halfwidth, capped_cylinder_shape,
                        cylinder_shape, sample_unit_sphere, sphere_area,
                        sphere_shape, surface_measure_total, uniform_ball)
 from .matroid import LinearOrder, MatroidView

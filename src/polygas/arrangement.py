@@ -102,14 +102,6 @@ class Arrangement:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, e: int, x) -> np.ndarray:
-        """h_e at a configuration x of shape (n, dim); exact coefficients
-        applied to float (or complex) points."""
-        x = np.asarray(x)
-        if x.shape[0] != self.ambient_dim:
-            raise ValueError(f"configuration needs {self.ambient_dim} points")
-        return np.tensordot(self.coeff[e], x, axes=(0, 0))
-
     def values(self, xbatch: np.ndarray) -> np.ndarray:
         """All functional values for a batch of configurations.
 
@@ -128,10 +120,6 @@ class Arrangement:
         bits = _mask_bits(self.size)
         within = self.norms_sq(xbatch) <= np.asarray(self.radii) ** 2
         return within @ bits
-
-    def gamma_of(self, x) -> int:
-        batch = np.asarray(x)[None, :, :]
-        return int(self.gamma_masks(batch)[0])
 
     # -- serialization ------------------------------------------------------
 

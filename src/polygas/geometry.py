@@ -1,6 +1,6 @@
-"""Sphere sampling, the codimension-2 hat-box projection, warped-product
-surfaces (sphere / cylinder / capped cylinder) with their bottoms, and
-bounding boxes for the Monte Carlo integration domains.
+"""Sphere sampling, warped-product surfaces (sphere / cylinder / capped
+cylinder) with their bottoms, and bounding boxes for the Monte Carlo
+integration domains.
 
 All surfaces here factor as S^1 x_rho bottom: the surface measure pushes
 forward to 2*pi times Lebesgue measure on the bottom, so uniform surface
@@ -58,8 +58,8 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = No
         bad = norms[:, 0] < 1e-12
         g[bad] = rng.standard_normal((int(bad.sum()), dim))
         norms = np.linalg.norm(g, axis=1, keepdims=True)
-    pts = g / norms
-    return pts[0] if size is None else pts
+    g /= norms
+    return g[0] if size is None else g
 
 
 def uniform_ball(dim: int, rng: np.random.Generator, size: int):
@@ -69,19 +69,6 @@ def uniform_ball(dim: int, rng: np.random.Generator, size: int):
     direction = sample_unit_sphere(dim, rng, size)
     radius = rng.random(size) ** (1.0 / dim)
     return direction * radius[:, None]
-
-
-def archimedes_split(point):
-    """Split a point of S^(D-1), D >= 3, into (w, y) = (first two coords, rest).
-
-    The pushforward of the uniform sphere measure under y is uniform on the
-    unit ball B^(D-2); the fiber over y is the circle of radius
-    sqrt(1 - |y|^2) carrying total mass 2*pi.
-    """
-    point = np.asarray(point, dtype=float)
-    if point.shape[-1] < 3:
-        raise ValueError("need ambient dimension >= 3")
-    return point[..., :2], point[..., 2:]
 
 
 # --------------------------------------------------------------------------
@@ -176,17 +163,20 @@ class ASAShape:
             t = rng.uniform(-self.length / 2.0, self.length / 2.0, size)
             return np.concatenate([u, t[:, None]], axis=1)
         # capsule = cylinder body + two half-balls; the caps are exactly the
-        # image of a full ball under t -> t + sign(t) * L/2
+        # image of a full ball under t -> t + sign(t) * L/2.  Each point
+        # picks its branch first, and only that branch's points are drawn.
         v_body = ball_volume(m - 1) * self.length
         v_caps = ball_volume(m)
         pick_body = rng.random(size) < v_body / (v_body + v_caps)
-        u_body = uniform_ball(m - 1, rng, size)
-        t_body = rng.uniform(-self.length / 2.0, self.length / 2.0, size)
-        ball = uniform_ball(m, rng, size)
-        t_cap = ball[:, -1] + np.sign(ball[:, -1]) * (self.length / 2.0)
-        u = np.where(pick_body[:, None], u_body, ball[:, :-1])
-        t = np.where(pick_body, t_body, t_cap)
-        return np.concatenate([u, t[:, None]], axis=1)
+        n_body = int(np.count_nonzero(pick_body))
+        y = np.empty((size, m))
+        y[pick_body, :-1] = uniform_ball(m - 1, rng, n_body)
+        y[pick_body, -1] = rng.uniform(-self.length / 2.0, self.length / 2.0,
+                                       n_body)
+        cap = uniform_ball(m, rng, size - n_body)
+        cap[:, -1] += np.sign(cap[:, -1]) * (self.length / 2.0)
+        y[~pick_body] = cap
+        return y
 
     def sample_surface(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Uniform surface points via the hat-box factorization: y uniform on

@@ -24,10 +24,12 @@ weights need the tables over all 2^|E| subsets.
 The tests check every estimator against an independent slow path, a
 uniform bounding-box sampler (tests/oracles.py).
 
-Estimation contract: work is cut into fixed-size chunks, one deterministic
-random stream per chunk, merged in chunk order.  Worker count only decides
-which thread runs which chunk, so results are bit-identical across worker
-counts for a fixed (seed, n_samples).
+Estimation contract: the scheduler `map_chunks` cuts work into fixed-size
+chunks, one deterministic random stream per chunk, and returns the chunks'
+results in chunk order.  `run_chunked` merges them into one (n, mean, m2);
+the polymer kernel (polymer.py) merges them per base.  Worker count only
+decides which thread runs which chunk, so results are bit-identical across
+worker counts for a fixed (seed, n_samples).
 """
 
 from __future__ import annotations
@@ -118,16 +120,36 @@ def z_score(a: MCEstimate, b: MCEstimate) -> float:
 # chunked runner
 # --------------------------------------------------------------------------
 
-def _chunk_specs(n_samples: int, stream_base: int):
-    specs = []
-    offset = 0
-    index = 0
-    while offset < n_samples:
-        count = min(CHUNK, n_samples - offset)
-        specs.append((stream_base + index, count))
-        offset += count
-        index += 1
-    return specs
+def _chunk_specs(n_rows: int, stream_base: int):
+    """(stream, start, count) of each CHUNK-row chunk of n_rows rows."""
+    return [(stream_base + index, start, min(CHUNK, n_rows - start))
+            for index, start in enumerate(range(0, n_rows, CHUNK))]
+
+
+def map_chunks(n_rows: int, seed: int, workers: int, chunk_fn,
+               stream_base: int = 0) -> list:
+    """chunk_fn(rng, start, count) for each CHUNK-row chunk of rows
+    [0, n_rows), with one deterministic random stream per chunk, run on a
+    pool of `workers` threads; the results come back in chunk order.
+
+    Chunk boundaries and streams depend only on n_rows and stream_base,
+    never on workers, so anything reduced from the results in that order is
+    bit-identical for any worker count.
+    """
+    if n_rows < 1:
+        raise ValueError("n_samples must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    specs = _chunk_specs(n_rows, stream_base)
+
+    def work(spec):
+        stream, start, count = spec
+        return chunk_fn(RNGStream(seed, stream).generator(), start, count)
+
+    if workers == 1 or len(specs) == 1:
+        return [work(s) for s in specs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, specs))
 
 
 def _stats_of(values: np.ndarray):
@@ -138,6 +160,7 @@ def _stats_of(values: np.ndarray):
 
 
 def _merge_stats(a, b):
+    """Pool (n, mean, m2) triples; elementwise when they hold arrays."""
     na, ma, sa = a
     nb, mb, sb = b
     n = na + nb
@@ -155,22 +178,11 @@ def run_chunked(n_samples: int, seed: int, workers: int, values_fn,
     randomness from the generator it is handed.  Chunk boundaries depend only
     on n_samples, never on workers.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    specs = _chunk_specs(n_samples, stream_base)
-
-    def work(spec):
-        stream, count = spec
-        rng = RNGStream(seed, stream).generator()
-        return _stats_of(np.asarray(values_fn(rng, count), dtype=float))
-
-    if workers == 1 or len(specs) == 1:
-        results = [work(s) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, specs))
+    results = map_chunks(
+        n_samples, seed, workers,
+        lambda rng, start, count: _stats_of(
+            np.asarray(values_fn(rng, count), dtype=float)),
+        stream_base=stream_base)
     total = results[0]
     for r in results[1:]:
         total = _merge_stats(total, r)
@@ -184,8 +196,8 @@ def run_chunked(n_samples: int, seed: int, workers: int, values_fn,
 # the region kernel
 # --------------------------------------------------------------------------
 
-# rows per block of the tube kernel: bounds the memory of the gathered
-# (rows, n, n) inverses and of the functional values
+# rows per block of the tube and polymer kernels: bounds the memory of the
+# gathered (rows, n, n) inverses and of the functional values
 BLOCK = 8192
 
 
@@ -208,9 +220,11 @@ def _ball_draw(arr: Arrangement, d: int):
     return draw
 
 
-def _bottom_draw(shapes, d: int):
-    """draw(rng, elems) of the tube kernel for warped shapes: h_e uniform on
-    the bottom of shapes[e], one sample_bottom call per distinct shape."""
+def _shape_draw(shapes, width: int, sample):
+    """draw(rng, elems) of the tube and polymer kernels for warped shapes:
+    for each e in `elems` (an int array) a point sample(shapes[e], rng,
+    count) with `width` coordinates, shaped elems.shape + (width,), from one
+    sample call per distinct shape."""
     distinct = list(dict.fromkeys(shapes))
     shape_of = np.array([distinct.index(s) for s in shapes])
 
@@ -219,13 +233,13 @@ def _bottom_draw(shapes, d: int):
         # perfbench warped_projection wall_s 0.96 -> 0.91 s, 5 of 6 pairs
         # (2-vCPU VM)
         if len(distinct) == 1:
-            return distinct[0].sample_bottom(rng, elems.size).reshape(
-                elems.shape + (d,))
+            return sample(distinct[0], rng, elems.size).reshape(
+                elems.shape + (width,))
         which = shape_of[elems]
-        h = np.empty(elems.shape + (d,))
+        h = np.empty(elems.shape + (width,))
         for i, shape in enumerate(distinct):
             pick = which == i
-            h[pick] = shape.sample_bottom(rng, int(np.count_nonzero(pick)))
+            h[pick] = sample(shape, rng, int(np.count_nonzero(pick)))
         return h
 
     return draw
@@ -267,7 +281,8 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
         body = ball_volume(d) * np.asarray(arr.radii) ** d
     else:
         bits = _mask_bits(arr.size)
-        draw = _bottom_draw(shapes, d)
+        draw = _shape_draw(shapes, d,
+                           lambda s, rng, count: s.sample_bottom(rng, count))
         body = np.array([s.bottom_volume for s in shapes])
     vol = (np.array([i.abs_det for i in inverses]) ** -d
            * np.prod(body[elems], axis=1))

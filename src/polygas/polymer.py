@@ -10,10 +10,17 @@ of surface measures), so each base contributes
 (product of total surface measures) * acceptance probability.
 
 Every polymer volume (`volume_mc`, `asa_volume_mc`, the polymer side of
-`project_expectation`) is one call of the per-base kernel
+`project_expectation`) is one call of the stratified kernel
 `_polymer_estimate`, which differs between them only in how the base
-values are drawn, how a non-base value is tested, and the base weight.  The
-region sides of the projection laws are calls of the mayer tube kernel.
+values are drawn, how a non-base value is tested, and the base weight.
+The kernel splits the budget evenly across the bases and runs all bases'
+rows as one list: one random stream per CHUNK rows, the chunks on the
+worker pool, and BLOCK rows at a time drawn, mapped to the non-base values
+by each base's float map S_B = C_out(B) B^-1, and tested.  Per-base
+(n, mean, m2) are merged in chunk order, so results are bit-identical for
+any worker count.  `sample_for_base` and `dump_samples_csv` use the same
+block function on one base.  The region sides of the projection laws are
+calls of the mayer tube kernel.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ from .arrangement import Arrangement, _checked_radii
 from .geometry import (RNGStream, sample_unit_sphere, sphere_area,
                        surface_measure_total)
 from .matroid import LinearOrder, MatroidView, mask_elements, view_of
-from .mayer import (MCEstimate, _check_shapes, _chi_weight, _region_estimate,
-                    mc_sum, run_chunked, z_score)
+from .mayer import (BLOCK, MCEstimate, _check_shapes, _chi_weight,
+                    _merge_stats, _region_estimate, _shape_draw, map_chunks,
+                    z_score)
 
 
 @dataclass(frozen=True)
@@ -45,80 +53,134 @@ class PolymerSample:
     accepted: bool
 
 
-def _draw_directions(arr: Arrangement, rng, count: int, dim: int) -> np.ndarray:
-    """(count, n, .) unit direction vectors in R^dim; cyclotomic arrangements
-    need an even dim and get complex rows (complex halves the columns)."""
+@dataclass(frozen=True)
+class _BaseMaps:
+    """Float maps of a list of bases, one row per base: its elements, the
+    non-base elements, the inverse B^-1 taking base values to the
+    configuration, and S_B = C_out(B) B^-1 taking them straight to the
+    non-base values."""
+
+    elems: np.ndarray      # (bases, n) int
+    out: np.ndarray        # (bases, size - n) int
+    inv: np.ndarray        # (bases, n, n)
+    to_out: np.ndarray     # (bases, size - n, n)
+
+
+def _base_maps(view: MatroidView, bases) -> _BaseMaps:
+    arr = view.arrangement
+    elems = np.array([list(mask_elements(b)) for b in bases], dtype=np.intp)
+    out = np.array([[e for e in range(arr.size) if not b >> e & 1]
+                    for b in bases], dtype=np.intp).reshape(len(bases), -1)
+    inv = np.stack([view.base_inverse(b).rows for b in bases])
+    return _BaseMaps(elems, out, inv, arr.coeff[out] @ inv)
+
+
+def _accept_block(maps: _BaseMaps, b: np.ndarray, rng, draw, outside,
+                  need_x: bool):
+    """One block of polymer draws, row r for base b[r]: base values from
+    draw(rng, elems), accepted where outside(values, out_elems) holds for
+    every non-base hyperplane.  Returns (accepted, x), x the solved
+    configurations when need_x, else None."""
+    h = draw(rng, maps.elems[b])
+    accepted = outside(maps.to_out[b] @ h, maps.out[b])
+    return accepted, (maps.inv[b] @ h if need_x else None)
+
+
+def _norms_sq(vals: np.ndarray) -> np.ndarray:
+    """Squared norms over the last axis, added column by column: numpy's
+    reduction over a trailing axis of 2 to 6 entries is ~4x slower."""
+    parts = (vals.real, vals.imag) if np.iscomplexobj(vals) else (vals,)
+    columns = [part[..., i] for part in parts for i in range(part.shape[-1])]
+    total = np.square(columns[0])
+    for column in columns[1:]:
+        total += np.square(column)
+    return total
+
+
+def _ball_sides(arr: Arrangement, dim: int, radii):
+    """(draw, outside) of `_accept_block` for balls of the given radii: base
+    value R_e * u_e per element e, u_e a uniform direction in R^dim
+    (cyclotomic arrangements need an even dim and pair it into complex
+    coordinates), and a non-base value outside when its norm exceeds R_e."""
     if dim < 2:
         raise ValueError("polymer dimension must be >= 2")
     if not arr.complexified and dim % 2:
         raise ValueError("cyclotomic arrangements need an even polymer dimension")
-    flat = sample_unit_sphere(dim, rng, count * arr.ambient_dim)
-    u = flat.reshape(count, arr.ambient_dim, dim)
-    if not arr.complexified:
-        u = u[..., 0::2] + 1j * u[..., 1::2]
-    return u
-
-
-def _ball_sides(arr: Arrangement, dim: int, radii):
-    """(draw, outside) of `_accept_batch` for balls of the given radii: base
-    values R_e * u_e with u_e a uniform direction, and a non-base value
-    outside when its norm exceeds R_e."""
     radii = np.asarray(radii, dtype=float)
+    radii_sq = radii ** 2
 
-    def draw(rng, count, base_idx):
-        u = _draw_directions(arr, rng, count, dim)
-        return u * radii[base_idx][None, :, None]
+    def draw(rng, elems):
+        u = sample_unit_sphere(dim, rng, elems.size).reshape(elems.shape + (dim,))
+        if not arr.complexified:
+            u = u[..., 0::2] + 1j * u[..., 1::2]
+        u *= radii[elems][..., None]
+        return u
 
-    def outside(vals, outside_idx):
-        norms_sq = np.sum((vals * vals.conj()).real, axis=2)
-        return np.all(norms_sq > radii[outside_idx][None, :] ** 2, axis=1)
+    def outside(vals, out):
+        return np.all(_norms_sq(vals) > radii_sq[out], axis=1)
 
     return draw, outside
 
 
-def _accept_batch(arr: Arrangement, base_mask: int, inv: np.ndarray, rng,
-                  count: int, draw, outside):
-    """Draw `count` samples for one base: base functional values from
-    draw(rng, count, base_idx), the configuration solved with the base
-    inverse, accepted where outside(values, outside_idx) holds for every
-    non-base hyperplane.  Returns (accepted bool array, x)."""
-    base_idx = list(mask_elements(base_mask))
-    outside_idx = [e for e in range(arr.size) if not base_mask >> e & 1]
-    targets = draw(rng, count, base_idx)
-    x = inv @ targets
-    if not outside_idx:
-        return np.ones(count, dtype=bool), x
-    vals = arr.coeff[outside_idx] @ x
-    return outside(vals, outside_idx), x
+def _stratum_stats(values: np.ndarray, b: np.ndarray):
+    """(first base, n, mean, m2) per base of a contiguous run of rows, b
+    the rows' nondecreasing base indices: every base from b[0] to b[-1]
+    has rows, so n > 0 throughout."""
+    first = int(b[0])
+    local = b - first
+    n = np.bincount(local)
+    mean = np.bincount(local, values) / n
+    m2 = np.bincount(local, (values - mean[local]) ** 2)
+    return first, n, mean, m2
 
 
 def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
                       workers: int, draw, outside, base_weight,
                       g=None) -> MCEstimate:
     """Sum over bases of base_weight(base) times the mean over that base's
-    draws of accepted (times g(x)): the budget split evenly across bases,
-    one block of random streams per base."""
-    arr = view.arrangement
+    draws of accepted (times g(x)): the stratified estimator with the
+    budget split evenly across bases.
+
+    The per_base * |bases| rows are one stratified list, row r drawn for
+    base r // per_base, cut into CHUNK-row chunks with one random stream
+    each and run on the worker pool.  Per-base (n, mean, m2) come from
+    bincounts over each chunk and are merged per base in chunk order, so the
+    estimate is bit-identical for any worker count.
+    """
     bases = list(view.bases())
     if n_samples < len(bases):
         raise ValueError(f"n_samples = {n_samples} is smaller than the "
                          f"{len(bases)} bases it is split across")
     per_base = n_samples // len(bases)
-    parts = []
-    for b_index, base_mask in enumerate(bases):
-        inv = view.base_inverse(base_mask).rows
-        weight = base_weight(base_mask)
+    maps = _base_maps(view, bases)
+    weights = np.array([base_weight(b) for b in bases], dtype=float)
 
-        def values(rng, count, base_mask=base_mask, inv=inv, weight=weight):
-            accepted, x = _accept_batch(arr, base_mask, inv, rng, count, draw,
-                                        outside)
-            if g is None:
-                return accepted * weight
-            return accepted * g(x) * weight
+    def chunk_stats(rng, start, count):
+        rows = np.arange(start, start + count)
+        b = rows // per_base
+        values = np.empty(count)
+        for lo in range(0, count, BLOCK):
+            block = slice(lo, lo + BLOCK)
+            accepted, x = _accept_block(maps, b[block], rng, draw, outside,
+                                        g is not None)
+            values[block] = accepted if g is None else accepted * g(x)
+        return _stratum_stats(values, b)
 
-        parts.append(run_chunked(per_base, seed, workers, values,
-                                 stream_base=b_index << 32))
-    return mc_sum(parts, seed, workers)
+    n = np.zeros(len(bases), dtype=np.int64)
+    mean = np.zeros(len(bases))
+    m2 = np.zeros(len(bases))
+    for first, cn, cmean, cm2 in map_chunks(per_base * len(bases), seed,
+                                            workers, chunk_stats):
+        part = slice(first, first + cn.size)
+        fresh = n[part] == 0
+        merged = _merge_stats((n[part], mean[part], m2[part]), (cn, cmean, cm2))
+        n[part] = merged[0]
+        mean[part] = np.where(fresh, cmean, merged[1])
+        m2[part] = np.where(fresh, cm2, merged[2])
+    # the variance of each stratum's mean, 0 for a single row as in run_chunked
+    var = np.maximum(m2, 0.0) / np.maximum(n - 1, 1) / n * (n > 1)
+    return MCEstimate(float(weights @ mean), math.sqrt(float(weights ** 2 @ var)),
+                      int(n.sum()), seed, workers)
 
 
 def sample_for_base(arr, base_mask: int, dim: int,
@@ -130,10 +192,11 @@ def sample_for_base(arr, base_mask: int, dim: int,
     view = view_of(arr)
     arr = view.arrangement
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
-    inv = view.base_inverse(base_mask).rows
+    maps = _base_maps(view, [base_mask])
     draw, outside = _ball_sides(arr, dim, radii)
-    accepted, x = _accept_batch(arr, base_mask, inv, rng, 1, draw, outside)
-    base_idx = list(mask_elements(base_mask))
+    accepted, x = _accept_block(maps, np.zeros(1, dtype=np.intp), rng, draw,
+                                outside, True)
+    base_idx = maps.elems[0]
     u = (arr.coeff[base_idx] @ x[0]) / np.asarray(radii)[base_idx][:, None]
     return PolymerSample(base_mask, u, x[0], bool(accepted[0]))
 
@@ -320,20 +383,26 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
     d = dim - 2
     shapes = _check_shapes(arr, shapes, d)
 
-    def draw(rng, count, base_idx):
-        return np.stack([shapes[e].sample_surface(rng, count)
-                         for e in base_idx], axis=1)
+    draw = _shape_draw(shapes, dim,
+                       lambda s, rng, count: s.sample_surface(rng, count))
+    distinct = list(dict.fromkeys(shapes))
+    shape_of = np.array([distinct.index(s) for s in shapes])
 
-    def outside(vals, outside_idx):
-        accepted = np.ones(len(vals), dtype=bool)
-        for pos, e in enumerate(outside_idx):
-            w_part = vals[:, pos, :2]
-            y_part = vals[:, pos, 2:]
-            rho = shapes[e].warp(y_part)
-            inside_solid = (shapes[e].bottom_contains(y_part)
-                            & (np.sum(w_part * w_part, axis=1) <= rho ** 2))
-            accepted &= ~inside_solid
-        return accepted
+    def outside(vals, out):
+        # every distinct shape's solid test on all flattened values, then
+        # each value's own shape picked by index, with no per-shape boolean
+        # gather and scatter
+        flat = vals.reshape(-1, dim)
+        w_sq = _norms_sq(flat[:, :2])
+        y = flat[:, 2:]
+        inside = [s.bottom_contains(y) & (w_sq <= s.warp(y) ** 2)
+                  for s in distinct]
+        if len(distinct) == 1:
+            inside = inside[0]
+        else:
+            inside = np.take_along_axis(np.stack(inside),
+                                        shape_of[out].reshape(1, -1), 0)[0]
+        return ~np.any(inside.reshape(out.shape), axis=1)
 
     def base_weight(base_mask):
         weight = 1.0
@@ -363,9 +432,9 @@ def dump_samples_csv(path, arr: Arrangement, dim: int, n_samples: int,
                            for j in range(dim)])
         for b_index, base_mask in enumerate(view.bases()):
             rng = RNGStream(seed, b_index).generator()
-            inv = view.base_inverse(base_mask).rows
-            accepted, x = _accept_batch(arr, base_mask, inv, rng, n_samples,
-                                        draw, outside)
+            accepted, x = _accept_block(_base_maps(view, [base_mask]),
+                                        np.zeros(n_samples, dtype=np.intp),
+                                        rng, draw, outside, True)
             coords = x.reshape(n_samples, -1)
             if np.iscomplexobj(coords):
                 coords = np.concatenate([coords.real, coords.imag], axis=1)

@@ -11,6 +11,12 @@ Gauss-Jordan elimination with exact division over Q or Q(zeta_k).
 And the slow path the region estimators are checked against:
 `box_estimate`, which draws configurations uniformly in the bounding box of
 the base tubes instead of from their mixture.
+
+And the slow path the polymer volumes are checked against:
+`per_base_polymer_estimate`, one chunked run per base with its own block
+of random streams, which solves for the configuration and applies the
+non-base functionals to it, with per-base sides (`ball_sides`,
+`surface_sides`) that loop over hyperplanes.
 """
 
 from fractions import Fraction
@@ -19,8 +25,9 @@ from itertools import combinations
 import numpy as np
 
 from polygas.arrangement import _mask_bits
-from polygas.geometry import bounding_halfwidth
-from polygas.mayer import run_chunked
+from polygas.geometry import bounding_halfwidth, sample_unit_sphere
+from polygas.matroid import mask_elements
+from polygas.mayer import mc_sum, run_chunked
 
 
 def clip_halfplane(poly, a, b, c):
@@ -236,3 +243,76 @@ def box_estimate(view, d, weight, n_samples, seed, workers=1, *, shapes=None,
 
     return run_chunked(n_samples, seed, workers, values,
                        stream_base=stream_base)
+
+
+def ball_sides(arr, dim, radii):
+    """(draw, outside) of one base's rows for balls: draw(rng, count,
+    base_idx) gives R_e * u_e, u_e uniform on the sphere of R^dim (paired
+    into complex coordinates for cyclotomic arrangements), and
+    outside(vals, outside_idx) holds where every non-base norm exceeds R_e."""
+    radii = np.asarray(radii, dtype=float)
+
+    def draw(rng, count, base_idx):
+        u = sample_unit_sphere(dim, rng, count * len(base_idx)).reshape(
+            count, len(base_idx), dim)
+        if not arr.complexified:
+            u = u[..., 0::2] + 1j * u[..., 1::2]
+        return u * radii[base_idx][None, :, None]
+
+    def outside(vals, outside_idx):
+        norms_sq = np.sum((vals * vals.conj()).real, axis=2)
+        return np.all(norms_sq > radii[outside_idx][None, :] ** 2, axis=1)
+
+    return draw, outside
+
+
+def surface_sides(shapes):
+    """(draw, outside) of one base's rows for warped surfaces: one
+    sample_surface call per base hyperplane, and a non-base value outside
+    when it is not in its hyperplane's closed solid body."""
+    def draw(rng, count, base_idx):
+        return np.stack([shapes[e].sample_surface(rng, count)
+                         for e in base_idx], axis=1)
+
+    def outside(vals, outside_idx):
+        accepted = np.ones(len(vals), dtype=bool)
+        for pos, e in enumerate(outside_idx):
+            w_part, y_part = vals[:, pos, :2], vals[:, pos, 2:]
+            inside_solid = (shapes[e].bottom_contains(y_part)
+                            & (np.sum(w_part * w_part, axis=1)
+                               <= shapes[e].warp(y_part) ** 2))
+            accepted &= ~inside_solid
+        return accepted
+
+    return draw, outside
+
+
+def per_base_polymer_estimate(view, n_samples, seed, draw, outside,
+                              base_weight, g=None, workers=1):
+    """Sum over bases of base_weight(base) times the mean over that base's
+    n_samples // |bases| draws of accepted (times g(x)): one run_chunked
+    call per base, with stream block base_index << 32.  The configuration
+    is solved with the base inverse and every non-base functional applied
+    to it."""
+    arr = view.arrangement
+    bases = list(view.bases())
+    per_base = n_samples // len(bases)
+    parts = []
+    for b_index, base_mask in enumerate(bases):
+        inv = view.base_inverse(base_mask).rows
+        base_idx = list(mask_elements(base_mask))
+        outside_idx = [e for e in range(arr.size) if not base_mask >> e & 1]
+        weight = base_weight(base_mask)
+
+        def values(rng, count, inv=inv, base_idx=base_idx,
+                   outside_idx=outside_idx, weight=weight):
+            x = inv @ draw(rng, count, base_idx)
+            accepted = (outside(arr.coeff[outside_idx] @ x, outside_idx)
+                        if outside_idx else np.ones(count, dtype=bool))
+            if g is None:
+                return accepted * weight
+            return accepted * g(x) * weight
+
+        parts.append(run_chunked(per_base, seed, workers, values,
+                                 stream_base=b_index << 32))
+    return mc_sum(parts, seed, workers)

@@ -110,53 +110,66 @@ def test_radii_validation():
     assert arr.radii == (1.0, 2.0, 5.0)
 
 
+def value_of(arr, e, x):
+    """h_e at one configuration x of shape (n, dim), from the batched
+    `values`."""
+    return arr.values(np.asarray(x)[None])[0, e]
+
+
+def gamma_of(arr, x) -> int:
+    """The within-radius mask of one configuration, from `gamma_masks`."""
+    return int(arr.gamma_masks(np.asarray(x)[None])[0])
+
+
 def test_evaluate_braid2():
     arr = braid(2)
-    val = arr.evaluate(0, np.array([[0.3, 0.4]]))
+    val = value_of(arr, 0, np.array([[0.3, 0.4]]))
     assert np.allclose(val, [0.3, 0.4])
 
 
 def test_evaluate_coxeter_d2_sum():
     arr = coxeter_d(2)
     e = arr.labels.index("x1+x2")
-    val = arr.evaluate(e, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    val = value_of(arr, e, np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert np.allclose(val, [1.0, 1.0])
 
 
 def test_evaluate_dowling_root_of_unity():
     arr = dowling(3, 3)
     e = arr.labels.index("x1-z^1*x2")
-    val = arr.evaluate(e, np.array([[1.0 + 0j], [1.0 + 0j], [0.0 + 0j]]))
+    val = value_of(arr, e, np.array([[1.0 + 0j], [1.0 + 0j], [0.0 + 0j]]))
     assert abs(val[0]) == pytest.approx(math.sqrt(3), abs=1e-12)
 
 
 def test_gamma_of_braid2():
     arr = braid(2)
-    assert arr.gamma_of(np.array([[0.5]])) == 0b1
-    assert arr.gamma_of(np.array([[2.0]])) == 0
+    assert gamma_of(arr, np.array([[0.5]])) == 0b1
+    assert gamma_of(arr, np.array([[2.0]])) == 0
 
 
 def test_gamma_of_braid3():
     arr = braid(3)
     # x1 = 0.5, x2 = 3: only |x1| <= 1
-    mask = arr.gamma_of(np.array([[0.5], [3.0]]))
+    mask = gamma_of(arr, np.array([[0.5], [3.0]]))
     assert subset_labels(arr, mask) == ("x1-x3",)
 
 
 def test_gamma_boundary_tie_is_inside():
     arr = braid(2)
-    assert arr.gamma_of(np.array([[1.0]])) == 0b1
+    assert gamma_of(arr, np.array([[1.0]])) == 0b1
 
 
 def test_gamma_consistent_with_evaluate():
     arr = coxeter_b(2)
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        x = rng.uniform(-2, 2, (2, 2))
-        mask = arr.gamma_of(x)
+    x = rng.uniform(-2, 2, (200, 2, 2))
+    masks = arr.gamma_masks(x)
+    for c in range(len(x)):
         for e in range(arr.size):
-            inside = np.linalg.norm(arr.evaluate(e, x)) <= arr.radii[e]
-            assert bool(mask >> e & 1) == inside
+            # one functional applied to one configuration, without `values`
+            val = sum(arr.coeff[e, i] * x[c, i] for i in range(arr.ambient_dim))
+            inside = np.linalg.norm(val) <= arr.radii[e]
+            assert bool(masks[c] >> e & 1) == inside
 
 
 def test_complexified_embedding_consistency():
@@ -166,8 +179,8 @@ def test_complexified_embedding_consistency():
     x = rng.uniform(-2, 2, (2, 2))
     xc = (x[:, 0] + 1j * x[:, 1])[:, None]
     for e in range(arr.size):
-        real_norm = np.linalg.norm(arr.evaluate(e, x))
-        cplx = arr.evaluate(e, xc)
+        real_norm = np.linalg.norm(value_of(arr, e, x))
+        cplx = value_of(arr, e, xc)
         assert abs(np.sqrt(np.sum(np.abs(cplx) ** 2)) - real_norm) < 1e-12
 
 

@@ -206,7 +206,7 @@ def test_check_dr_builds_one_view(monkeypatch):
 def test_gamma_masks_refuse_more_bits_than_int64_holds():
     arr = braid(12)                                  # 66 hyperplanes
     with pytest.raises(ArrangementError, match="int64"):
-        arr.gamma_of(np.zeros((11, 1)))
+        arr.gamma_masks(np.zeros((1, 11, 1)))
     # 63 hyperplanes still fit: every bit set at the origin
     wide = custom([[1, k] for k in range(63)])
-    assert wide.gamma_of(np.zeros((2, 1))) == (1 << 63) - 1
+    assert wide.gamma_masks(np.zeros((1, 2, 1)))[0] == (1 << 63) - 1

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from polygas.arrangement import ArrangementError, braid, coxeter_d
-from polygas.geometry import (ASAShape, RNGStream, archimedes_split, ball_volume,
+from polygas.geometry import (ASAShape, RNGStream, ball_volume,
                               bounding_halfwidth, capped_cylinder_shape,
                               cylinder_shape, sample_unit_sphere, sphere_shape,
                               surface_measure_total, uniform_ball)
@@ -51,27 +51,39 @@ def test_sphere_d4_coordinate_variance():
     assert np.all(np.abs(v - 0.25) < spread + 1e-3)
 
 
+# The hat-box split of a point of S^(D-1) is plain slicing: w = the first two
+# coordinates, y = the rest, a point of the bottom B^(D-2).
+
 def test_archimedes_north_pole():
-    w, y = archimedes_split(np.array([0.0, 0.0, 0.0, 1.0]))
-    assert np.allclose(w, [0.0, 0.0])
-    assert np.allclose(y, [0.0, 1.0])
+    pole = np.array([[0.0, 0.0, 0.0, 1.0]])
+    w, y = pole[:, :2], pole[:, 2:]
+    assert np.allclose(w, [[0.0, 0.0]])
+    assert np.allclose(y, [[0.0, 1.0]])
+    # the pole sits over the bottom's boundary, where the circle shrinks to 0
+    s = sphere_shape(4)
+    assert s.bottom_contains(y)[0]
+    assert s.warp(y)[0] == 0.0
 
 
 def test_archimedes_requires_dim3():
-    with pytest.raises(ValueError):
-        archimedes_split(np.array([1.0, 0.0]))
+    # below D = 3 there is no bottom coordinate: S^1 is the whole circle
+    s = sphere_shape(2)
+    assert s.bottom_dim == 0
+    pts = s.sample_surface(rng_for(4), 1000)
+    assert pts.shape == (1000, 2)
+    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
 
 
 def test_archimedes_d3_uniform_marginal():
     pts = sample_unit_sphere(3, rng_for(5), 200_000)
-    _, y = archimedes_split(pts)
+    y = pts[:, 2:]
     res = stats.kstest(y[:, 0], "uniform", args=(-1, 2))
     assert res.pvalue > 1e-3
 
 
 def test_archimedes_d4_area_law():
     pts = sample_unit_sphere(4, rng_for(6), 200_000)
-    _, y = archimedes_split(pts)
+    y = pts[:, 2:]
     res = stats.kstest(np.sum(y * y, axis=1), "uniform")
     assert res.pvalue > 1e-3
 
@@ -135,6 +147,32 @@ def test_bottom_sampling_statistics():
     frac = body.mean()
     expect = (ball_volume(1) * 2.0) / s.bottom_volume
     assert abs(frac - expect) < 4 * math.sqrt(expect * (1 - expect) / 200_000)
+
+
+@pytest.mark.parametrize("dim, length", [(3, 1.0), (5, 1.5)])
+def test_capped_bottom_cap_share_and_axis_moment(dim, length):
+    # each point picks the body or the caps by volume, then draws only there
+    s = capped_cylinder_shape(dim, length)
+    n = 400_000
+    y = s.sample_bottom(rng_for(14 + dim), n)
+    assert y.shape == (n, dim - 2)
+    assert np.all(s.bottom_contains(y))
+    m = dim - 2
+    v_body = ball_volume(m - 1) * length
+    v_caps = ball_volume(m)
+    t = y[:, -1]
+    share = v_caps / (v_body + v_caps)
+    in_caps = np.abs(t) > length / 2
+    assert abs(in_caps.mean() - share) < 4 * math.sqrt(share * (1 - share) / n)
+    # E[t^2]: the body gives v_(m-1) L^3 / 12; a cap point is s + sign(s) L/2
+    # for s the last coordinate of a unit-ball point, and over the ball
+    # int s^2 = v_m / (m + 2), int |s| = 2 v_(m-1) / (m + 1)
+    moment = (ball_volume(m - 1) * length ** 3 / 12
+              + ball_volume(m) / (m + 2)
+              + length * 2 * ball_volume(m - 1) / (m + 1)
+              + length ** 2 / 4 * ball_volume(m)) / (v_body + v_caps)
+    t_sq = t * t
+    assert abs(t_sq.mean() - moment) < 4 * t_sq.std() / math.sqrt(n)
 
 
 def test_surface_sampling_matches_sphere_sampler():

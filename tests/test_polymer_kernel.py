@@ -1,0 +1,163 @@
+"""The stratified polymer kernel against its slow path, the per-base loop
+`oracles.per_base_polymer_estimate`: same estimator, independent streams,
+so the two must agree at |z| < 4.  Also its determinism, exact single-base
+case and per-base variance rule."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+import polygas.polymer as polymer
+from oracles import ball_sides, per_base_polymer_estimate, surface_sides
+from polygas import (MatroidView, asa_volume_mc, braid, capped_cylinder_shape,
+                     coxeter_b, coxeter_d, cylinder_shape, dowling,
+                     project_expectation, sphere_area, surface_measure_total,
+                     volume_mc, z_score)
+from polygas.matroid import mask_elements
+
+
+def oracle_volume(view, dim, n_samples, seed, radii=None):
+    arr = view.arrangement
+    radii = arr.radii if radii is None else radii
+    weight = sphere_area(dim) ** arr.ambient_dim
+    return per_base_polymer_estimate(view, n_samples, seed,
+                                     *ball_sides(arr, dim, radii),
+                                     lambda _: weight)
+
+
+def assert_agree(est, ref):
+    z = z_score(est, ref)
+    assert abs(z) < 4.0, (est, ref, z)
+    assert est.n_samples == ref.n_samples
+    # the same stratified estimator: its standard error must agree too
+    assert est.stderr == pytest.approx(ref.stderr, rel=0.1)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_braid_dim3_matches_per_base(m):
+    view = MatroidView(braid(m))
+    n = 2 ** 17
+    assert_agree(volume_mc(view, 3, n, 40), oracle_volume(view, 3, n, 41))
+
+
+@pytest.mark.parametrize("arr", [braid(4), coxeter_b(3)], ids=["braid4", "coxeterB3"])
+def test_planar_radii_match_per_base(arr):
+    view = MatroidView(arr)
+    size = arr.size
+    for i, radii in enumerate([tuple(1.0 for _ in range(size)),
+                               tuple(1.0 + 0.5 * e for e in range(size)),
+                               tuple(2.0 if e % 2 else 0.5 for e in range(size))]):
+        est = volume_mc(view, 2, 2 ** 17, 42 + 2 * i, radii=radii)
+        assert_agree(est, oracle_volume(view, 2, 2 ** 17, 43 + 2 * i, radii))
+
+
+def test_coxeter_b3_dim3_with_empty_strata_matches_per_base():
+    view = MatroidView(coxeter_b(3))
+    est = volume_mc(view, 3, 2 ** 17, 50)
+    ref = oracle_volume(view, 3, 2 ** 17, 51)
+    assert_agree(est, ref)
+    # some bases never accept: their strata add nothing to either side
+    arr = view.arrangement
+    draw, outside = ball_sides(arr, 3, arr.radii)
+    rng = np.random.default_rng(0)
+    empty = 0
+    for base in view.bases():
+        x = view.base_inverse(base).rows @ draw(rng, 2000,
+                                                list(mask_elements(base)))
+        out = [e for e in range(arr.size) if not base >> e & 1]
+        empty += not outside(arr.coeff[out] @ x, out).any()
+    assert empty > 0
+
+
+def test_dowling_complex_matches_per_base():
+    view = MatroidView(dowling(2, 3))
+    assert_agree(volume_mc(view, 4, 2 ** 17, 52), oracle_volume(view, 4, 2 ** 17, 53))
+
+
+@pytest.mark.parametrize("arr, shape", [(braid(3), capped_cylinder_shape(3, 1.0)),
+                                        (braid(4), cylinder_shape(3, 1.0))],
+                         ids=["braid3-capped", "braid4-cylinder"])
+def test_asa_volume_matches_per_base(arr, shape):
+    view = MatroidView(arr)
+    shapes = [shape] * arr.size
+    est = asa_volume_mc(view, shapes, 2 ** 17, 54)
+
+    def base_weight(base):
+        return math.prod(surface_measure_total(shapes[e])
+                         for e in mask_elements(base))
+
+    ref = per_base_polymer_estimate(view, 2 ** 17, 55, *surface_sides(shapes),
+                                    base_weight)
+    assert_agree(est, ref)
+
+
+def test_asa_volume_mixed_shapes_matches_per_base():
+    # two distinct shapes: the draw scatters per shape and the acceptance
+    # test picks each value's own shape
+    arr = braid(3)
+    shapes = [capped_cylinder_shape(3, 1.0), cylinder_shape(3, 2.0),
+              capped_cylinder_shape(3, 1.0)]
+    view = MatroidView(arr)
+
+    def base_weight(base):
+        return math.prod(surface_measure_total(shapes[e])
+                         for e in mask_elements(base))
+
+    est = asa_volume_mc(view, shapes, 2 ** 17, 56)
+    ref = per_base_polymer_estimate(view, 2 ** 17, 57, *surface_sides(shapes),
+                                    base_weight)
+    assert_agree(est, ref)
+
+
+def test_projection_g_path_matches_per_base():
+    arr = coxeter_b(2)
+    report = project_expectation(arr, 1, "norm_sq", 2 ** 17, 58)
+    view = MatroidView(arr)
+    weight = sphere_area(3) ** arr.ambient_dim
+    ref = per_base_polymer_estimate(
+        view, 2 ** 17, 59, *ball_sides(arr, 3, arr.radii), lambda _: weight,
+        g=lambda x: np.sum(x[:, :, 2:] ** 2, axis=(1, 2)))
+    assert_agree(report.polymer_side, ref)
+
+
+@pytest.mark.parametrize("arr, dim", [(braid(6), 3), (dowling(2, 3), 4)],
+                         ids=["braid6", "dowling2_3"])
+def test_workers_bit_identical(arr, dim):
+    view = MatroidView(arr)
+    n = 3 * 2 ** 16          # several chunks, so the pool has work to split
+    a = volume_mc(view, dim, n, 60, workers=1)
+    b = volume_mc(view, dim, n, 60, workers=2)
+    assert (a.mean, a.stderr, a.n_samples) == (b.mean, b.stderr, b.n_samples)
+
+
+def test_single_base_is_exact():
+    arr = coxeter_d(2)
+    assert len(list(MatroidView(arr).bases())) == 1
+    est = volume_mc(arr, 3, 3 * 2 ** 16, 61, workers=2)
+    assert est.mean == pytest.approx((4 * math.pi) ** 2, rel=1e-12)
+    assert est.stderr == 0.0
+
+
+def test_one_sample_per_base_has_finite_stderr():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = volume_mc(braid(4), 3, 16, 0)
+    assert est.n_samples == 16
+    assert math.isfinite(est.mean) and math.isfinite(est.stderr)
+
+
+def test_one_scheduled_run_per_volume(monkeypatch):
+    calls = []
+    original = polymer.map_chunks
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polymer, "map_chunks", counting)
+    volume_mc(braid(5), 3, 2 ** 14, 0)
+    asa_volume_mc(braid(4), [cylinder_shape(3, 1.0)] * 6, 2 ** 14, 0)
+    # one run over all rows, not one per base (braid 5: 125, braid 4: 16)
+    assert calls == [2 ** 14 // 125 * 125, 2 ** 14]

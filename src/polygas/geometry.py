@@ -52,14 +52,28 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = No
         raise ValueError("dim must be >= 1")
     count = 1 if size is None else size
     g = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = np.sqrt(_norms_sq(g))[:, None]
     # resample the (probability-zero) degenerate rows rather than dividing by ~0
     while np.any(norms < 1e-12):
         bad = norms[:, 0] < 1e-12
         g[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        norms = np.sqrt(_norms_sq(g))[:, None]
     g /= norms
     return g[0] if size is None else g
+
+
+def _norms_sq(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms over the last axis (real and imaginary parts
+    of complex entries), the squares added column by column: numpy's
+    reduction over a trailing axis of a few entries is ~4x slower.  For real
+    x with fewer than 8 columns this equals np.linalg.norm(x, axis=-1) ** 2
+    bit for bit, since numpy then adds in order too."""
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    columns = [part[..., i] for part in parts for i in range(part.shape[-1])]
+    total = np.square(columns[0])
+    for column in columns[1:]:
+        total += np.square(column)
+    return total
 
 
 def uniform_ball(dim: int, rng: np.random.Generator, size: int):

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement, _checked_radii
-from .geometry import (RNGStream, sample_unit_sphere, sphere_area,
-                       surface_measure_total)
+from .geometry import (RNGStream, _norms_sq, sample_unit_sphere,
+                       sphere_area, surface_measure_total)
 from .matroid import LinearOrder, MatroidView, mask_elements, view_of
 from .mayer import (BLOCK, MCEstimate, _check_shapes, _chi_weight,
                     _merge_stats, _region_estimate, _shape_draw, map_chunks,
@@ -84,17 +84,6 @@ def _accept_block(maps: _BaseMaps, b: np.ndarray, rng, draw, outside,
     h = draw(rng, maps.elems[b])
     accepted = outside(maps.to_out[b] @ h, maps.out[b])
     return accepted, (maps.inv[b] @ h if need_x else None)
-
-
-def _norms_sq(vals: np.ndarray) -> np.ndarray:
-    """Squared norms over the last axis, added column by column: numpy's
-    reduction over a trailing axis of 2 to 6 entries is ~4x slower."""
-    parts = (vals.real, vals.imag) if np.iscomplexobj(vals) else (vals,)
-    columns = [part[..., i] for part in parts for i in range(part.shape[-1])]
-    total = np.square(columns[0])
-    for column in columns[1:]:
-        total += np.square(column)
-    return total
 
 
 def _ball_sides(arr: Arrangement, dim: int, radii):

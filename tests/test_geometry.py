@@ -51,6 +51,15 @@ def test_sphere_d4_coordinate_variance():
     assert np.all(np.abs(v - 0.25) < spread + 1e-3)
 
 
+def test_sphere_normalization_matches_linalg_norm():
+    # the column-wise norms keep sphere draws (and so every region golden)
+    # bit for bit as np.linalg.norm gave them, below 8 dimensions
+    for dim in range(1, 8):
+        g = RNGStream(5, dim).generator().standard_normal((1000, dim))
+        pts = sample_unit_sphere(dim, RNGStream(5, dim).generator(), 1000)
+        assert np.array_equal(pts, g / np.linalg.norm(g, axis=1, keepdims=True))
+
+
 # The hat-box split of a point of S^(D-1) is plain slicing: w = the first two
 # coordinates, y = the rest, a point of the bottom B^(D-2).
 

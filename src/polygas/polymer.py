@@ -161,13 +161,10 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
     for first, cn, cmean, cm2 in map_chunks(per_base * len(bases), seed,
                                             workers, chunk_stats):
         part = slice(first, first + cn.size)
-        fresh = n[part] == 0
-        merged = _merge_stats((n[part], mean[part], m2[part]), (cn, cmean, cm2))
-        n[part] = merged[0]
-        mean[part] = np.where(fresh, cmean, merged[1])
-        m2[part] = np.where(fresh, cm2, merged[2])
+        n[part], mean[part], m2[part] = _merge_stats(
+            (n[part], mean[part], m2[part]), (cn, cmean, cm2))
     # the variance of each stratum's mean, 0 for a single row as in run_chunked
-    var = np.maximum(m2, 0.0) / np.maximum(n - 1, 1) / n * (n > 1)
+    var = m2 / np.maximum(n - 1, 1) / n * (n > 1)
     return MCEstimate(float(weights @ mean), math.sqrt(float(weights ** 2 @ var)),
                       int(n.sum()), seed, workers)
 
@@ -384,13 +381,9 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
         flat = vals.reshape(-1, dim)
         w_sq = _norms_sq(flat[:, :2])
         y = flat[:, 2:]
-        inside = [s.bottom_contains(y) & (w_sq <= s.warp(y) ** 2)
-                  for s in distinct]
-        if len(distinct) == 1:
-            inside = inside[0]
-        else:
-            inside = np.take_along_axis(np.stack(inside),
-                                        shape_of[out].reshape(1, -1), 0)[0]
+        inside = np.stack([s.bottom_contains(y) & (w_sq <= s.warp(y) ** 2)
+                           for s in distinct])
+        inside = np.take_along_axis(inside, shape_of[out].reshape(1, -1), 0)[0]
         return ~np.any(inside.reshape(out.shape), axis=1)
 
     def base_weight(base_mask):

@@ -51,6 +51,20 @@ def _mask_bits(size: int) -> np.ndarray:
     return 1 << np.arange(size, dtype=np.int64)
 
 
+def _norms_sq(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms over the last axis (real and imaginary parts
+    of complex entries), the squares added column by column: numpy's
+    reduction over a trailing axis of a few entries is ~4x slower.  For real
+    x with fewer than 8 columns this equals np.linalg.norm(x, axis=-1) ** 2
+    bit for bit, since numpy then adds in order too."""
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    columns = [part[..., i] for part in parts for i in range(part.shape[-1])]
+    total = np.square(columns[0])
+    for column in columns[1:]:
+        total += np.square(column)
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class Arrangement:
     """Immutable central essential arrangement.
@@ -106,19 +120,19 @@ class Arrangement:
         """All functional values for a batch of configurations.
 
         xbatch: (m, n, dim) real for complexified arrangements, complex for
-        cyclotomic ones.  Returns (m, size, dim).
+        cyclotomic ones.  Returns (m, size, dim), a strided view of one
+        (m * dim, n) @ (n, size) product: a single GEMM instead of one
+        small product per configuration.
         """
-        return self.coeff @ xbatch
-
-    def norms_sq(self, xbatch: np.ndarray) -> np.ndarray:
-        vals = self.values(xbatch)
-        return np.sum((vals * vals.conj()).real, axis=2)
+        m, n, dim = xbatch.shape
+        flat = xbatch.transpose(0, 2, 1).reshape(m * dim, n) @ self.coeff.T
+        return flat.reshape(m, dim, self.size).transpose(0, 2, 1)
 
     def gamma_masks(self, xbatch: np.ndarray) -> np.ndarray:
         """Bitmask of {e : ||h_e(x)|| <= R_e} per configuration (ties count as
         inside), as int64: at most MAX_MASK_BITS hyperplanes."""
         bits = _mask_bits(self.size)
-        within = self.norms_sq(xbatch) <= np.asarray(self.radii) ** 2
+        within = _norms_sq(self.values(xbatch)) <= np.asarray(self.radii) ** 2
         return within @ bits
 
     # -- serialization ------------------------------------------------------

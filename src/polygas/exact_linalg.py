@@ -10,7 +10,10 @@ Math. Comp. 22, 1968), one for rank and one Gauss-Jordan for inverses.
 They run on ring rows (`_ring_rows`): rational rows scaled to integers, or
 rows lifted to Cyclotomic.  Each step divides by the previous pivot, with
 floor division on integers and by one multiplication with the pivot's
-inverse on Cyclotomic entries; both quotients are exact.
+inverse on Cyclotomic entries; both quotients are exact.  The inverse
+elimination runs on a batch of matrices at once, as numpy arrays: int64
+where a Hadamard bound proves that exact, Python ints or Cyclotomic values
+in object arrays otherwise; a single inverse is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 
 class FieldMismatchError(TypeError):
@@ -314,71 +319,125 @@ def is_independent(vectors) -> bool:
     return exact_rank(vectors) == len(vectors)
 
 
-def _fraction_free_inverse(m):
-    """Fraction-free Gauss-Jordan elimination of [m | I] for a nonsingular
-    square matrix of ring rows.  Every division is exact (each entry stays a
-    minor of the augmented matrix), and the left block ends as p * I, so the
-    right block is p * m^-1.  Returns (right block, p), p = +-det(m).  The
-    left block's cleared columns are never read again, so each step
-    updates only the columns right of its pivot."""
-    n = len(m)
-    aug = [list(row) + [1 if j == i else 0 for j in range(n)]
-           for i, row in enumerate(m)]
-    divide, by = operator.mul, 1        # the first step divides by 1
-    p = 1
+def _quotients_by(pivots):
+    """`_quotient_by` for a batch of pivots, one per matrix: floor division
+    by an integer array, or multiplication by each Cyclotomic pivot's
+    inverse."""
+    if pivots.dtype == object and isinstance(pivots[0], Cyclotomic):
+        return operator.mul, np.array([p.inverse() for p in pivots],
+                                      dtype=object)
+    return operator.floordiv, pivots
+
+
+def _fraction_free_inverses(mats):
+    """Fraction-free Gauss-Jordan elimination of [m | I] for each
+    nonsingular square matrix m of a (count, n, n) batch of ring entries:
+    int64, or Python ints and Cyclotomic values in an object array.  Every
+    division is exact (each entry stays a minor of the augmented matrix),
+    and the left block ends as p * I, so the right block is p * m^-1.
+    Returns (right blocks, p), p = +-det(m) per matrix.  Each matrix takes
+    the first nonzero entry at or below the diagonal as its pivot, and the
+    left block's cleared columns are never read again, so each step updates
+    only the columns right of its pivot.  Raises SingularSystemError when
+    any matrix of the batch is singular."""
+    count, n = mats.shape[:2]
+    # aug[r] holds row r of every matrix of the batch
+    eye = np.broadcast_to(np.eye(n, dtype=mats.dtype)[:, None, :], (n, count, n))
+    aug = np.concatenate([mats.transpose(1, 0, 2), eye], axis=2)
+    p = np.ones(count, dtype=mats.dtype)
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
+        nonzero = aug[col:, :, col] != 0
+        if not nonzero.any(axis=0).all():
             raise SingularSystemError("matrix is singular over its field")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p, rest = aug[col][col], aug[col][col + 1:]
-        for r in range(n):
-            if r != col:
-                row = aug[r]
-                f = row[col]
-                row[col + 1:] = [divide(p * a - f * b, by)
-                                 for a, b in zip(row[col + 1:], rest)]
-        if col + 1 < n:
-            divide, by = _quotient_by(p)
-    return [row[n:] for row in aug], p
+        piv = col + nonzero.argmax(axis=0)
+        swap = np.flatnonzero(piv != col)
+        aug[col, swap], aug[piv[swap], swap] = aug[piv[swap], swap], aug[col, swap]
+        if col:                          # the first step divides by 1
+            divide, by = _quotients_by(p)
+        p = aug[col, :, col].copy()
+        others = np.r_[:col, col + 1:n]
+        new = (p[:, None] * aug[others, :, col + 1:]
+               - aug[others, :, col, None] * aug[col, :, col + 1:])
+        if col:
+            new = divide(new, by[:, None])
+        aug[others, :, col + 1:] = new
+    return aug[:, :, n:].transpose(1, 0, 2), p
+
+
+def _fits_int64(mats, scales) -> bool:
+    """True when `integer_inverses` may run on the int64 arrays it is given:
+    every entry of the elimination is a minor of [m | I], so by Hadamard's
+    inequality at most M = prod over rows of sqrt(|a_i|^2 + 1) in absolute
+    value, and each step's p * a - f * b at most 2 M^2 < 2^63.  The
+    numerators, scaled by the row scales, and their rows' absolute sums stay
+    below n M max(scale) < 2^53, so they and the denominators convert to
+    float exactly, and a float division rounds like Python's int / int.
+    log2 M^2 is summed in floats, whose error is far below the one bit of
+    margin left under both limits."""
+    if mats.size == 0:
+        return True
+    entries = mats.astype(float)
+    bits = np.log2(np.sum(entries * entries, axis=2) + 1).sum(axis=1).max()
+    widest = float(scales.max())
+    return bits < 61 and bits + 2 * math.log2(mats.shape[1] * widest) < 105
+
+
+def integer_inverses(int_rows, scales):
+    """Exact inverses of a batch of nonsingular rational matrices A, row i
+    of each given as int_rows[i] / scales[i], as (N, den): integer arrays
+    of shapes (count, n, n) and (count,), den > 0, with A^-1 = N / den.
+
+    Each int_rows (= S A with S = diag(scales)) is inverted by one batched
+    fraction-free elimination, and the row scaling is undone on the columns
+    of the inverse: A^-1 = (S A)^-1 S.  The arrays are int64 when a
+    Hadamard bound proves that exact (`_fits_int64`), Python ints in object
+    arrays otherwise.  `_ring_rows` gives both arguments for rational rows.
+    """
+    mats = np.array(int_rows, dtype=object)
+    scales = np.array(scales, dtype=object)
+    count = len(mats)
+    n = mats.shape[1] if mats.ndim > 1 else 0
+    mats = mats.reshape(count, n, n)
+    scales = scales.reshape(count, n)
+    try:
+        small = mats.astype(np.int64), scales.astype(np.int64)
+    except OverflowError:
+        small = None
+    if small is not None and _fits_int64(*small):
+        mats, scales = small
+    adj, den = _fraction_free_inverses(mats)
+    sign = np.where(den < 0, -1, 1)
+    return sign[:, None, None] * adj * scales[:, None, :], sign * den
 
 
 def integer_inverse(int_rows, scales):
-    """Exact inverse of the nonsingular rational matrix A whose row i is
-    int_rows[i] / scales[i], as (N, den): integer rows N and an integer
-    den > 0 with A^-1 = N / den.
-
-    int_rows (= S A with S = diag(scales)) is inverted by fraction-free
-    elimination, and the row scaling is undone on the columns of the
-    inverse: A^-1 = (S A)^-1 S.  `_ring_rows` gives both arguments for
-    rational rows.
-    """
+    """`integer_inverses` for one matrix: (N, den) with N a list of integer
+    rows and den > 0 an int."""
     n = len(int_rows)
     if any(len(r) != n for r in int_rows) or len(scales) != n:
         raise ValueError("matrix must be square")
-    adj, den = _fraction_free_inverse(int_rows)
-    sign = -1 if den < 0 else 1
-    num = [[sign * v * s for v, s in zip(row, scales)] for row in adj]
-    return num, sign * den
+    num, den = integer_inverses([int_rows], [scales])
+    return num[0].tolist(), int(den[0])
 
 
-def _cyclotomic_inverse(ring):
-    """Exact inverse of a nonsingular square matrix of Cyclotomic rows, and
-    the pivot p = +-det of `_fraction_free_inverse`: the adjugate block
-    times the inverse of p."""
-    adj, det = _fraction_free_inverse(ring)
-    inv = det.inverse()
-    return [[v * inv for v in row] for row in adj], det
+def cyclotomic_inverses(rows):
+    """Exact inverses of a (count, n, n) object batch of nonsingular
+    Cyclotomic matrices, and the pivots p = +-det of
+    `_fraction_free_inverses`: each adjugate block times the inverse of
+    its p."""
+    adj, det = _fraction_free_inverses(rows)
+    inv = np.array([d.inverse() for d in det], dtype=object)
+    return adj * inv[:, None, None], det
 
 
 def exact_inverse(rows):
     """Exact inverse of a square matrix over Q or Q(zeta_k).
 
     Returns a list of lists in the same field.  Both fields go through
-    fraction-free Gauss-Jordan elimination: rational matrices on their
-    integerized rows (`integer_inverse`), cyclotomic ones on their
-    Cyclotomic rows, whose adjugate is multiplied by the inverse of the
-    determinant.  Raises SingularSystemError if the matrix is singular.
+    fraction-free Gauss-Jordan elimination, as a batch of one: rational
+    matrices on their integerized rows (`integer_inverse`), cyclotomic ones
+    on their Cyclotomic rows (`cyclotomic_inverses`).  Raises
+    SingularSystemError if the matrix is singular.
     """
     rows = [list(r) for r in rows]
     n = len(rows)
@@ -388,7 +447,9 @@ def exact_inverse(rows):
     if scales is not None:
         num, den = integer_inverse(ring, scales)
         return [[Fraction(v, den) for v in row] for row in num]
-    return _cyclotomic_inverse(ring)[0]
+    mats = np.empty((1, n, n), dtype=object)
+    mats[0] = ring
+    return cyclotomic_inverses(mats)[0][0].tolist()
 
 
 def scalar_abs(value) -> float:

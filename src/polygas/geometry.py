@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import _checked_radii
+from .arrangement import _checked_radii, _norms_sq
 from .matroid import mask_elements, view_of
 
 
@@ -60,20 +60,6 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = No
         norms = np.sqrt(_norms_sq(g))[:, None]
     g /= norms
     return g[0] if size is None else g
-
-
-def _norms_sq(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norms over the last axis (real and imaginary parts
-    of complex entries), the squares added column by column: numpy's
-    reduction over a trailing axis of a few entries is ~4x slower.  For real
-    x with fewer than 8 columns this equals np.linalg.norm(x, axis=-1) ** 2
-    bit for bit, since numpy then adds in order too."""
-    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-    columns = [part[..., i] for part in parts for i in range(part.shape[-1])]
-    total = np.square(columns[0])
-    for column in columns[1:]:
-        total += np.square(column)
-    return total
 
 
 def uniform_ball(dim: int, rng: np.random.Generator, size: int):
@@ -256,9 +242,10 @@ def bounding_halfwidth(arr, radii=None) -> BoundingBox:
     view = view_of(arr)
     radii = (view.arrangement.radii if radii is None
              else _checked_radii(radii, view.size))
+    bases = list(view.bases())
     worst = 0.0
-    for base_mask in view.bases():
+    for base_mask, inverse in zip(bases, view.base_inverses(bases)):
         rmax = max(radii[e] for e in mask_elements(base_mask))
-        for s in view.base_inverse(base_mask).row_abs_sums:
+        for s in inverse.row_abs_sums:
             worst = max(worst, s * rmax)
     return BoundingBox(worst * (1.0 + 1e-14))

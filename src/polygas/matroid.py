@@ -19,7 +19,8 @@ and keeps it:
   (-1)^|T| spanning[T], which is chi_S(0) for a spanning S and 0 otherwise
   (Crapo: chi(0) = (-1)^r T(1, 0));
 * each base's exact inverse, as float rows and as the rows' absolute sums,
-  and the absolute value of its exact determinant;
+  and the absolute value of its exact determinant, for all requested bases
+  by one batched fraction-free elimination (`base_inverses`);
 * the base set, which fundamental circuits and order-safety checks read
   both to validate their base argument and to test exchanges.
 
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement
-from .exact_linalg import (_cyclotomic_inverse, _fraction_free_rank,
-                           _ring_rows, integer_inverse, scalar_abs)
+from .exact_linalg import (_fraction_free_rank, _ring_rows,
+                           cyclotomic_inverses, integer_inverses, scalar_abs)
 
 # the tables index every subset: at 2^24 entries the int64 chi table is
 # 128 MB and the int32 nb table 64 MB
@@ -204,36 +205,51 @@ class MatroidView:
         return found
 
     def base_inverse(self, base_mask: int) -> BaseInverse:
-        """The exact inverse of a base's normal matrix and its |det|,
-        computed once per base by fraction-free Gauss-Jordan elimination: on
-        the integerized rows S A for rational arrangements
-        (`integer_inverse`, whose denominator is |det S A| = |det A| times
-        the product of the row scales), on the Cyclotomic rows for
-        cyclotomic ones (`_cyclotomic_inverse`: the adjugate over the
-        pivot, which is +-det)."""
-        inv = self._inverses.get(base_mask)
-        if inv is not None:
-            return inv
-        if not self.is_base(base_mask):
-            raise MatroidError("mask is not a base")
-        elems = list(mask_elements(base_mask))
-        if self._scales is not None:
-            scales = [self._scales[e] for e in elems]
-            num, den = integer_inverse([self._rows[e] for e in elems], scales)
-            floats = np.array([[v / den for v in row] for row in num], dtype=float)
-            sums = tuple(sum(abs(v) for v in row) / den for row in num)
-            abs_det = den / math.prod(scales)
-        else:
-            exact, det = _cyclotomic_inverse([self._rows[e] for e in elems])
-            floats = np.array([[v.to_complex() for v in row] for row in exact],
-                              dtype=complex)
-            sums = tuple(sum(scalar_abs(v) for v in row) for row in exact)
-            abs_det = scalar_abs(det)
-        floats.flags.writeable = False
-        inv = BaseInverse(floats, sums, abs_det)
+        """`base_inverses` of one base."""
+        return self.base_inverses([base_mask])[0]
+
+    def base_inverses(self, masks) -> list:
+        """The exact inverse of each base's normal matrix and its |det|, in
+        the order of `masks`, each computed once per view.  All bases not
+        yet compiled are inverted together, by one batched fraction-free
+        Gauss-Jordan elimination: on the integerized rows S A for rational
+        arrangements (`integer_inverses`, whose denominator is |det S A| =
+        |det A| times the product of the row scales), on the Cyclotomic
+        rows for cyclotomic ones (`cyclotomic_inverses`: the adjugate over
+        the pivot, which is +-det)."""
+        masks = list(masks)
         with self._lock:
-            self._inverses[base_mask] = inv
-        return inv
+            missing = [b for b in dict.fromkeys(masks)
+                       if b not in self._inverses]
+            if missing:
+                known = self._base_set or frozenset()
+                if not all(b in known or self.is_base(b) for b in missing):
+                    raise MatroidError("mask is not a base")
+                self._inverses.update(zip(missing, self._invert(missing)))
+            return [self._inverses[b] for b in masks]
+
+    def _invert(self, bases) -> list:
+        """BaseInverse of each of the given bases, from one batched
+        elimination; floats rounded once from the exact values."""
+        elems = np.array([list(mask_elements(b)) for b in bases])
+        mats = np.array(self._rows, dtype=object)[elems]
+        if self._scales is not None:
+            scales = np.array(self._scales, dtype=object)[elems]
+            num, den = integer_inverses(mats, scales)
+            floats = np.asarray(num / den[:, None, None], dtype=float)
+            sums = (np.abs(num).sum(axis=2) / den[:, None]).tolist()
+            abs_dets = [d / math.prod(s)
+                        for d, s in zip(den.tolist(), scales.tolist())]
+        else:
+            exact, dets = cyclotomic_inverses(mats)
+            floats = np.array([[[v.to_complex() for v in row] for row in m]
+                               for m in exact], dtype=complex)
+            sums = [[sum(scalar_abs(v) for v in row) for row in m]
+                    for m in exact]
+            abs_dets = [scalar_abs(d) for d in dets]
+        floats.flags.writeable = False
+        return [BaseInverse(rows, tuple(row_sums), abs_det)
+                for rows, row_sums, abs_det in zip(floats, sums, abs_dets)]
 
     # -- tables over all subsets -------------------------------------------------
 

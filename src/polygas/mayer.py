@@ -6,9 +6,10 @@ Every region estimator is one call of the tube kernel `_region_estimate`.
 A configuration x with within-radius mask G(x) lies in the tube of every
 base inside G(x), and only spanning masks carry weight, so the kernel draws
 x from the mixture of base tubes: base B with probability proportional to
-its tube volume vol_B = |det B|^-d * prod_{e in B} vol(ball_e or bottom_e),
-then the values h_e(x) (e in B) uniformly in their balls or bottoms, and x
-by the base's exact inverse.  That x has density nb[G(x)] / V, nb[S] the
+its tube volume vol_B = |det B|^-d * prod_{e in B} vol(ball_e or bottom_e)
+(by the guide-table inverse CDF of `_base_picker`, equal to a binary
+search), then the values h_e(x) (e in B) uniformly in their balls or
+bottoms, and x by the base's exact inverse.  That x has density nb[G(x)] / V, nb[S] the
 number of bases inside S and V the sum of the vol_B, so each sample adds
 V * weight(G(x)) (times g(x)) / nb[G(x)]: one-sample multiple importance
 sampling with the balance heuristic (Veach and Guibas, SIGGRAPH 1995).  No
@@ -245,6 +246,35 @@ def _shape_draw(shapes, width: int, sample):
     return draw
 
 
+def _base_picker(cdf: np.ndarray):
+    """pick(u) = min(searchsorted(cdf, u, side="right"), len(cdf) - 1) for
+    an array of u in [0, 1), cdf nondecreasing: the base of each uniform u
+    under the mixture, by indexed search (Chen and Asau 1974; Devroye,
+    Non-Uniform Random Variate Generation, 1986, III.2.4).
+
+    A guide table holds, for each of K = len(cdf) cells [j/K, (j+1)/K), the
+    first index whose cdf reaches j/K, a lower bound on the answer for
+    every u in the cell; one forward step then finds most answers.  Each
+    row is checked against cdf[i-1] <= u < cdf[i] (with -inf and +inf past
+    the ends), which holds for exactly one i, the searchsorted answer; the
+    rows that fail go to np.searchsorted.  So the result equals the binary
+    search's for every u, without its per-row branching.
+    """
+    size = cdf.size
+    guide = np.searchsorted(cdf, np.arange(size) / size)
+    bounds = np.concatenate(([-np.inf], cdf, [np.inf]))
+
+    def pick(u):
+        i = guide[np.minimum((u * size).astype(np.intp), size - 1)]
+        i += bounds[i + 1] <= u
+        miss = (bounds[i] > u) | (bounds[i + 1] <= u)
+        if miss.any():
+            i[miss] = np.searchsorted(cdf, u[miss], side="right")
+        return np.minimum(i, size - 1)
+
+    return pick
+
+
 def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
                      seed: int, workers: int, *, within: int | None = None,
                      shapes=None, g=None, stream_base: int = 0) -> MCEstimate:
@@ -272,7 +302,7 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
         raise ValueError("cyclotomic arrangements need even d")
     within = view.ground_mask if within is None else within
     bases = [b for b in view.bases() if not b & ~within]
-    inverses = [view.base_inverse(b) for b in bases]
+    inverses = view.base_inverses(bases)
     inv = np.stack([i.rows for i in inverses])
     elems = np.array([list(mask_elements(b)) for b in bases])
     base_bits = np.array(bases, dtype=np.int64)
@@ -287,12 +317,10 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
     vol = (np.array([i.abs_det for i in inverses]) ** -d
            * np.prod(body[elems], axis=1))
     total = float(vol.sum())
-    cdf = np.cumsum(vol) / total
-    last = len(bases) - 1
+    pick = _base_picker(np.cumsum(vol) / total)
 
     def mmc_values(rng, count):
-        base = np.minimum(np.searchsorted(cdf, rng.random(count),
-                                          side="right"), last)
+        base = pick(rng.random(count))
         h = draw(rng, elems[base])
         values = np.empty(count)
         for start in range(0, count, BLOCK):

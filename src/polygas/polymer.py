@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Arrangement, _checked_radii
-from .geometry import (RNGStream, _norms_sq, sample_unit_sphere,
-                       sphere_area, surface_measure_total)
+from .arrangement import Arrangement, _checked_radii, _norms_sq
+from .geometry import (RNGStream, sample_unit_sphere, sphere_area,
+                       surface_measure_total)
 from .matroid import LinearOrder, MatroidView, mask_elements, view_of
 from .mayer import (BLOCK, MCEstimate, _check_shapes, _chi_weight,
                     _merge_stats, _region_estimate, _shape_draw, map_chunks,
@@ -71,7 +71,7 @@ def _base_maps(view: MatroidView, bases) -> _BaseMaps:
     elems = np.array([list(mask_elements(b)) for b in bases], dtype=np.intp)
     out = np.array([[e for e in range(arr.size) if not b >> e & 1]
                     for b in bases], dtype=np.intp).reshape(len(bases), -1)
-    inv = np.stack([view.base_inverse(b).rows for b in bases])
+    inv = np.stack([i.rows for i in view.base_inverses(bases)])
     return _BaseMaps(elems, out, inv, arr.coeff[out] @ inv)
 
 

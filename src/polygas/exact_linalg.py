@@ -342,7 +342,8 @@ def _fraction_free_inverses(mats):
     any matrix of the batch is singular."""
     count, n = mats.shape[:2]
     # aug[r] holds row r of every matrix of the batch
-    eye = np.broadcast_to(np.eye(n, dtype=mats.dtype)[:, None, :], (n, count, n))
+    eye = np.broadcast_to(np.eye(n, dtype=mats.dtype)[:, None, :],
+                          (n, count, n))
     aug = np.concatenate([mats.transpose(1, 0, 2), eye], axis=2)
     p = np.ones(count, dtype=mats.dtype)
     for col in range(n):
@@ -351,7 +352,8 @@ def _fraction_free_inverses(mats):
             raise SingularSystemError("matrix is singular over its field")
         piv = col + nonzero.argmax(axis=0)
         swap = np.flatnonzero(piv != col)
-        aug[col, swap], aug[piv[swap], swap] = aug[piv[swap], swap], aug[col, swap]
+        rows = piv[swap]
+        aug[col, swap], aug[rows, swap] = aug[rows, swap], aug[col, swap]
         if col:                          # the first step divides by 1
             divide, by = _quotients_by(p)
         p = aug[col, :, col].copy()
@@ -447,9 +449,7 @@ def exact_inverse(rows):
     if scales is not None:
         num, den = integer_inverse(ring, scales)
         return [[Fraction(v, den) for v in row] for row in num]
-    mats = np.empty((1, n, n), dtype=object)
-    mats[0] = ring
-    return cyclotomic_inverses(mats)[0][0].tolist()
+    return cyclotomic_inverses(np.array([ring], dtype=object))[0][0].tolist()
 
 
 def scalar_abs(value) -> float:

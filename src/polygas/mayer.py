@@ -9,10 +9,11 @@ x from the mixture of base tubes: base B with probability proportional to
 its tube volume vol_B = |det B|^-d * prod_{e in B} vol(ball_e or bottom_e)
 (by the guide-table inverse CDF of `_base_picker`, equal to a binary
 search), then the values h_e(x) (e in B) uniformly in their balls or
-bottoms, and x by the base's exact inverse.  That x has density nb[G(x)] / V, nb[S] the
-number of bases inside S and V the sum of the vol_B, so each sample adds
-V * weight(G(x)) (times g(x)) / nb[G(x)]: one-sample multiple importance
-sampling with the balance heuristic (Veach and Guibas, SIGGRAPH 1995).  No
+bottoms, and x by the base's exact inverse.  That x has density
+nb[G(x)] / V, nb[S] the number of bases inside S and V the sum of the
+vol_B, so each sample adds V * weight(G(x)) (times g(x)) / nb[G(x)]:
+one-sample multiple importance sampling with the balance heuristic (Veach
+and Guibas, SIGGRAPH 1995).  No
 sample lands where the weight is 0 for want of a base, and an arrangement
 with a single base gets an exact (zero-variance) answer.  The weights are
 the chi table (pressure coefficients), a subset indicator scaled by

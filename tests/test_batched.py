@@ -23,7 +23,8 @@ from polygas.matroid import MatroidError, MatroidView, mask_elements
 
 REAL = {"braid3": braid(3), "braid4": braid(4), "braid6": braid(6),
         "coxeterB3": coxeter_b(3), "coxeterD3": coxeter_d(3),
-        "threshold4": threshold(4), "widom_rowlinson23": widom_rowlinson([2, 3])}
+        "threshold4": threshold(4),
+        "widom_rowlinson23": widom_rowlinson([2, 3])}
 
 
 def old_masks(arr, x):
@@ -138,7 +139,8 @@ def test_batched_inverses_equal_fraction_gauss_jordan(label):
     if scales is None:
         exact, _ = cyclotomic_inverses(mats)
         assert [m.tolist() for m in exact] == expected
-        floats = [[[v.to_complex() for v in row] for row in m] for m in expected]
+        floats = [[[v.to_complex() for v in row] for row in m]
+                  for m in expected]
         sums = [tuple(sum(abs(v.to_complex()) for v in row) for row in m)
                 for m in expected]
     else:
@@ -189,8 +191,8 @@ def test_row_scales_on_each_side_of_the_float_bound(scale, dtype):
     int_rows, scales = _ring_rows(rows)
     num, den = integer_inverses([int_rows], [scales])
     assert num.dtype == dtype
-    assert [[Fraction(int(v), int(den[0])) for v in row] for row in num[0]] == \
-        fraction_inverse(rows)
+    inverse = [[Fraction(int(v), int(den[0])) for v in row] for row in num[0]]
+    assert inverse == fraction_inverse(rows)
 
 
 def test_a_singular_matrix_in_a_batch_raises():

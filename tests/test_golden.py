@@ -3,6 +3,8 @@
 tube mixture shows up here; a refactor that leaves the streams alone must
 leave these bits alone too."""
 
+import hashlib
+
 from polygas import (LinearOrder, MatroidView, RNGStream, asa_volume_mc, braid,
                      bounding_halfwidth, capped_cylinder_shape, check_dr,
                      coxeter_b, cylinder_shape, dowling, mmc_asa, mmc_mc,
@@ -10,6 +12,7 @@ from polygas import (LinearOrder, MatroidView, RNGStream, asa_volume_mc, braid,
                      project_expectation, safe_projection_expectation,
                      sample_for_base, volume_mc)
 from polygas.mayer import asa_pressure_coefficient
+from polygas.polymer import dump_samples_csv
 
 
 def _triple(est):
@@ -89,3 +92,22 @@ def test_sample_for_base_braid3():
                                  [0.8467606256323202, -1.63789463549253,
                                   0.43505234208255095]]
     assert sample.accepted
+
+
+def test_mmc_mc_braid4_five_of_six_hyperplanes():
+    # a proper spanning subset: the tubes of the 8 bases inside it only
+    view = MatroidView(braid(4))
+    est = mmc_mc(view, 0b111011, 1, 2 ** 17, 29)
+    assert _triple(est) == (-4.685424804687499, 0.01088516753586594, 131072)
+
+
+def test_volume_braid4_unequal_radii():
+    est = volume_mc(braid(4), 2, 2 ** 17, 30, radii=(1, 1.5, 2, 2.5, 3, 3.5))
+    assert _triple(est) == (1487.483732343485, 3.824371286275747, 131072)
+
+
+def test_dump_samples_csv_braid3(tmp_path):
+    path = tmp_path / "samples.csv"
+    dump_samples_csv(path, braid(3), 2, 20, 0)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "409af64b85f7a690ecbbc1951e9bd93fd49ebdfd98dc6afd9df9698e346cb3fa")

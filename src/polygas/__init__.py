@@ -14,7 +14,7 @@ from .geometry import (ASAShape, BoundingBox, RNGStream, ball_volume,
                        bounding_halfwidth, capped_cylinder_shape,
                        cylinder_shape, sample_unit_sphere, sphere_area,
                        sphere_shape, surface_measure_total, uniform_ball)
-from .matroid import LinearOrder, MatroidView
+from .matroid import BaseTable, LinearOrder, MatroidView
 from .mayer import (MCEstimate, SpanningError, mmc_asa, mmc_d0, mmc_mc,
                     pressure_coefficient, pressure_coefficient_enumerated,
                     pressure_exact_d0, z_score)

@@ -116,6 +116,15 @@ def _parse_ints(text: str) -> list:
     return [int(v) for v in text.split(",") if v != ""]
 
 
+# config file values must have their ExperimentConfig field's type: no bool
+# for a number, an int or a float for a float
+_TYPE_CHECKS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "list": lambda v: isinstance(v, list), "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool)}
+
+
 def _build_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for key in ("family", "n", "k", "d", "samples", "seed", "workers",
@@ -141,6 +150,10 @@ def _build_config(args) -> ExperimentConfig:
         for key, value in data.items():
             if not hasattr(cfg, key):
                 raise CliError(f"unknown config key {key!r}")
+            kind, _, optional = cfg.__annotations__[key].partition(" | ")
+            if not (_TYPE_CHECKS[kind](value) or value is None and optional):
+                raise CliError(f"config key {key!r} must be of type {kind}, "
+                               f"not {value!r}")
             setattr(cfg, key, value)  # file overrides flags
     cfg.validate()
     return cfg
@@ -216,13 +229,14 @@ def _cmd_polymer_volume(cfg: ExperimentConfig, svg=None, dump=None):
     if dim < 2:
         raise CliError("polymer-volume interprets --d as the polymer "
                        "dimension, which must be >= 2")
-    est = volume_mc(arr, dim, cfg.samples, cfg.seed, cfg.workers)
+    view = MatroidView(arr)
+    est = volume_mc(view, dim, cfg.samples, cfg.seed, cfg.workers)
     if dump:
-        dump_samples_csv(dump, arr, dim, min(cfg.samples, 200), cfg.seed)
+        dump_samples_csv(dump, view, dim, min(cfg.samples, 200), cfg.seed)
     if svg:
         if dim != 2:
             raise CliError("SVG snapshots are drawn for 2-D polymers")
-        polymer_svg(svg, arr, cfg.seed)
+        polymer_svg(svg, view, cfg.seed)
     return {"dim": dim, "estimate": est.to_json_dict("polymer volume")}, True
 
 
@@ -299,8 +313,9 @@ def _cmd_project_law(cfg: ExperimentConfig):
     arr = cfg.build_arrangement()
     if cfg.g not in G_FUNCTIONS:
         raise CliError(f"unknown g {cfg.g!r}; choose from {sorted(G_FUNCTIONS)}")
+    view = MatroidView(arr)
     try:
-        report = project_expectation(arr, cfg.d, cfg.g, cfg.samples, cfg.seed,
+        report = project_expectation(view, cfg.d, cfg.g, cfg.samples, cfg.seed,
                                      cfg.workers)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -308,7 +323,7 @@ def _cmd_project_law(cfg: ExperimentConfig):
     passed = report.passed
     if cfg.safe:
         order = LinearOrder.default(arr.size)
-        safe_est = safe_projection_expectation(arr, cfg.d, cfg.g, order,
+        safe_est = safe_projection_expectation(view, cfg.d, cfg.g, order,
                                                cfg.samples, cfg.seed + 7,
                                                cfg.workers)
         z_safe = z_score(safe_est, report.mmc_side)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import _checked_radii, _norms_sq
-from .matroid import mask_elements, view_of
+from .matroid import view_of
 
 
 @dataclass(frozen=True)
@@ -233,19 +233,15 @@ def bounding_halfwidth(arr, radii=None) -> BoundingBox:
     """Halfwidth M such that every configuration satisfying ||h_e(x)|| <= R_e
     for all e in some base has every coordinate within [-M, M].
 
-    `arr` is an Arrangement, or a MatroidView of one whose compiled bases and
-    base inverses are then reused.  Computed as max over bases B of (max row
-    abs-sum of the exact inverse of B's normal matrix) * max radius; every
+    `arr` is an Arrangement, or a MatroidView of one whose base table is
+    then reused.  Computed as max over bases B of (max row abs-sum of the
+    exact inverse of B's normal matrix) * (max radius in B); every
     full-rank region contains a base, so the box contains all of them.  A
     tiny relative pad absorbs the float rounding of the exact bound.
     """
     view = view_of(arr)
-    radii = (view.arrangement.radii if radii is None
-             else _checked_radii(radii, view.size))
-    bases = list(view.bases())
-    worst = 0.0
-    for base_mask, inverse in zip(bases, view.base_inverses(bases)):
-        rmax = max(radii[e] for e in mask_elements(base_mask))
-        for s in inverse.row_abs_sums:
-            worst = max(worst, s * rmax)
-    return BoundingBox(worst * (1.0 + 1e-14))
+    radii = np.asarray(view.arrangement.radii if radii is None
+                       else _checked_radii(radii, view.size))
+    table = view.base_table
+    worst = (table.row_abs_sums.max(1) * radii[table.elems].max(1)).max()
+    return BoundingBox(float(worst) * (1.0 + 1e-14))

@@ -18,9 +18,9 @@ and keeps it:
   exactly when nb[S] > 0, and chi[S] is the sum over T inside S of
   (-1)^|T| spanning[T], which is chi_S(0) for a spanning S and 0 otherwise
   (Crapo: chi(0) = (-1)^r T(1, 0));
-* each base's exact inverse, as float rows and as the rows' absolute sums,
-  and the absolute value of its exact determinant, for all requested bases
-  by one batched fraction-free elimination (`base_inverses`);
+* the base table (`base_table`): each base's elements, inverse and |det|
+  as floats, from one batched fraction-free elimination over all bases;
+  the Monte Carlo kernels and the bounding box read it, exact queries never;
 * the base set, which fundamental circuits and order-safety checks read
   both to validate their base argument and to test exchanges.
 
@@ -92,16 +92,31 @@ class LinearOrder:
 
 
 @dataclass(frozen=True)
-class BaseInverse:
-    """The inverse of a base's normal matrix: float (complex for cyclotomic
-    arrangements) rows, and each row's sum of absolute values, rounded once
-    from the exact value for rational arrangements; and |det| of the base's
-    normal matrix (the complex modulus for cyclotomic arrangements), rounded
-    once from the exact determinant."""
+class BaseTable:
+    """Float data of bases, one read-only row per base in the order of
+    `MatroidView.bases`; B^-1 (complex for cyclotomic arrangements), |det B|
+    (the complex modulus) and the row sums are rounded once from the exact
+    values."""
 
-    rows: np.ndarray
-    row_abs_sums: tuple
-    abs_det: float
+    masks: np.ndarray          # (bases,) int64
+    elems: np.ndarray          # (bases, n) the base's elements, ascending
+    out: np.ndarray            # (bases, size - n) the other elements
+    inv: np.ndarray            # (bases, n, n) B^-1: base values to x
+    to_out: np.ndarray         # (bases, size - n, n) S_B = C_out(B) B^-1
+    abs_det: np.ndarray        # (bases,) |det B|
+    row_abs_sums: np.ndarray   # (bases, n) absolute row sums of B^-1
+
+    def __post_init__(self):
+        # C order: the kernels gather rows of the fields on every block
+        for name, field in vars(self).items():
+            field = np.ascontiguousarray(field)
+            field.flags.writeable = False
+            object.__setattr__(self, name, field)
+
+    def inside(self, within: int) -> "BaseTable":
+        """The rows of the bases inside the mask `within`."""
+        rows = (self.masks & ~within) == 0
+        return BaseTable(*(field[rows] for field in vars(self).values()))
 
 
 def _subset_sums(table: np.ndarray) -> None:
@@ -134,7 +149,7 @@ class MatroidView:
         self._nb_table: np.ndarray | None = None
         self._spanning_table: np.ndarray | None = None
         self._chi_table: np.ndarray | None = None
-        self._inverses: dict[int, BaseInverse] = {}
+        self._base_table: BaseTable | None = None
         self._lock = threading.RLock()
         # the fraction-free loops' rows, and the integerizing row scales
         # (None for cyclotomic arrangements)
@@ -204,52 +219,43 @@ class MatroidView:
             raise MatroidError("subset is not spanning")
         return found
 
-    def base_inverse(self, base_mask: int) -> BaseInverse:
-        """`base_inverses` of one base."""
-        return self.base_inverses([base_mask])[0]
-
-    def base_inverses(self, masks) -> list:
-        """The exact inverse of each base's normal matrix and its |det|, in
-        the order of `masks`, each computed once per view.  All bases not
-        yet compiled are inverted together, by one batched fraction-free
-        Gauss-Jordan elimination: on the integerized rows S A for rational
-        arrangements (`integer_inverses`, whose denominator is |det S A| =
-        |det A| times the product of the row scales), on the Cyclotomic
-        rows for cyclotomic ones (`cyclotomic_inverses`: the adjugate over
-        the pivot, which is +-det)."""
-        masks = list(masks)
+    @property
+    def base_table(self) -> BaseTable:
+        """The BaseTable of all bases, compiled once per view by one batched
+        fraction-free Gauss-Jordan elimination: on the integerized rows S A
+        for rational arrangements (`integer_inverses`, whose denominator is
+        |det S A| = |det A| times the product of the row scales), on the
+        Cyclotomic rows for cyclotomic ones (`cyclotomic_inverses`: the
+        adjugate over the pivot, which is +-det)."""
         with self._lock:
-            missing = [b for b in dict.fromkeys(masks)
-                       if b not in self._inverses]
-            if missing:
-                known = self._base_set or frozenset()
-                if not all(b in known or self.is_base(b) for b in missing):
-                    raise MatroidError("mask is not a base")
-                self._inverses.update(zip(missing, self._invert(missing)))
-            return [self._inverses[b] for b in masks]
+            if self._base_table is None:
+                self._base_table = self._compile_base_table()
+            return self._base_table
 
-    def _invert(self, bases) -> list:
-        """BaseInverse of each of the given bases, from one batched
-        elimination; floats rounded once from the exact values."""
-        elems = np.array([list(mask_elements(b)) for b in bases])
+    def _compile_base_table(self) -> BaseTable:
+        masks = np.fromiter(self.bases(), dtype=np.int64)
+        bits = masks[:, None] >> np.arange(self.size) & 1
+        elems = np.nonzero(bits)[1].reshape(masks.size, self.full_rank)
+        out = np.nonzero(bits == 0)[1].reshape(masks.size, -1)
         mats = np.array(self._rows, dtype=object)[elems]
         if self._scales is not None:
             scales = np.array(self._scales, dtype=object)[elems]
             num, den = integer_inverses(mats, scales)
-            floats = np.asarray(num / den[:, None, None], dtype=float)
-            sums = (np.abs(num).sum(axis=2) / den[:, None]).tolist()
-            abs_dets = [d / math.prod(s)
-                        for d, s in zip(den.tolist(), scales.tolist())]
+            inv = np.ascontiguousarray(num / den[:, None, None], dtype=float)
+            sums = np.abs(num).sum(axis=2) / den[:, None]
+            abs_det = [d / math.prod(s)
+                       for d, s in zip(den.tolist(), scales.tolist())]
         else:
             exact, dets = cyclotomic_inverses(mats)
-            floats = np.array([[[v.to_complex() for v in row] for row in m]
-                               for m in exact], dtype=complex)
+            inv = np.array([[[v.to_complex() for v in row] for row in m]
+                            for m in exact], dtype=complex)
             sums = [[sum(scalar_abs(v) for v in row) for row in m]
                     for m in exact]
-            abs_dets = [scalar_abs(d) for d in dets]
-        floats.flags.writeable = False
-        return [BaseInverse(rows, tuple(row_sums), abs_det)
-                for rows, row_sums, abs_det in zip(floats, sums, abs_dets)]
+            abs_det = [scalar_abs(d) for d in dets]
+        return BaseTable(masks, elems, out, inv,
+                         self.arrangement.coeff[out] @ inv,
+                         np.array(abs_det, dtype=float),
+                         np.array(sums, dtype=float))
 
     # -- tables over all subsets -------------------------------------------------
 
@@ -305,7 +311,7 @@ class MatroidView:
         if self._base_set is None:
             self.bases()
         if base_mask not in self._base_set:
-            raise MatroidError("first argument is not a base")
+            raise MatroidError(f"mask {base_mask!r} is not a base")
 
     def fundamental_circuit(self, base_mask: int, e: int) -> int:
         """The unique circuit of base + e; contains e, and dropping any of its

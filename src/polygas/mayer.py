@@ -9,7 +9,9 @@ x from the mixture of base tubes: base B with probability proportional to
 its tube volume vol_B = |det B|^-d * prod_{e in B} vol(ball_e or bottom_e)
 (by the guide-table inverse CDF of `_base_picker`, equal to a binary
 search), then the values h_e(x) (e in B) uniformly in their balls or
-bottoms, and x by the base's exact inverse.  That x has density
+bottoms, and x by the base's exact inverse; the bases, their elements,
+inverses and |det B| are the rows of the view's base table
+(`MatroidView.base_table`, or its rows inside a subset).  That x has density
 nb[G(x)] / V, nb[S] the number of bases inside S and V the sum of the
 vol_B, so each sample adds V * weight(G(x)) (times g(x)) / nb[G(x)]:
 one-sample multiple importance sampling with the balance heuristic (Veach
@@ -44,7 +46,7 @@ import numpy as np
 
 from .arrangement import Arrangement, _mask_bits
 from .geometry import ASAShape, RNGStream, ball_volume, uniform_ball
-from .matroid import MatroidView, mask_elements, popcount
+from .matroid import MatroidView, popcount
 
 CHUNK = 1 << 16
 
@@ -301,12 +303,9 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
         raise ValueError("d must be >= 1 for Monte Carlo estimation")
     if not arr.complexified and d % 2:
         raise ValueError("cyclotomic arrangements need even d")
-    within = view.ground_mask if within is None else within
-    bases = [b for b in view.bases() if not b & ~within]
-    inverses = view.base_inverses(bases)
-    inv = np.stack([i.rows for i in inverses])
-    elems = np.array([list(mask_elements(b)) for b in bases])
-    base_bits = np.array(bases, dtype=np.int64)
+    table = view.base_table
+    if within is not None:
+        table = table.inside(within)
     if shapes is None:
         draw = _ball_draw(arr, d)
         body = ball_volume(d) * np.asarray(arr.radii) ** d
@@ -315,19 +314,18 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
         draw = _shape_draw(shapes, d,
                            lambda s, rng, count: s.sample_bottom(rng, count))
         body = np.array([s.bottom_volume for s in shapes])
-    vol = (np.array([i.abs_det for i in inverses]) ** -d
-           * np.prod(body[elems], axis=1))
+    vol = table.abs_det ** -d * np.prod(body[table.elems], axis=1)
     total = float(vol.sum())
     pick = _base_picker(np.cumsum(vol) / total)
 
     def mmc_values(rng, count):
         base = pick(rng.random(count))
-        h = draw(rng, elems[base])
+        h = draw(rng, table.elems[base])
         values = np.empty(count)
         for start in range(0, count, BLOCK):
             rows = slice(start, start + BLOCK)
             b = base[rows]
-            x = inv[b] @ h[rows]
+            x = table.inv[b] @ h[rows]
             if shapes is None:
                 masks = arr.gamma_masks(x)
             else:
@@ -335,7 +333,7 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
                 inside = np.stack([shapes[e].bottom_contains(vals[:, e, :])
                                    for e in range(arr.size)], axis=1)
                 masks = inside @ bits
-            masks |= base_bits[b]
+            masks |= table.masks[b]
             w, nb = weight(masks)
             w = w * (total / nb)
             values[rows] = w if g is None else w * g(x)

@@ -16,11 +16,11 @@ values are drawn, how a non-base value is tested, and the base weight.
 The kernel splits the budget evenly across the bases and runs all bases'
 rows as one list: one random stream per CHUNK rows, the chunks on the
 worker pool, and BLOCK rows at a time drawn, mapped to the non-base values
-by each base's float map S_B = C_out(B) B^-1, and tested.  Per-base
-(n, mean, m2) are merged in chunk order, so results are bit-identical for
-any worker count.  `sample_for_base` and `dump_samples_csv` use the same
-block function on one base.  The region sides of the projection laws are
-calls of the mayer tube kernel.
+by each base's float map S_B = C_out(B) B^-1 (a row of the view's base
+table), and tested.  Per-base (n, mean, m2) are merged in chunk order, so
+results are bit-identical for any worker count.  `sample_for_base` and
+`dump_samples_csv` use the same block function on one base.  The region
+sides of the projection laws are calls of the mayer tube kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .arrangement import Arrangement, _checked_radii, _norms_sq
 from .geometry import (RNGStream, sample_unit_sphere, sphere_area,
                        surface_measure_total)
-from .matroid import LinearOrder, MatroidView, mask_elements, view_of
+from .matroid import BaseTable, LinearOrder, MatroidView, view_of
 from .mayer import (BLOCK, MCEstimate, _check_shapes, _chi_weight,
                     _merge_stats, _region_estimate, _shape_draw, map_chunks,
                     z_score)
@@ -53,37 +53,15 @@ class PolymerSample:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class _BaseMaps:
-    """Float maps of a list of bases, one row per base: its elements, the
-    non-base elements, the inverse B^-1 taking base values to the
-    configuration, and S_B = C_out(B) B^-1 taking them straight to the
-    non-base values."""
-
-    elems: np.ndarray      # (bases, n) int
-    out: np.ndarray        # (bases, size - n) int
-    inv: np.ndarray        # (bases, n, n)
-    to_out: np.ndarray     # (bases, size - n, n)
-
-
-def _base_maps(view: MatroidView, bases) -> _BaseMaps:
-    arr = view.arrangement
-    elems = np.array([list(mask_elements(b)) for b in bases], dtype=np.intp)
-    out = np.array([[e for e in range(arr.size) if not b >> e & 1]
-                    for b in bases], dtype=np.intp).reshape(len(bases), -1)
-    inv = np.stack([i.rows for i in view.base_inverses(bases)])
-    return _BaseMaps(elems, out, inv, arr.coeff[out] @ inv)
-
-
-def _accept_block(maps: _BaseMaps, b: np.ndarray, rng, draw, outside,
+def _accept_block(table: BaseTable, b: np.ndarray, rng, draw, outside,
                   need_x: bool):
-    """One block of polymer draws, row r for base b[r]: base values from
-    draw(rng, elems), accepted where outside(values, out_elems) holds for
-    every non-base hyperplane.  Returns (accepted, x), x the solved
-    configurations when need_x, else None."""
-    h = draw(rng, maps.elems[b])
-    accepted = outside(maps.to_out[b] @ h, maps.out[b])
-    return accepted, (maps.inv[b] @ h if need_x else None)
+    """One block of polymer draws, row r for the base in table row b[r]:
+    base values from draw(rng, elems), accepted where outside(values,
+    out_elems) holds for every non-base hyperplane.  Returns (accepted, x),
+    x the solved configurations when need_x, else None."""
+    h = draw(rng, table.elems[b])
+    accepted = outside(table.to_out[b] @ h, table.out[b])
+    return accepted, (table.inv[b] @ h if need_x else None)
 
 
 def _ball_sides(arr: Arrangement, dim: int, radii):
@@ -124,11 +102,12 @@ def _stratum_stats(values: np.ndarray, b: np.ndarray):
 
 
 def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
-                      workers: int, draw, outside, base_weight,
+                      workers: int, draw, outside, weights,
                       g=None) -> MCEstimate:
-    """Sum over bases of base_weight(base) times the mean over that base's
+    """Sum over bases of the base's weight times the mean over that base's
     draws of accepted (times g(x)): the stratified estimator with the
-    budget split evenly across bases.
+    budget split evenly across bases.  `weights` holds one weight per row
+    of the view's base table, or one for all bases.
 
     The per_base * |bases| rows are one stratified list, row r drawn for
     base r // per_base, cut into CHUNK-row chunks with one random stream
@@ -136,13 +115,13 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
     bincounts over each chunk and are merged per base in chunk order, so the
     estimate is bit-identical for any worker count.
     """
-    bases = list(view.bases())
-    if n_samples < len(bases):
+    table = view.base_table
+    count = table.masks.size
+    if n_samples < count:
         raise ValueError(f"n_samples = {n_samples} is smaller than the "
-                         f"{len(bases)} bases it is split across")
-    per_base = n_samples // len(bases)
-    maps = _base_maps(view, bases)
-    weights = np.array([base_weight(b) for b in bases], dtype=float)
+                         f"{count} bases it is split across")
+    per_base = n_samples // count
+    weights = np.full(count, weights, dtype=float)
 
     def chunk_stats(rng, start, count):
         rows = np.arange(start, start + count)
@@ -150,15 +129,15 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
         values = np.empty(count)
         for lo in range(0, count, BLOCK):
             block = slice(lo, lo + BLOCK)
-            accepted, x = _accept_block(maps, b[block], rng, draw, outside,
+            accepted, x = _accept_block(table, b[block], rng, draw, outside,
                                         g is not None)
             values[block] = accepted if g is None else accepted * g(x)
         return _stratum_stats(values, b)
 
-    n = np.zeros(len(bases), dtype=np.int64)
-    mean = np.zeros(len(bases))
-    m2 = np.zeros(len(bases))
-    for first, cn, cmean, cm2 in map_chunks(per_base * len(bases), seed,
+    n = np.zeros(count, dtype=np.int64)
+    mean = np.zeros(count)
+    m2 = np.zeros(count)
+    for first, cn, cmean, cm2 in map_chunks(per_base * count, seed,
                                             workers, chunk_stats):
         part = slice(first, first + cn.size)
         n[part], mean[part], m2[part] = _merge_stats(
@@ -178,11 +157,13 @@ def sample_for_base(arr, base_mask: int, dim: int,
     view = view_of(arr)
     arr = view.arrangement
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
-    maps = _base_maps(view, [base_mask])
+    view._check_base(base_mask)
+    table = view.base_table
+    row = int(np.searchsorted(table.masks, base_mask))
     draw, outside = _ball_sides(arr, dim, radii)
-    accepted, x = _accept_block(maps, np.zeros(1, dtype=np.intp), rng, draw,
-                                outside, True)
-    base_idx = maps.elems[0]
+    accepted, x = _accept_block(table, np.full(1, row), rng, draw, outside,
+                                True)
+    base_idx = table.elems[row]
     u = (arr.coeff[base_idx] @ x[0]) / np.asarray(radii)[base_idx][:, None]
     return PolymerSample(base_mask, u, x[0], bool(accepted[0]))
 
@@ -192,15 +173,15 @@ def volume_mc(arr, dim: int, n_samples: int, seed: int,
     """Total polymer volume at the given ambient dimension: sum over bases of
     (sphere area)^n times that base's acceptance rate, the sample budget
     split evenly across bases (n_samples must be at least the base count).
-    `arr` is an Arrangement, or a MatroidView of one whose compiled bases
-    and base inverses are then reused."""
+    `arr` is an Arrangement, or a MatroidView of one whose base table is
+    then reused."""
     view = view_of(arr)
     arr = view.arrangement
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
     weight = sphere_area(dim) ** arr.ambient_dim
     draw, outside = _ball_sides(arr, dim, radii)
     return _polymer_estimate(view, n_samples, seed, workers, draw, outside,
-                             lambda _: weight)
+                             weight)
 
 
 # --------------------------------------------------------------------------
@@ -287,12 +268,14 @@ class ProjectionReport:
                 "z_score": self.z, "pass": self.passed}
 
 
-def project_expectation(arr: Arrangement, d: int, g, n_samples: int, seed: int,
+def project_expectation(arr, d: int, g, n_samples: int, seed: int,
                         workers: int = 1) -> ProjectionReport:
     """Expectation of a function of the last d coordinates, two ways: over
     accepted polymer samples at dimension d + 2 (weighted by surface totals),
     and as (-2 pi)^n times the region-decomposition integral of
-    g * chi_G(0)."""
+    g * chi_G(0).  `arr` is an Arrangement or a MatroidView of one."""
+    view = view_of(arr)
+    arr = view.arrangement
     if not arr.complexified:
         raise ValueError("projection laws are stated for real arrangements")
     if d < 1:
@@ -301,13 +284,12 @@ def project_expectation(arr: Arrangement, d: int, g, n_samples: int, seed: int,
         g = G_FUNCTIONS[g]
     g = _checked(g)
     dim = d + 2
-    view = MatroidView(arr)
     chi_weight = _chi_weight(view)
     n = arr.ambient_dim
     weight = sphere_area(dim) ** n
     draw, outside = _ball_sides(arr, dim, arr.radii)
     polymer_side = _polymer_estimate(view, n_samples, seed, workers, draw,
-                                     outside, lambda _: weight,
+                                     outside, weight,
                                      g=lambda x: g(x[:, :, 2:]))
     # separate seed so the two sides are statistically independent
     mmc_side = _region_estimate(view, d, chi_weight, n_samples, seed + 1,
@@ -316,18 +298,20 @@ def project_expectation(arr: Arrangement, d: int, g, n_samples: int, seed: int,
     return ProjectionReport(polymer_side, mmc_side, z, abs(z) < 4.0)
 
 
-def safe_projection_expectation(arr: Arrangement, d: int, g, order: LinearOrder,
+def safe_projection_expectation(arr, d: int, g, order: LinearOrder,
                                 n_samples: int, seed: int,
                                 workers: int = 1) -> MCEstimate:
     """Positive-weight form of the projection integral: count order-safe
     bases of the within-radius subset instead of adding its chi(0), and scale
-    by (2 pi)^n.  Agrees with the chi path for every fixed order."""
+    by (2 pi)^n.  Agrees with the chi path for every fixed order.  `arr` is
+    an Arrangement or a MatroidView of one."""
+    view = view_of(arr)
+    arr = view.arrangement
     if not arr.complexified:
         raise ValueError("projection laws are stated for real arrangements")
     if isinstance(g, str):
         g = G_FUNCTIONS[g]
     g = _checked(g)
-    view = MatroidView(arr)
 
     @functools.lru_cache(maxsize=None)
     def base_count(mask):
@@ -386,25 +370,23 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
         inside = np.take_along_axis(inside, shape_of[out].reshape(1, -1), 0)[0]
         return ~np.any(inside.reshape(out.shape), axis=1)
 
-    def base_weight(base_mask):
-        weight = 1.0
-        for e in mask_elements(base_mask):
-            weight *= surface_measure_total(shapes[e])
-        return weight
-
+    totals = np.array([surface_measure_total(s) for s in shapes])
     return _polymer_estimate(view, n_samples, seed, workers, draw, outside,
-                             base_weight)
+                             np.prod(totals[view.base_table.elems], axis=1))
 
 
 # --------------------------------------------------------------------------
 # diagnostics output
 # --------------------------------------------------------------------------
 
-def dump_samples_csv(path, arr: Arrangement, dim: int, n_samples: int,
-                     seed: int, radii=None):
+def dump_samples_csv(path, arr, dim: int, n_samples: int, seed: int,
+                     radii=None):
     """Write (base mask, accepted, flattened coordinates) rows for a small
-    number of draws from every base."""
-    view = MatroidView(arr)
+    number of draws from every base.  `arr` is an Arrangement or a
+    MatroidView of one."""
+    view = view_of(arr)
+    arr = view.arrangement
+    table = view.base_table
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
     draw, outside = _ball_sides(arr, dim, radii)
     with open(path, "w", newline="") as fh:
@@ -412,10 +394,9 @@ def dump_samples_csv(path, arr: Arrangement, dim: int, n_samples: int,
         writer.writerow(["base_mask", "accepted"]
                         + [f"x{i}_{j}" for i in range(arr.ambient_dim)
                            for j in range(dim)])
-        for b_index, base_mask in enumerate(view.bases()):
+        for b_index, base_mask in enumerate(table.masks.tolist()):
             rng = RNGStream(seed, b_index).generator()
-            accepted, x = _accept_block(_base_maps(view, [base_mask]),
-                                        np.zeros(n_samples, dtype=np.intp),
+            accepted, x = _accept_block(table, np.full(n_samples, b_index),
                                         rng, draw, outside, True)
             coords = x.reshape(n_samples, -1)
             if np.iscomplexobj(coords):
@@ -425,10 +406,12 @@ def dump_samples_csv(path, arr: Arrangement, dim: int, n_samples: int,
                                 + [f"{v:.9g}" for v in coords[row]])
 
 
-def polymer_svg(path, arr: Arrangement, seed: int = 0, tries: int = 1000):
+def polymer_svg(path, arr, seed: int = 0, tries: int = 1000):
     """Draw one accepted planar sample as an SVG of disks (documentation aid;
-    meaningful for difference-functional arrangements)."""
-    view = MatroidView(arr)
+    meaningful for difference-functional arrangements).  `arr` is an
+    Arrangement or a MatroidView of one."""
+    view = view_of(arr)
+    arr = view.arrangement
     bases = list(view.bases())
     rng = RNGStream(seed, 0).generator()
     sample = None

@@ -299,7 +299,7 @@ def per_base_polymer_estimate(view, n_samples, seed, draw, outside,
     per_base = n_samples // len(bases)
     parts = []
     for b_index, base_mask in enumerate(bases):
-        inv = view.base_inverse(base_mask).rows
+        inv = view.base_table.inv[b_index]
         base_idx = list(mask_elements(base_mask))
         outside_idx = [e for e in range(arr.size) if not base_mask >> e & 1]
         weight = base_weight(base_mask)

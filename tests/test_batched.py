@@ -1,8 +1,11 @@
 """The batched kernels against the per-row and per-matrix paths they
 replaced, compared with ==: functional values as one GEMM per block and the
-masks from them, the guide-table base pick of the tube kernel, and the
-batched fraction-free base inverses."""
+masks from them, the guide-table base pick of the tube kernel, the batched
+fraction-free base inverses, and the base table that holds them."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import fraction_inverse
-from polygas import mayer
+from polygas import matroid, mayer
 from polygas.arrangement import (braid, coxeter_b, coxeter_d, custom, dowling,
                                  threshold, widom_rowlinson)
 from polygas.exact_linalg import (Cyclotomic, SingularSystemError, _ring_rows,
                                   cyclotomic_inverses, integer_inverses)
-from polygas.matroid import MatroidError, MatroidView, mask_elements
+from polygas.dimred import check_dr
+from polygas.matroid import (LinearOrder, MatroidError, MatroidView,
+                             mask_elements)
+from polygas.polymer import (dump_samples_csv, planar_invariance_check,
+                             sample_for_base, volume_mc)
 
 # --------------------------------------------------------------------------
 # functional values and masks
@@ -66,9 +73,7 @@ def test_cyclotomic_masks_equal_on_a_fixed_batch(d):
 # guide-table base pick
 # --------------------------------------------------------------------------
 
-_COXETER_B3 = MatroidView(coxeter_b(3))
-COXETER_B3_DETS = np.array(
-    [i.abs_det for i in _COXETER_B3.base_inverses(_COXETER_B3.bases())])
+COXETER_B3_DETS = MatroidView(coxeter_b(3)).base_table.abs_det
 
 
 @st.composite
@@ -141,7 +146,7 @@ def test_batched_inverses_equal_fraction_gauss_jordan(label):
         assert [m.tolist() for m in exact] == expected
         floats = [[[v.to_complex() for v in row] for row in m]
                   for m in expected]
-        sums = [tuple(sum(abs(v.to_complex()) for v in row) for row in m)
+        sums = [[sum(abs(v.to_complex()) for v in row) for row in m]
                 for m in expected]
     else:
         num, den = integer_inverses(mats, scales)
@@ -149,11 +154,11 @@ def test_batched_inverses_equal_fraction_gauss_jordan(label):
         assert [[[Fraction(int(v), int(d)) for v in row] for row in m]
                 for m, d in zip(num, den)] == expected
         floats = [[[float(v) for v in row] for row in m] for m in expected]
-        sums = [tuple(float(sum(abs(v) for v in row)) for row in m)
+        sums = [[float(sum(abs(v) for v in row)) for row in m]
                 for m in expected]
-    inverses = view.base_inverses(bases)
-    assert [i.rows.tolist() for i in inverses] == floats
-    assert [i.row_abs_sums for i in inverses] == sums
+    table = view.base_table
+    assert table.inv.tolist() == floats
+    assert table.row_abs_sums.tolist() == sums
 
 
 def test_entries_past_the_bound_take_python_ints():
@@ -163,11 +168,10 @@ def test_entries_past_the_bound_take_python_ints():
     bases = list(view.bases())
     num, den = integer_inverses(*ring_batch(arr, bases))
     assert num.dtype == object and isinstance(num[0, 0, 0], int)
-    for b, inverse, m, d in zip(bases, view.base_inverses(bases), num, den):
+    for b, inv, m, d in zip(bases, view.base_table.inv, num, den):
         expected = fraction_inverse(base_rows(arr, b))
         assert [[Fraction(v, d) for v in row] for row in m] == expected
-        assert inverse.rows.tolist() == [[float(v) for v in row]
-                                         for row in expected]
+        assert inv.tolist() == [[float(v) for v in row] for row in expected]
 
 
 @pytest.mark.parametrize("a, dtype", [(27000, np.int64), (28000, object)])
@@ -208,12 +212,133 @@ def test_a_singular_matrix_in_a_batch_raises():
         cyclotomic_inverses(batch)
 
 
-def test_base_inverse_is_a_batch_of_one():
-    view = MatroidView(braid(4))
+# --------------------------------------------------------------------------
+# the base table
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("label", sorted(FAMILIES))
+def test_table_elements_equal_mask_elements(label):
+    arr = FAMILIES[label]
+    view = MatroidView(arr)
+    table = view.base_table
     bases = list(view.bases())
-    assert view.base_inverse(bases[3]) is view.base_inverses([bases[3]])[0]
-    batch = view.base_inverses(bases)
-    assert batch[3] is view.base_inverse(bases[3])
-    assert all(a is b for a, b in zip(batch, view.base_inverses(bases)))
+    assert table.masks.tolist() == bases
+    assert table.elems.tolist() == [list(mask_elements(b)) for b in bases]
+    assert table.out.tolist() == [
+        [e for e in range(arr.size) if not b >> e & 1] for b in bases]
+
+
+@pytest.mark.parametrize("label", sorted(FAMILIES))
+def test_table_maps_to_the_non_base_values(label):
+    arr = FAMILIES[label]
+    table = MatroidView(arr).base_table
+    for out, inv, to_out in zip(table.out, table.inv, table.to_out):
+        assert np.array_equal(to_out, arr.coeff[out] @ inv)
+
+
+def test_table_is_read_only():
+    table = MatroidView(braid(4)).base_table
+    for field in (table.masks, table.elems, table.out, table.inv,
+                  table.to_out, table.abs_det, table.row_abs_sums,
+                  table.inside(0b111011).inv):
+        assert not field.flags.writeable
+
+
+@pytest.mark.parametrize("label, within", [("braid4", 0b111011),
+                                           ("braid4", 0b111111),
+                                           ("coxeterB3", 0b101110111),
+                                           ("dowling2_3", 0b011)])
+def test_inside_keeps_the_rows_of_the_bases_inside(label, within):
+    view = MatroidView(FAMILIES[label])
+    table = view.base_table
+    rows = [i for i, b in enumerate(view.bases()) if not b & ~within]
+    assert rows and len(rows) == len(view.bases_of(within))
+    part = table.inside(within)
+    for name in ("masks", "elems", "out", "inv", "to_out", "abs_det",
+                 "row_abs_sums"):
+        assert np.array_equal(getattr(part, name), getattr(table, name)[rows])
+
+
+def test_single_base_table_has_no_non_base_columns(tmp_path):
+    arr = custom([[1, 0], [0, 1]])
+    view = MatroidView(arr)
+    table = view.base_table
+    assert table.masks.tolist() == [0b11]
+    assert table.out.shape == (1, 0) and table.to_out.shape == (1, 0, 2)
+    est = volume_mc(view, 3, 1000, 0)
+    assert est.mean == pytest.approx((4 * np.pi) ** 2, rel=1e-12)
+    assert est.stderr == 0.0
+    sample = sample_for_base(view, 0b11, 3, np.random.default_rng(0))
+    assert sample.accepted and sample.x.shape == (2, 3)
+    path = tmp_path / "samples.csv"
+    dump_samples_csv(path, view, 2, 4, 0)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 5 and all(line.startswith("3,1,")
+                                   for line in lines[1:])
+
+
+@pytest.mark.parametrize("mask", [0b1011, 0b1, 1 << 6, -1])
+def test_sample_for_base_refuses_a_non_base(mask):
+    # 0b1011: x1-x2, x1-x3, x2-x3 are dependent
     with pytest.raises(MatroidError):
-        view.base_inverses([bases[0], 0b1011])    # x1-x2, x1-x3, x2-x3
+        sample_for_base(braid(4), mask, 3, np.random.default_rng(0))
+
+
+def count_inverse_batches(monkeypatch):
+    """Monkeypatch the view's two batched inverses to record each batch's
+    size."""
+    batches = []
+    for name in ("integer_inverses", "cyclotomic_inverses"):
+        original = getattr(matroid, name)
+
+        def counting(mats, *rest, original=original):
+            batches.append(len(mats))
+            return original(mats, *rest)
+
+        monkeypatch.setattr(matroid, name, counting)
+    return batches
+
+
+def test_exact_queries_compile_no_inverses(monkeypatch):
+    batches = count_inverse_batches(monkeypatch)
+    for arr in (braid(6), coxeter_b(4), dowling(3, 3)):
+        view = MatroidView(arr)
+        view.chi_at_zero()
+        rng = random.Random(0)
+        for order in [LinearOrder.default(arr.size)] + [
+                LinearOrder.shuffled(arr.size, rng) for _ in range(5)]:
+            view.safe_base_count(order=order)
+        assert sum(1 for _ in view.bases()) > 0
+        assert view._base_table is None
+    assert batches == []
+
+
+def test_each_view_inverts_its_bases_once(monkeypatch):
+    batches = count_inverse_batches(monkeypatch)
+    check_dr(braid(4), 1, 4096, 0)
+    check_dr(dowling(2, 3), 2, 4096, 0)
+    assert batches == [16, 3]
+    batches.clear()
+    planar_invariance_check(coxeter_b(3), [[1.0] * 9, [2.0] * 9, [0.5] * 9],
+                            4096, 0)
+    assert batches == [len(list(MatroidView(coxeter_b(3)).bases()))]
+
+
+def test_concurrent_readers_share_one_compiled_table(monkeypatch):
+    batches = count_inverse_batches(monkeypatch)
+    view = MatroidView(braid(5))
+    tables = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: tables.append(
+            view.base_table)) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert batches == [125] and len(tables) == 6
+    assert all(table is tables[0] for table in tables)

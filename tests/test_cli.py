@@ -243,3 +243,47 @@ def test_invariance_radii_of_wrong_length_exit_one(capsys):
                          "--samples", "3000", "--radii-list", "1,1;1,2"])
     assert code == 1 and out == ""
     assert capsys.readouterr().err.startswith("polygas: error:")
+
+
+def test_mistyped_config_values_exit_one(tmp_path, capsys):
+    for bad, key in [({"samples": "1000"}, "samples"), ({"n": "3"}, "n"),
+                     ({"d": 1.5}, "d"), ({"safe": 1}, "safe"),
+                     ({"length": True}, "length"), ({"radii": 2.0}, "radii")]:
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(bad))
+        code, out = run_cli(["pressure-coeff", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.startswith("polygas: error:") and repr(key) in err
+        assert "Traceback" not in err
+
+
+def test_well_typed_config_values_pass(tmp_path):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"family": "braid", "n": 3, "d": 0, "k": None,
+                               "length": 2, "safe": False,
+                               "radii": [1, 2, 3]}))
+    code, _ = run_cli(["pressure-coeff", "--config", str(cfg)])
+    assert code == 0
+
+
+def test_one_view_per_command(tmp_path, monkeypatch):
+    from polygas.matroid import MatroidView
+    built = []
+    original = MatroidView.__init__
+
+    def counting_init(self, arrangement):
+        built.append(arrangement)
+        original(self, arrangement)
+
+    monkeypatch.setattr(MatroidView, "__init__", counting_init)
+    code, _ = run_cli(["project-law", "--family", "braid", "--n", "3",
+                       "--d", "1", "--g", "norm_sq", "--safe",
+                       "--samples", "4000", "--seed", "0"])
+    assert code in (0, 2) and len(built) == 1
+    built.clear()
+    code, _ = run_cli(["polymer-volume", "--family", "braid", "--n", "3",
+                       "--d", "2", "--samples", "3000", "--seed", "0",
+                       "--svg", str(tmp_path / "p.svg"),
+                       "--dump-samples", str(tmp_path / "s.csv")])
+    assert code == 0 and len(built) == 1

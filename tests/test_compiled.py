@@ -99,10 +99,9 @@ def test_nb_table_counts_the_bases_inside_each_mask(label):
 def test_base_abs_det_matches_float_determinant(label):
     arr = SMALL_FAMILIES[label]
     view = MatroidView(arr)
-    for base_mask in view.bases():
+    for base_mask, abs_det in zip(view.bases(), view.base_table.abs_det):
         det = np.linalg.det(arr.coeff[list(mask_elements(base_mask))])
-        assert view.base_inverse(base_mask).abs_det == pytest.approx(
-            abs(det), rel=1e-12)
+        assert abs_det == pytest.approx(abs(det), rel=1e-12)
 
 
 def test_mask_range_checked():
@@ -114,49 +113,52 @@ def test_mask_range_checked():
                 query(bad)
 
 
-def _assert_inverse_matches_oracle(view, base_mask):
+def _assert_inverse_matches_oracle(view, index):
+    base_mask = int(view.base_table.masks[index])
     rows = [view.arrangement.normals[e] for e in mask_elements(base_mask)]
     expected = fraction_inverse(rows)
     assert exact_inverse(rows) == expected
     num, den = integer_inverse(*_ring_rows(rows))
     assert den > 0
     assert [[Fraction(v, den) for v in row] for row in num] == expected
-    inv = view.base_inverse(base_mask)
-    assert inv.rows.tolist() == [[float(v) for v in row] for row in expected]
-    assert inv.row_abs_sums == tuple(float(sum(abs(v) for v in row))
-                                     for row in expected)
+    table = view.base_table
+    assert table.inv[index].tolist() == [[float(v) for v in row]
+                                         for row in expected]
+    assert table.row_abs_sums[index].tolist() == [
+        float(sum(abs(v) for v in row)) for row in expected]
 
 
 @pytest.mark.parametrize("label", sorted(RATIONAL_FAMILIES))
 def test_integer_base_inverses_equal_fraction_gauss_jordan(label):
     view = MatroidView(RATIONAL_FAMILIES[label])
-    for base_mask in view.bases():
-        _assert_inverse_matches_oracle(view, base_mask)
+    for index in range(len(list(view.bases()))):
+        _assert_inverse_matches_oracle(view, index)
 
 
 @pytest.mark.parametrize("label", sorted(CYCLOTOMIC_FAMILIES))
 def test_cyclotomic_base_inverses_equal_gauss_jordan(label):
     view = MatroidView(CYCLOTOMIC_FAMILIES[label])
-    for base_mask in view.bases():
+    table = view.base_table
+    for base_mask, inv, sums in zip(view.bases(), table.inv,
+                                    table.row_abs_sums):
         rows = [view.arrangement.normals[e] for e in mask_elements(base_mask)]
         expected = fraction_inverse(rows)
         assert exact_inverse(rows) == expected
-        inv = view.base_inverse(base_mask)
-        assert inv.rows.tolist() == [[v.to_complex() for v in row]
-                                     for row in expected]
-        assert inv.row_abs_sums == tuple(sum(abs(v.to_complex()) for v in row)
-                                         for row in expected)
+        assert inv.tolist() == [[v.to_complex() for v in row]
+                                for row in expected]
+        assert sums.tolist() == [sum(abs(v.to_complex()) for v in row)
+                                 for row in expected]
 
 
 def test_integer_inverse_undoes_row_scaling():
     # rows with denominators: the integerized rows are scaled by 2 and 1
     view = MatroidView(README_CUSTOM)
     assert list(view.bases()) == [0b11]
-    _assert_inverse_matches_oracle(view, 0b11)
-    inv = view.base_inverse(0b11)
-    assert inv.rows.tolist() == [[1.0, 0.5], [0.0, 1.0]]
-    assert inv.row_abs_sums == (1.5, 1.0)
-    assert inv.abs_det == 1.0       # the integerized rows have det 2
+    _assert_inverse_matches_oracle(view, 0)
+    table = view.base_table
+    assert table.inv[0].tolist() == [[1.0, 0.5], [0.0, 1.0]]
+    assert table.row_abs_sums[0].tolist() == [1.5, 1.0]
+    assert table.abs_det[0] == 1.0       # the integerized rows have det 2
 
 
 _entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)

@@ -21,17 +21,23 @@ and keeps it:
 * the base table (`base_table`): each base's elements, inverse and |det|
   as floats, from one batched fraction-free elimination over all bases;
   the Monte Carlo kernels and the bounding box read it, exact queries never;
-* the base set, which fundamental circuits and order-safety checks read
-  both to validate their base argument and to test exchanges.
+* the circuit table (`circuit_table`): entry [B, e] is the fundamental
+  circuit of base B + e, matched exactly against the sorted base masks
+  with no rank call and no 2^|E| table; fundamental circuits, order-safety
+  checks and order-safe base counts read it, the latter through one
+  vector per order of each base's externals that are minimal in their
+  circuits.
 
-The tables hold 2^|E| entries, so they are refused above MAX_TABLE_SIZE
-hyperplanes.  The order-safe base count, computed per mask, stays as an
-independent second formula for chi(0); the tests keep subset expansion over
-rank calls as the tables' oracle.
+The subset tables hold 2^|E| entries, so they are refused above
+MAX_TABLE_SIZE hyperplanes; the circuit table works up to the 63-bit mask
+limit.  The order-safe base count stays as an independent second formula
+for chi(0); the tests keep subset expansion over rank calls as the tables'
+oracle and a per-base exchange loop over rank calls as the circuits'.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import threading
@@ -143,13 +149,15 @@ class MatroidView:
         self.size = arrangement.size
         self.full_rank = arrangement.ambient_dim
         self._rank_cache: dict[int, int] = {0: 0}
-        self._safe_cache: dict[tuple, int] = {}
         self._bases: tuple | None = None
-        self._base_set: frozenset | None = None
         self._nb_table: np.ndarray | None = None
         self._spanning_table: np.ndarray | None = None
         self._chi_table: np.ndarray | None = None
         self._base_table: BaseTable | None = None
+        self._base_masks: np.ndarray | None = None      # with the circuits
+        self._circuit_table: np.ndarray | None = None
+        # per order: the externals of each base minimal in their circuits
+        self._minimal_externals: dict[tuple, np.ndarray] = {}
         self._lock = threading.RLock()
         # the fraction-free loops' rows, and the integerizing row scales
         # (None for cyclotomic arrangements)
@@ -205,7 +213,6 @@ class MatroidView:
 
             extend(0, 0, 0)
             found.sort()
-            self._base_set = frozenset(found)
             self._bases = tuple(found)
         return iter(self._bases)
 
@@ -232,11 +239,17 @@ class MatroidView:
                 self._base_table = self._compile_base_table()
             return self._base_table
 
-    def _compile_base_table(self) -> BaseTable:
+    def _base_elements(self):
+        """The base masks as int64, and each base's elements and other
+        elements, ascending: one np.nonzero over the mask bits."""
         masks = np.fromiter(self.bases(), dtype=np.int64)
         bits = masks[:, None] >> np.arange(self.size) & 1
         elems = np.nonzero(bits)[1].reshape(masks.size, self.full_rank)
         out = np.nonzero(bits == 0)[1].reshape(masks.size, -1)
+        return masks, elems, out
+
+    def _compile_base_table(self) -> BaseTable:
+        masks, elems, out = self._base_elements()
         mats = np.array(self._rows, dtype=object)[elems]
         if self._scales is not None:
             scales = np.array(self._scales, dtype=object)[elems]
@@ -306,41 +319,88 @@ class MatroidView:
 
     # -- circuits and activity --------------------------------------------------
 
-    def _check_base(self, base_mask: int) -> None:
-        """Raise MatroidError unless the mask is in the compiled base set."""
-        if self._base_set is None:
-            self.bases()
-        if base_mask not in self._base_set:
+    @property
+    def circuit_table(self) -> np.ndarray:
+        """Read-only (bases, size) int64 array in base-list order: entry
+        [B, e] is the fundamental circuit of B + e for e outside B, and 0
+        for e in B.  Compiled once per view."""
+        with self._lock:
+            if self._circuit_table is None:
+                self._base_masks, self._circuit_table = self._compile_circuits()
+            return self._circuit_table
+
+    def _compile_circuits(self):
+        """The circuit of B + e is e plus every b in B whose exchange
+        B - b + e is a base: one np.searchsorted of the exchanges against
+        the sorted base masks per ground element, matched exactly."""
+        if self.size > 63:
+            raise MatroidError(
+                f"{self.size} hyperplanes: circuit masks are int64, and at "
+                f"most 63 hyperplanes are supported")
+        masks, elems, _ = self._base_elements()
+        elem_bits = np.int64(1) << elems
+        dropped = masks[:, None] & ~elem_bits            # B - b, per b in B
+        circuits = np.zeros((masks.size, self.size), dtype=np.int64)
+        for e in range(self.size):
+            bit = np.int64(1) << e
+            rows = (masks & bit) == 0
+            swapped = dropped[rows] | bit
+            found = np.searchsorted(masks, swapped)
+            found = masks[np.minimum(found, masks.size - 1)] == swapped
+            circuits[rows, e] = bit | (found * elem_bits[rows]).sum(axis=1)
+        for table in (masks, circuits):
+            table.flags.writeable = False
+        return masks, circuits
+
+    def _base_row(self, base_mask: int) -> int:
+        """The base's row in the base list; MatroidError unless it is a
+        base."""
+        self.bases()
+        bases = self._bases
+        row = bisect.bisect_left(bases, base_mask)
+        if row == len(bases) or bases[row] != base_mask:
             raise MatroidError(f"mask {base_mask!r} is not a base")
+        return row
 
     def fundamental_circuit(self, base_mask: int, e: int) -> int:
         """The unique circuit of base + e; contains e, and dropping any of its
         elements restores independence."""
-        self._check_base(base_mask)
-        bit = 1 << e
-        if base_mask & bit:
-            raise MatroidError("element already in the base")
-        if e >= self.size:
+        row = self._base_row(base_mask)
+        if not 0 <= e < self.size:
             raise MatroidError("element outside the ground set")
-        # an exchange has rank-many elements: it spans iff it is a base
-        circuit = bit
-        for b in mask_elements(base_mask):
-            swapped = (base_mask & ~(1 << b)) | bit
-            if swapped in self._base_set:
-                circuit |= 1 << b
-        return circuit
+        if base_mask >> e & 1:
+            raise MatroidError("element already in the base")
+        return int(self.circuit_table[row, e])
+
+    def _minimal_externals_of(self, order: LinearOrder) -> np.ndarray:
+        """(bases,) int64 read-only: per base, the mask of the externals e
+        that are minimal under `order` in their circuits (no circuit element
+        comes before e).  Cached per order; a cached order was checked."""
+        bad = self._minimal_externals.get(order.elements)
+        if bad is not None:
+            return bad
+        self._check_order(order)
+        circuits = self.circuit_table
+        # earlier[e]: the mask of the elements before e in the order
+        ranked = np.int64(1) << np.array(order.elements, dtype=np.int64)
+        earlier = np.empty(self.size, dtype=np.int64)
+        earlier[list(order.elements)] = np.cumsum(ranked) - ranked
+        minimal = (circuits != 0) & ((circuits & earlier) == 0)
+        bad = minimal @ (np.int64(1) << np.arange(self.size, dtype=np.int64))
+        bad.flags.writeable = False
+        with self._lock:
+            return self._minimal_externals.setdefault(order.elements, bad)
 
     def is_safe(self, base_mask: int, order: LinearOrder, within: int | None = None) -> bool:
         """True iff no external element is minimal (under `order`) in its
-        fundamental circuit; externals are taken inside `within` when given."""
+        fundamental circuit; externals are taken inside `within` when given,
+        which must then hold the base."""
         scope = self.ground_mask if within is None else within
-        self._check_base(base_mask)
-        outside = scope & ~base_mask
-        for e in mask_elements(outside):
-            circ = self.fundamental_circuit(base_mask, e)
-            if order.min_of(circ) == e:
-                return False
-        return True
+        self._check_mask(scope)
+        row = self._base_row(base_mask)
+        if base_mask & ~scope:
+            raise MatroidError(f"base {base_mask!r} is not inside {scope!r}")
+        return not int(self._minimal_externals_of(order)[row]) & scope
 
     # -- characteristic polynomial at 0 ------------------------------------------
 
@@ -361,29 +421,46 @@ class MatroidView:
 
     def safe_base_count(self, mask: int | None = None,
                         order: LinearOrder | None = None) -> int:
-        """Number of order-safe bases of the sub-arrangement; equals
+        """Number of order-safe bases of the sub-arrangement on a spanning
+        subset (the whole ground set by default); equals
         (-1)^rank * chi_at_zero for every linear order.  The order must be
         a permutation of the ground set (MatroidError otherwise)."""
         if mask is None:
             mask = self.ground_mask
         if order is None:
             order = LinearOrder.default(self.size)
-        key = (mask, order.elements)
-        cached = self._safe_cache.get(key)
-        if cached is not None:
-            return cached
-        self._check_order(order)
-        count = sum(1 for b in self.bases_of(mask)
-                    if self.is_safe(b, order, within=mask))
-        with self._lock:
-            self._safe_cache[key] = count
-        return count
+        self._check_mask(mask)
+        safe, inside = self.safe_base_counts(np.array([mask]), order)
+        if not inside[0]:
+            raise MatroidError("subset is not spanning")
+        return int(safe[0])
 
     def safe_count_if_spanning(self, mask: int, order: LinearOrder) -> int:
-        if self.is_spanning(mask):
-            return self.safe_base_count(mask, order)
-        self._check_order(order)
-        return 0
+        """safe_base_count when the subset spans, else 0."""
+        self._check_mask(mask)
+        return int(self.safe_base_counts(np.array([mask]), order)[0][0])
+
+    def safe_base_counts(self, masks: np.ndarray, order: LinearOrder):
+        """For a 1-D int64 array of subsets: the number of order-safe bases
+        inside each (0 where it does not span) and the number of bases
+        inside each, as two int64 arrays.  A base B inside S is safe in S
+        iff none of its externals inside S is minimal in its circuit, which
+        lies in B + e, inside S."""
+        bad = self._minimal_externals_of(order)
+        bases = self._base_masks
+        uniq, inverse = np.unique(masks, return_inverse=True)
+        if uniq.size and (uniq[0] < 0 or uniq[-1] >> self.size):
+            raise MatroidError("subset outside the ground set")
+        safe = np.empty(uniq.size, dtype=np.int64)
+        inside = np.empty(uniq.size, dtype=np.int64)
+        # bound each pass's (masks, bases) temporaries to ~2^18 entries
+        step = max(1, (1 << 18) // max(1, bad.size))
+        for start in range(0, uniq.size, step):
+            chunk = uniq[start:start + step, None]
+            holds = (bases & ~chunk) == 0
+            inside[start:start + step] = holds.sum(axis=1)
+            safe[start:start + step] = (holds & ((bad & chunk) == 0)).sum(axis=1)
+        return safe[inverse], inside[inverse]
 
     def _check_order(self, order: LinearOrder) -> None:
         """Raise MatroidError unless the order lists exactly the ground set

@@ -26,7 +26,6 @@ sides of the projection laws are calls of the mayer tube kernel.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -157,9 +156,8 @@ def sample_for_base(arr, base_mask: int, dim: int,
     view = view_of(arr)
     arr = view.arrangement
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
-    view._check_base(base_mask)
+    row = view._base_row(base_mask)
     table = view.base_table
-    row = int(np.searchsorted(table.masks, base_mask))
     draw, outside = _ball_sides(arr, dim, radii)
     accepted, x = _accept_block(table, np.full(1, row), rng, draw, outside,
                                 True)
@@ -313,19 +311,9 @@ def safe_projection_expectation(arr, d: int, g, order: LinearOrder,
         g = G_FUNCTIONS[g]
     g = _checked(g)
 
-    @functools.lru_cache(maxsize=None)
-    def base_count(mask):
-        # every mask holds the drawn base, so bases_of never raises
-        return len(view.bases_of(mask))
-
-    def safe_counts(masks):
-        uniq, inverse = np.unique(masks, return_inverse=True)
-        counts = np.array(
-            [view.safe_count_if_spanning(int(m), order) for m in uniq], dtype=float)
-        nbs = np.array([base_count(int(m)) for m in uniq])
-        return counts[inverse], nbs[inverse]
-
-    est = _region_estimate(view, d, safe_counts, n_samples, seed, workers, g=g)
+    est = _region_estimate(view, d,
+                           lambda masks: view.safe_base_counts(masks, order),
+                           n_samples, seed, workers, g=g)
     return est.scaled((2.0 * math.pi) ** arr.ambient_dim)
 
 

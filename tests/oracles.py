@@ -5,8 +5,10 @@ volumes of slab constraints |a . x| <= R are convex polygon areas, computed
 here with Fraction arithmetic and no reference to the library's estimators.
 
 Also the slow paths the exact layer is checked against: chi(0) by subset
-expansion over rank calls, and rank and inverse by plain Gaussian and
-Gauss-Jordan elimination with exact division over Q or Q(zeta_k).
+expansion over rank calls, fundamental circuits and order-safe base counts
+by a per-base exchange loop over rank calls, and rank and inverse by plain
+Gaussian and Gauss-Jordan elimination with exact division over Q or
+Q(zeta_k).
 
 And the slow path the region estimators are checked against:
 `box_estimate`, which draws configurations uniformly in the bounding box of
@@ -147,6 +149,32 @@ def chi_by_expansion(view, mask):
         if sub == 0:
             return total
         sub = (sub - 1) & mask
+
+
+def circuit_by_rank(view, base, e):
+    """The fundamental circuit of base + e from rank calls: e plus every b
+    in the base whose exchange base - b + e has full rank."""
+    circuit = 1 << e
+    for b in mask_elements(base):
+        if view.rank_of((base & ~(1 << b)) | (1 << e)) == view.full_rank:
+            circuit |= 1 << b
+    return circuit
+
+
+def safe_count_by_exchange(view, mask, order):
+    """Order-safe bases inside `mask`, one base and one external element at
+    a time: the bases are the rank-many subsets of full rank, and a base is
+    safe unless some external e inside the mask is the order's minimum of
+    its circuit."""
+    n = view.full_rank
+    count = 0
+    for elems in combinations(mask_elements(mask), n):
+        base = sum(1 << e for e in elems)
+        if view.rank_of(base) != n:
+            continue
+        count += all(order.min_of(circuit_by_rank(view, base, e)) != e
+                     for e in mask_elements(mask & ~base))
+    return count
 
 
 def _field_entry(v):

@@ -1,8 +1,10 @@
 """The compiled matroid data (chi and spanning tables, base list, base
-inverses over Q and Q(zeta_k)) against independent slow paths, and the
-guards around it."""
+inverses over Q and Q(zeta_k), fundamental circuits and order-safe base
+counts) against independent slow paths, and the guards around it."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import chi_by_expansion, fraction_inverse
+from oracles import (chi_by_expansion, circuit_by_rank, fraction_inverse,
+                     safe_count_by_exchange)
 from polygas.arrangement import (ArrangementError, braid, coxeter_b, coxeter_d,
                                  custom, dowling, threshold, widom_rowlinson)
 from polygas.dimred import check_dr
@@ -57,7 +60,9 @@ def test_tables_match_rank_and_subset_expansion(label):
         assert view.chi_if_spanning(mask) == chi
         if spanning:
             assert view.chi_at_zero(mask) == chi
-            assert oracle.safe_base_count(mask, order) == (-1) ** n * chi
+            safe = safe_count_by_exchange(oracle, mask, order)
+            assert safe == (-1) ** n * chi
+            assert view.safe_base_count(mask, order) == safe
         else:
             assert chi == 0
             with pytest.raises(MatroidError):
@@ -111,6 +116,107 @@ def test_mask_range_checked():
                       view.rank_of):
             with pytest.raises(MatroidError):
                 query(bad)
+        with pytest.raises(MatroidError):
+            view.safe_count_if_spanning(bad, LinearOrder.default(3))
+        with pytest.raises(MatroidError, match="outside the ground set"):
+            view.safe_base_counts(np.array([0b11, bad]), LinearOrder.default(3))
+
+
+@pytest.mark.parametrize("label", sorted(SMALL_FAMILIES))
+def test_circuit_table_matches_rank_circuits(label):
+    view = MatroidView(SMALL_FAMILIES[label])
+    oracle = MatroidView(SMALL_FAMILIES[label])
+    circuits = view.circuit_table
+    bases = list(view.bases())
+    assert circuits.dtype == np.int64 and not circuits.flags.writeable
+    assert circuits.shape == (len(bases), view.size)
+    for base, row in zip(bases, circuits.tolist()):
+        for e in range(view.size):
+            expected = 0 if base >> e & 1 else circuit_by_rank(oracle, base, e)
+            assert row[e] == expected
+            if expected:
+                assert view.fundamental_circuit(base, e) == expected
+
+
+def _spanning_masks(view):
+    return [mask for mask in range(1 << view.size)
+            if view.rank_of(mask) == view.full_rank]
+
+
+@pytest.mark.parametrize("label", sorted(SMALL_FAMILIES))
+def test_safe_counts_match_exchange_oracle_under_default_order(label):
+    view = MatroidView(SMALL_FAMILIES[label])
+    oracle = MatroidView(SMALL_FAMILIES[label])
+    order = LinearOrder.default(view.size)
+    masks = _spanning_masks(oracle)
+    safe, inside = view.safe_base_counts(np.array(masks), order)
+    for mask, count, nb in zip(masks, safe.tolist(), inside.tolist()):
+        expected = safe_count_by_exchange(oracle, mask, order)
+        assert view.safe_base_count(mask, order) == count == expected
+        assert nb == len(view.bases_of(mask))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SMALL_FAMILIES)), st.randoms(use_true_random=False))
+def test_safe_counts_match_exchange_oracle_under_shuffled_orders(label, rng):
+    view = MatroidView(SMALL_FAMILIES[label])
+    order = LinearOrder.shuffled(view.size, rng)
+    masks = np.arange(1 << view.size)
+    safe, inside = view.safe_base_counts(masks, order)
+    for mask in masks.tolist():
+        if view.rank_of(mask) == view.full_rank:
+            expected = safe_count_by_exchange(view, mask, order)
+            assert view.safe_base_count(mask, order) == expected
+        else:
+            expected = 0
+            with pytest.raises(MatroidError, match="not spanning"):
+                view.safe_base_count(mask, order)
+        assert safe[mask] == view.safe_count_if_spanning(mask, order) == expected
+        assert (inside[mask] > 0) == (view.rank_of(mask) == view.full_rank)
+
+
+def test_safe_counts_above_the_table_cap():
+    # 30 lines through the origin of R^2, any two independent: the uniform
+    # matroid U(2, 30), whose chi(t) = t^2 - 30 t + 29
+    view = MatroidView(custom([[1, k] for k in range(30)]))
+    assert view.size == 30 > MAX_TABLE_SIZE
+    rng = random.Random(30)
+    orders = [LinearOrder.default(30), LinearOrder(reversed(range(30)))]
+    orders += [LinearOrder.shuffled(30, rng) for _ in range(3)]
+    for order in orders:
+        assert view.safe_base_count(order=order) == 29
+    assert len(view.circuit_table) == 435
+    assert view.fundamental_circuit(0b11, 2) == 0b111
+    assert view._nb_table is None and view._chi_table is None
+    with pytest.raises(MatroidError, match="at most 24 hyperplanes"):
+        view.chi_at_zero()
+
+
+def test_concurrent_readers_share_one_circuit_compile(monkeypatch):
+    compiles = []
+    original = MatroidView._compile_circuits
+
+    def counting(self):
+        compiles.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MatroidView, "_compile_circuits", counting)
+    view = MatroidView(braid(5))
+    view.bases()
+    counts = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: counts.append(
+            view.safe_base_count())) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(compiles) == 1 and counts == [24] * 6
 
 
 def _assert_inverse_matches_oracle(view, index):

@@ -115,6 +115,29 @@ def test_is_safe_examples():
     assert v2.is_safe(0b11, LinearOrder([0, 1])) is True
 
 
+def test_is_safe_refuses_a_short_order():
+    v = MatroidView(braid(4))
+    with pytest.raises(MatroidError, match="permutation"):
+        v.is_safe(0b111, LinearOrder(range(3)))
+
+
+def test_is_safe_refuses_a_base_outside_its_scope():
+    v = MatroidView(braid(4))
+    order = LinearOrder.default(v.size)
+    assert v.is_safe(0b111, order, within=0b111)
+    with pytest.raises(MatroidError, match="not inside"):
+        v.is_safe(0b111, order, within=0b110000)
+    with pytest.raises(MatroidError, match="ground set"):
+        v.is_safe(0b111, order, within=1 << 6 | 0b111)
+
+
+def test_fundamental_circuit_refuses_elements_outside_the_ground_set():
+    v = MatroidView(braid(3))
+    for e in (3, -1):
+        with pytest.raises(MatroidError, match="outside the ground set"):
+            v.fundamental_circuit(0b011, e)
+
+
 def test_safe_base_count_refuses_short_order():
     v = MatroidView(braid(4))
     with pytest.raises(MatroidError, match="permutation"):

@@ -138,17 +138,13 @@ def test_circuit_table_matches_rank_circuits(label):
                 assert view.fundamental_circuit(base, e) == expected
 
 
-def _spanning_masks(view):
-    return [mask for mask in range(1 << view.size)
-            if view.rank_of(mask) == view.full_rank]
-
-
 @pytest.mark.parametrize("label", sorted(SMALL_FAMILIES))
 def test_safe_counts_match_exchange_oracle_under_default_order(label):
     view = MatroidView(SMALL_FAMILIES[label])
     oracle = MatroidView(SMALL_FAMILIES[label])
     order = LinearOrder.default(view.size)
-    masks = _spanning_masks(oracle)
+    masks = [mask for mask in range(1 << view.size)
+             if oracle.rank_of(mask) == view.full_rank]
     safe, inside = view.safe_base_counts(np.array(masks), order)
     for mask, count, nb in zip(masks, safe.tolist(), inside.tolist()):
         expected = safe_count_by_exchange(oracle, mask, order)
@@ -164,7 +160,8 @@ def test_safe_counts_match_exchange_oracle_under_shuffled_orders(label, rng):
     masks = np.arange(1 << view.size)
     safe, inside = view.safe_base_counts(masks, order)
     for mask in masks.tolist():
-        if view.rank_of(mask) == view.full_rank:
+        spans = view.rank_of(mask) == view.full_rank
+        if spans:
             expected = safe_count_by_exchange(view, mask, order)
             assert view.safe_base_count(mask, order) == expected
         else:
@@ -172,7 +169,7 @@ def test_safe_counts_match_exchange_oracle_under_shuffled_orders(label, rng):
             with pytest.raises(MatroidError, match="not spanning"):
                 view.safe_base_count(mask, order)
         assert safe[mask] == view.safe_count_if_spanning(mask, order) == expected
-        assert (inside[mask] > 0) == (view.rank_of(mask) == view.full_rank)
+        assert (inside[mask] > 0) == spans
 
 
 def test_safe_counts_above_the_table_cap():
@@ -190,6 +187,12 @@ def test_safe_counts_above_the_table_cap():
     assert view._nb_table is None and view._chi_table is None
     with pytest.raises(MatroidError, match="at most 24 hyperplanes"):
         view.chi_at_zero()
+    # circuit masks are int64: refused above 63 hyperplanes, before any
+    # base enumeration
+    wide = MatroidView(custom([[1, k] for k in range(64)]))
+    with pytest.raises(MatroidError, match="at most 63 hyperplanes"):
+        wide.safe_base_count()
+    assert wide._bases is None
 
 
 def test_concurrent_readers_share_one_circuit_compile(monkeypatch):

@@ -111,3 +111,32 @@ def test_dump_samples_csv_braid3(tmp_path):
     dump_samples_csv(path, braid(3), 2, 20, 0)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "409af64b85f7a690ecbbc1951e9bd93fd49ebdfd98dc6afd9df9698e346cb3fa")
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of Arrangement.coeff and of the BaseTable fields' bytes (in field
+# order) of cyclotomic arrangements: every float rounded from an exact
+# Q(zeta_k) value, pinned bit for bit
+CYCLOTOMIC_DIGESTS = {
+    (2, 3): ("79d622ca0f62130f8408b966c17e027cdcfe390dbf0480641ed69e2ad0366676",
+             "2052e691d2db1747183d9fda33ade49911841b75747a676cdda85270d0a187d0"),
+    (3, 3): ("25e58ff94ac177b38dba978896ed4cf0b9157dff5d286a4931b7bb1ffa654d9e",
+             "fcf8cb1dc5a3c38db59d23d537bf7e501b277248ffa33aba2d044da9059e9101"),
+    (2, 4): ("21a7a9fcdc2af5f2811977c24969153a1db908791f6a2b8fc6eb49f27bc4cf4b",
+             "20083c85f6884812e45b3babd7a0b3cdc054622b878805e101376bf75ee6b56d"),
+    (2, 5): ("c5cebd056c8bd384e2378a56700781b409a6fa7743fd5d2d1ef3758d9c6c360a",
+             "12003419f097c0ccbb2746f014c14d09f8d7fb1e256333ddcb8f0cb4fb758721"),
+}
+
+
+def test_cyclotomic_coeff_and_base_table_bytes():
+    for (n, k), (coeff, table) in CYCLOTOMIC_DIGESTS.items():
+        arr = dowling(n, k)
+        assert _digest([arr.coeff]) == coeff
+        assert _digest(vars(MatroidView(arr).base_table).values()) == table

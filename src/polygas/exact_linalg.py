@@ -1,19 +1,23 @@
 """Exact scalars over Q and over cyclotomic fields Q(zeta_k), with exact
 rank and inverse.
 
-All matroid-level questions (independence, rank, inverses) are answered
-exactly: rationals use `fractions.Fraction` or integers, cyclotomic numbers
-are vectors of rationals in the power basis of Q[x]/Phi_k(x).
+Rationals are ints or `fractions.Fraction`.  A Cyclotomic is stored like a
+Fraction: integer coefficients in the power basis of Z[x]/Phi_k(x) over one
+positive denominator.  Phi_k is monic, so products reduce modulo Phi_k with
+per-k integer tables of x^j mod Phi_k, and the inverse of p is p* / N(p):
+p* is the product of p's Galois conjugates other than p (per-k integer
+matrices of sigma_j: zeta -> zeta^j) and N(p) = p p* its norm, an integer
+for integral p (Cohen, GTM 138, section 4.3).
 
 Ranks and inverses come from two fraction-free eliminations (Bareiss,
-Math. Comp. 22, 1968), one for rank and one Gauss-Jordan for inverses.
-They run on ring rows (`_ring_rows`): rational rows scaled to integers, or
-rows lifted to Cyclotomic.  Each step divides by the previous pivot, with
-floor division on integers and by one multiplication with the pivot's
-inverse on Cyclotomic entries; both quotients are exact.  The inverse
-elimination runs on a batch of matrices at once, as numpy arrays: int64
-where a Hadamard bound proves that exact, Python ints or Cyclotomic values
-in object arrays otherwise; a single inverse is a batch of one.
+Math. Comp. 22, 1968), one for rank and one Gauss-Jordan for inverses, on
+ring rows (`_ring_rows`): each row times the least positive integer that
+makes it integral, over Z or Z[zeta_k].  Each step divides exactly by the
+previous pivot p: integers by floor division, elements of Z[zeta_k] by a
+multiplication with p* and a floor division of the coefficients by N(p).
+The inverse elimination runs on a batch of matrices at once, as numpy
+arrays: int64 where a Hadamard bound proves that exact, Python ints or
+Cyclotomic values in object arrays otherwise.
 """
 
 from __future__ import annotations
@@ -35,111 +39,136 @@ class SingularSystemError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# polynomial helpers over Q (dense coefficient lists, low degree first)
+# cyclotomic scalars on integers
 # --------------------------------------------------------------------------
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(num, den):
-    """Exact division of rational polynomials; den must be nonzero."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    _poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    _poly_trim(rem)
-    dlead = den[-1]
-    while len(rem) >= len(den):
-        shift = len(rem) - len(den)
-        factor = rem[-1] / dlead
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            rem[i + shift] -= factor * c
-        _poly_trim(rem)
-    return _poly_trim(quot), rem
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple:
-    """Coefficients of Phi_k (low degree first), via Phi_k = (x^k - 1) / prod_{d|k, d<k} Phi_d."""
+    """Integer coefficients of Phi_k (low degree first): x^k - 1 divided
+    by the monic Phi_d of every proper divisor d of k."""
     if k < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    num = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
+    num = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+            den = cyclotomic_polynomial(d)
+            quot = [0] * (len(num) - len(den) + 1)
+            for shift in reversed(range(len(quot))):
+                c = quot[shift] = num[shift + len(den) - 1]
+                for i, a in enumerate(den):
+                    num[shift + i] -= c * a
+            assert not any(num)
+            num = quot
     return tuple(num)
 
 
-def _poly_ext_gcd(a, b):
-    """Extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = [Fraction(c) for c in a], [Fraction(c) for c in b]
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    _poly_trim(r0), _poly_trim(r1)
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1) if q else [])
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1) if q else [])
-    return r0, s0, t0
+@lru_cache(maxsize=None)
+def _tables(k: int):
+    """phi(k); x^j mod Phi_k for 0 <= j < k (x^k = 1 modulo Phi_k, so every
+    exponent folds modulo k); the reductions of x^phi, ..., x^(2 phi - 2),
+    the high terms of a product; and for each j coprime to k other than 1
+    the integer matrix of sigma_j, row i the image zeta^(i j) of zeta^i."""
+    poly = cyclotomic_polynomial(k)
+    phi = len(poly) - 1
+    powers, power = [], [1] + [0] * (phi - 1)
+    for _ in range(k):
+        powers.append(tuple(power))
+        top, power = power[-1], [0] + power[:-1]
+        power = [c - top * a for c, a in zip(power, poly)]
+    high = tuple(powers[j % k] for j in range(phi, 2 * phi - 1))
+    galois = tuple(tuple(powers[i * j % k] for i in range(phi))
+                   for j in range(2, k) if math.gcd(j, k) == 1)
+    return phi, tuple(powers), high, galois
 
 
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
+def _combine(vectors, coeffs, out):
+    """out + sum of c * v over (v, c), integer vectors."""
+    for v, c in zip(vectors, coeffs):
+        if c:
+            out = [o + c * a for o, a in zip(out, v)]
+    return out
 
 
-# --------------------------------------------------------------------------
-# cyclotomic scalars
-# --------------------------------------------------------------------------
+def _mul(k, a, b):
+    """Product of two integer coefficient vectors of Z[x]/Phi_k."""
+    phi, _, high, _ = _tables(k)
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    return _combine(high, conv[phi:], conv[:phi])
+
+
+def _conjugate_product(p):
+    """(p*, N(p)) of the integral Cyclotomic p (its numerator, in general):
+    p* the product of p's images under the Galois maps sigma_j other than
+    the identity, an integral Cyclotomic, and the integer N(p) = p p*."""
+    phi, _, _, galois = _tables(p.k)
+    star = [1] + [0] * (phi - 1)
+    for images in galois:
+        star = _mul(p.k, star, _combine(images, p.num, [0] * phi))
+    norm = _mul(p.k, p.num, star)
+    assert not any(norm[1:])
+    return _make(p.k, star), norm[0]
+
+
+def _make(k, num, den=1):
+    """The Cyclotomic num / den in lowest terms with den > 0, for integer
+    coefficients num (phi(k) of them) and a nonzero integer den."""
+    if den != 1:
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+    x = object.__new__(Cyclotomic)
+    x.k, x.num, x.den = k, tuple(num), den
+    return x
+
 
 class Cyclotomic:
-    """An element of Q(zeta_k), stored as rational coefficients in the power
-    basis 1, x, ..., x^(phi(k)-1) of Q[x]/Phi_k(x).
+    """An element of Q(zeta_k): integer coefficients `num` in the power
+    basis 1, x, ..., x^(phi(k)-1) of Z[x]/Phi_k(x) over a positive `den`,
+    in lowest terms, so equal elements have equal (num, den).  The
+    constructor takes int or Fraction coefficients, any number of them."""
 
-    Arithmetic is exact: (a + b) - b == a holds bit-exactly.
-    """
-
-    __slots__ = ("k", "coeffs")
+    __slots__ = ("k", "num", "den")
 
     def __init__(self, k: int, coeffs):
-        phi = len(cyclotomic_polynomial(k)) - 1
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > phi:
-            _, cs = _poly_divmod(cs, list(cyclotomic_polynomial(k)))
-        cs += [Fraction(0)] * (phi - len(cs))
-        self.k = k
-        self.coeffs = tuple(cs)
+        phi, powers, _, _ = _tables(k)
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"Cyclotomic coefficients must be int or "
+                                f"Fraction, got {c!r} ({type(c).__name__})")
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = _combine((powers[j % k] for j in range(len(coeffs))),
+                       [c.numerator * (den // c.denominator) for c in coeffs],
+                       [0] * phi)
+        x = _make(k, num, den)
+        self.k, self.num, self.den = k, x.num, x.den
 
     @classmethod
     def zeta(cls, k: int, power: int = 1) -> "Cyclotomic":
-        power %= k
-        return cls(k, [Fraction(0)] * power + [Fraction(1)])
+        return _make(k, _tables(k)[1][power % k])
 
     @classmethod
     def from_rational(cls, k: int, value) -> "Cyclotomic":
-        return cls(k, [Fraction(value)])
+        return cls(k, [value])
+
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coefficients in the power basis."""
+        return tuple(Fraction(n, self.den) for n in self.num)
+
+    @property
+    def numerator(self) -> "Cyclotomic":
+        """self * denominator, an element of Z[zeta_k]."""
+        return _make(self.k, self.num)
+
+    @property
+    def denominator(self) -> int:
+        return self.den
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
@@ -148,48 +177,56 @@ class Cyclotomic:
                     f"cyclotomic orders differ: {self.k} vs {other.k}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.k, other)
+            return _make(self.k, [other.numerator] + [0] * (len(self.num) - 1),
+                         other.denominator)
         return None
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.k, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return _make(self.k, [a * o.den + sign * b * self.den
+                              for a, b in zip(self.num, o.num)],
+                     self.den * o.den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Cyclotomic(self.k, [-a for a in self.coeffs])
-
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.k, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def __neg__(self):
+        return _make(self.k, [-a for a in self.num], self.den)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):      # no reduction mod Phi_k
-            return Cyclotomic(self.k, [c * other for c in self.coeffs])
+            return _make(self.k, [a * other.numerator for a in self.num],
+                         self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = _poly_mul(list(self.coeffs), list(o.coeffs)) or [Fraction(0)]
-        return Cyclotomic(self.k, prod)
+        return _make(self.k, _mul(self.k, self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, other):
+        """For integral self and an integer: floor division of each
+        coefficient, the eliminations' exact division by N(p)."""
+        if not isinstance(other, int) or self.den != 1:
+            return NotImplemented
+        return _make(self.k, [a // other for a in self.num])
+
     def inverse(self) -> "Cyclotomic":
+        """den p* / N(p), for p = self * den in Z[zeta_k]."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        g, s, _ = _poly_ext_gcd(list(self.coeffs), list(cyclotomic_polynomial(self.k)))
-        # Phi_k is irreducible over Q, so gcd is a nonzero constant
-        assert len(g) == 1 and g[0] != 0
-        inv = [c / g[0] for c in s]
-        return Cyclotomic(self.k, inv)
+        star, norm = _conjugate_product(self)
+        return _make(self.k, [c * self.den for c in star.num], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -201,31 +238,27 @@ class Cyclotomic:
         return self.inverse() * other
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        return NotImplemented if o is None else (self.num, self.den) == (o.num, o.den)
 
     def __hash__(self):
-        return hash((self.k, self.coeffs))
+        # an element with a rational value hashes like that rational
+        return hash((self.k, self.num, self.den) if any(self.num[1:])
+                    else Fraction(self.num[0], self.den))
 
     def to_complex(self) -> complex:
         z = complex(math.cos(2 * math.pi / self.k), math.sin(2 * math.pi / self.k))
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        for n in reversed(self.num):
+            acc = acc * z + complex(n / self.den)    # rounds like float(Fraction)
         return acc
 
     def __repr__(self):
         return f"Cyclotomic(k={self.k}, {list(map(str, self.coeffs))})"
 
-
-# --------------------------------------------------------------------------
-# field detection
-# --------------------------------------------------------------------------
 
 def field_of(values):
     """Return ("rational", None) or ("cyclotomic", k) for a flat iterable of
@@ -239,9 +272,7 @@ def field_of(values):
                 raise FieldMismatchError(f"cyclotomic orders differ: {k} vs {v.k}")
         elif not isinstance(v, (int, Fraction)):
             raise FieldMismatchError(f"unsupported scalar type {type(v).__name__}")
-    if k is None:
-        return ("rational", None)
-    return ("cyclotomic", k)
+    return ("rational", None) if k is None else ("cyclotomic", k)
 
 
 # --------------------------------------------------------------------------
@@ -251,28 +282,30 @@ def field_of(values):
 def _ring_rows(rows):
     """The rows the fraction-free loops run on, and each row's scale.
 
-    Rational rows are multiplied by the lcm of their denominators, the least
-    positive integer that makes them integral, and these scales are returned
-    as a list; a row scaling keeps the rank, and `integer_inverse` undoes it
-    on the inverse.  Rows over Q(zeta_k) are lifted entry by entry to
-    Cyclotomic, and the scales are None.
+    Each row is multiplied by the lcm of its entries' denominators, the
+    least positive integer that makes it integral: rational rows become
+    integer rows, and cyclotomic rows (rational entries lifted to
+    Cyclotomic) vectors over Z[zeta_k], Cyclotomic values of denominator 1.
+    A row scaling keeps the rank, and the inverses undo it.
     """
     kind, k = field_of(v for r in rows for v in r)
     if kind == "cyclotomic":
-        return [[v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(k, v)
-                 for v in r] for r in rows], None
-    scales = [math.lcm(*(Fraction(v).denominator for v in r)) if r else 1
-              for r in rows]
-    return [[int(Fraction(v) * s) for v in r] for r, s in zip(rows, scales)], scales
+        rows = [[v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(k, v)
+                 for v in r] for r in rows]
+    scales = [math.lcm(*(v.denominator for v in r)) for r in rows]
+    return [[v.numerator * (s // v.denominator) for v in r]
+            for r, s in zip(rows, scales)], scales
 
 
 def _quotient_by(pivot):
-    """Division of the next elimination step's entries by `pivot`, as an
-    (operator, operand) pair; the quotients are exact.  Integers use floor
-    division.  Cyclotomic entries are multiplied by the pivot's inverse,
-    computed here once per step instead of once per entry."""
-    if isinstance(pivot, Cyclotomic):
-        return operator.mul, pivot.inverse()
+    """(f, y) with f(x, y) = x / pivot exactly, for a step's entries x and
+    the previous pivot (or an array of them, one per matrix of a batch):
+    floor division by an integer pivot; for p in Z[zeta_k], y = (p*, N(p)),
+    computed once per step, and x times p* floor-divided by N(p)."""
+    first = pivot.flat[0] if isinstance(pivot, np.ndarray) else pivot
+    if isinstance(first, Cyclotomic):
+        return (lambda x, y: x * y[0] // y[1],
+                np.frompyfunc(_conjugate_product, 1, 2)(pivot))
     return operator.floordiv, pivot
 
 
@@ -284,7 +317,7 @@ def _fraction_free_rank(rows) -> int:
     are not modified."""
     m = list(rows)
     rank = 0
-    divide, by = operator.mul, 1        # the first step divides by 1
+    divide, by = operator.floordiv, 1       # the first step divides by 1
     while m and m[0]:
         piv = next((i for i, row in enumerate(m) if row[0]), None)
         if piv is None:
@@ -305,8 +338,7 @@ def exact_rank(rows) -> int:
     rows = [tuple(r) for r in rows]
     if not rows or not rows[0]:
         return 0
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    if len({len(r) for r in rows}) != 1:
         raise ValueError("ragged matrix")
     return _fraction_free_rank(_ring_rows(rows)[0])
 
@@ -314,19 +346,7 @@ def exact_rank(rows) -> int:
 def is_independent(vectors) -> bool:
     """True iff the vectors are linearly independent; the empty list is independent."""
     vectors = list(vectors)
-    if not vectors:
-        return True
-    return exact_rank(vectors) == len(vectors)
-
-
-def _quotients_by(pivots):
-    """`_quotient_by` for a batch of pivots, one per matrix: floor division
-    by an integer array, or multiplication by each Cyclotomic pivot's
-    inverse."""
-    if pivots.dtype == object and isinstance(pivots[0], Cyclotomic):
-        return operator.mul, np.array([p.inverse() for p in pivots],
-                                      dtype=object)
-    return operator.floordiv, pivots
+    return not vectors or exact_rank(vectors) == len(vectors)
 
 
 def _fraction_free_inverses(mats):
@@ -355,13 +375,13 @@ def _fraction_free_inverses(mats):
         rows = piv[swap]
         aug[col, swap], aug[rows, swap] = aug[rows, swap], aug[col, swap]
         if col:                          # the first step divides by 1
-            divide, by = _quotients_by(p)
+            divide, by = _quotient_by(p[:, None])
         p = aug[col, :, col].copy()
         others = np.r_[:col, col + 1:n]
         new = (p[:, None] * aug[others, :, col + 1:]
                - aug[others, :, col, None] * aug[col, :, col + 1:])
         if col:
-            new = divide(new, by[:, None])
+            new = divide(new, by)
         aug[others, :, col + 1:] = new
     return aug[:, :, n:].transpose(1, 0, 2), p
 
@@ -386,15 +406,11 @@ def _fits_int64(mats, scales) -> bool:
 
 def integer_inverses(int_rows, scales):
     """Exact inverses of a batch of nonsingular rational matrices A, row i
-    of each given as int_rows[i] / scales[i], as (N, den): integer arrays
-    of shapes (count, n, n) and (count,), den > 0, with A^-1 = N / den.
-
-    Each int_rows (= S A with S = diag(scales)) is inverted by one batched
-    fraction-free elimination, and the row scaling is undone on the columns
-    of the inverse: A^-1 = (S A)^-1 S.  The arrays are int64 when a
-    Hadamard bound proves that exact (`_fits_int64`), Python ints in object
-    arrays otherwise.  `_ring_rows` gives both arguments for rational rows.
-    """
+    of each given as int_rows[i] / scales[i] (`_ring_rows`), as (N, den):
+    integer arrays of shapes (count, n, n) and (count,), den > 0, with
+    A^-1 = N / den = (S A)^-1 S, S A inverted by one batched fraction-free
+    elimination.  The arrays are int64 when a Hadamard bound proves that
+    exact (`_fits_int64`), Python ints in object arrays otherwise."""
     mats = np.array(int_rows, dtype=object)
     scales = np.array(scales, dtype=object)
     count = len(mats)
@@ -412,48 +428,32 @@ def integer_inverses(int_rows, scales):
     return sign[:, None, None] * adj * scales[:, None, :], sign * den
 
 
-def integer_inverse(int_rows, scales):
-    """`integer_inverses` for one matrix: (N, den) with N a list of integer
-    rows and den > 0 an int."""
-    n = len(int_rows)
-    if any(len(r) != n for r in int_rows) or len(scales) != n:
-        raise ValueError("matrix must be square")
-    num, den = integer_inverses([int_rows], [scales])
-    return num[0].tolist(), int(den[0])
-
-
-def cyclotomic_inverses(rows):
-    """Exact inverses of a (count, n, n) object batch of nonsingular
-    Cyclotomic matrices, and the pivots p = +-det of
-    `_fraction_free_inverses`: each adjugate block times the inverse of
-    its p."""
-    adj, det = _fraction_free_inverses(rows)
-    inv = np.array([d.inverse() for d in det], dtype=object)
-    return adj * inv[:, None, None], det
+def cyclotomic_inverses(rows, scales):
+    """Exact inverses of a batch of nonsingular matrices A over Q(zeta_k),
+    row i of each given as rows[i] / scales[i] (`_ring_rows`), and +-det A:
+    A^-1 = (S A)^-1 S, the adjugate of S A from one batched fraction-free
+    elimination times p^-1 = p* / N(p), p = +-det S A its last pivot."""
+    scales = np.asarray(scales, dtype=object)
+    adj, det = _fraction_free_inverses(np.asarray(rows, dtype=object))
+    inv = np.array([p.inverse() for p in det], dtype=object)
+    return (adj * scales[:, None, :] * inv[:, None, None],
+            det / scales.prod(axis=1))
 
 
 def exact_inverse(rows):
     """Exact inverse of a square matrix over Q or Q(zeta_k).
 
     Returns a list of lists in the same field.  Both fields go through
-    fraction-free Gauss-Jordan elimination, as a batch of one: rational
-    matrices on their integerized rows (`integer_inverse`), cyclotomic ones
-    on their Cyclotomic rows (`cyclotomic_inverses`).  Raises
-    SingularSystemError if the matrix is singular.
+    fraction-free Gauss-Jordan elimination of their ring rows, as a batch
+    of one: `integer_inverses` for rational matrices, `cyclotomic_inverses`
+    for cyclotomic ones.  Raises SingularSystemError if the matrix is
+    singular.
     """
     rows = [list(r) for r in rows]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
     ring, scales = _ring_rows(rows)
-    if scales is not None:
-        num, den = integer_inverse(ring, scales)
-        return [[Fraction(v, den) for v in row] for row in num]
-    return cyclotomic_inverses(np.array([ring], dtype=object))[0][0].tolist()
-
-
-def scalar_abs(value) -> float:
-    """Absolute value / complex modulus of an exact scalar, as a float."""
-    if isinstance(value, Cyclotomic):
-        return abs(value.to_complex())
-    return abs(float(Fraction(value)))
+    if ring and isinstance(ring[0][0], Cyclotomic):
+        return cyclotomic_inverses([ring], [scales])[0][0].tolist()
+    num, den = integer_inverses([ring], [scales])
+    return [[Fraction(v, int(den[0])) for v in row] for row in num[0].tolist()]

@@ -2,9 +2,9 @@
 external activity, and the characteristic polynomial at zero.
 
 Ground subsets are bitmasks over hyperplane indices.  All questions are
-answered with exact arithmetic: a view scales (rational) or lifts
-(cyclotomic) its normals once to the ring rows of `exact_linalg`, and every
-rank is one fraction-free elimination on some of them.  Ranks are memoized
+answered with exact arithmetic: a view scales its normals once to the
+integral ring rows of `exact_linalg` (over Z or Z[zeta_k]), and every rank
+is one fraction-free elimination on some of them.  Ranks are memoized
 per subset, and the cache may be read concurrently (inserts are
 lock-protected).
 
@@ -47,7 +47,7 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .exact_linalg import (_fraction_free_rank, _ring_rows,
-                           cyclotomic_inverses, integer_inverses, scalar_abs)
+                           cyclotomic_inverses, integer_inverses)
 
 # the tables index every subset: at 2^24 entries the int64 chi table is
 # 128 MB and the int32 nb table 64 MB
@@ -160,7 +160,6 @@ class MatroidView:
         self._minimal_externals: dict[tuple, np.ndarray] = {}
         self._lock = threading.RLock()
         # the fraction-free loops' rows, and the integerizing row scales
-        # (None for cyclotomic arrangements)
         self._rows, self._scales = _ring_rows(arrangement.normals)
 
     @property
@@ -229,11 +228,11 @@ class MatroidView:
     @property
     def base_table(self) -> BaseTable:
         """The BaseTable of all bases, compiled once per view by one batched
-        fraction-free Gauss-Jordan elimination: on the integerized rows S A
-        for rational arrangements (`integer_inverses`, whose denominator is
-        |det S A| = |det A| times the product of the row scales), on the
-        Cyclotomic rows for cyclotomic ones (`cyclotomic_inverses`: the
-        adjugate over the pivot, which is +-det)."""
+        fraction-free Gauss-Jordan elimination on the integerized rows S A:
+        over Z for rational arrangements (`integer_inverses`, whose
+        denominator is |det S A| = |det A| times the product of the row
+        scales), over Z[zeta_k] for cyclotomic ones (`cyclotomic_inverses`,
+        which divides by the pivot +-det S A and undoes the row scales)."""
         with self._lock:
             if self._base_table is None:
                 self._base_table = self._compile_base_table()
@@ -251,20 +250,20 @@ class MatroidView:
     def _compile_base_table(self) -> BaseTable:
         masks, elems, out = self._base_elements()
         mats = np.array(self._rows, dtype=object)[elems]
-        if self._scales is not None:
-            scales = np.array(self._scales, dtype=object)[elems]
+        scales = np.array(self._scales, dtype=object)[elems]
+        if self.arrangement.field_kind == "rational":
             num, den = integer_inverses(mats, scales)
             inv = np.ascontiguousarray(num / den[:, None, None], dtype=float)
             sums = np.abs(num).sum(axis=2) / den[:, None]
             abs_det = [d / math.prod(s)
                        for d, s in zip(den.tolist(), scales.tolist())]
         else:
-            exact, dets = cyclotomic_inverses(mats)
+            exact, dets = cyclotomic_inverses(mats, scales)
             inv = np.array([[[v.to_complex() for v in row] for row in m]
                             for m in exact], dtype=complex)
-            sums = [[sum(scalar_abs(v) for v in row) for row in m]
-                    for m in exact]
-            abs_det = [scalar_abs(d) for d in dets]
+            sums = [[sum(abs(v) for v in row) for row in m]
+                    for m in inv.tolist()]
+            abs_det = [abs(d.to_complex()) for d in dets]
         return BaseTable(masks, elems, out, inv,
                          self.arrangement.coeff[out] @ inv,
                          np.array(abs_det, dtype=float),

@@ -8,7 +8,12 @@ Also the slow paths the exact layer is checked against: chi(0) by subset
 expansion over rank calls, fundamental circuits and order-safe base counts
 by a per-base exchange loop over rank calls, and rank and inverse by plain
 Gaussian and Gauss-Jordan elimination with exact division over Q or
-Q(zeta_k).
+Q(zeta_k).  Their Q(zeta_k) entries are `FractionCyclotomic` values:
+Fraction coefficients in Q[x]/Phi_k, reduced by polynomial division and
+inverted by the extended Euclidean algorithm over Q, with Phi_k itself
+computed over Fractions, so nothing of the library's integer arithmetic
+in Z[zeta_k] is reused.  `integer_inverse` is a batch of one of the
+library's `integer_inverses`.
 
 And the slow path the region estimators are checked against:
 `box_estimate`, which draws configurations uniformly in the bounding box of
@@ -21,12 +26,15 @@ non-base functionals to it, with per-base sides (`ball_sides`,
 `surface_sides`) that loop over hyperplanes.
 """
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 
 from polygas.arrangement import _mask_bits
+from polygas.exact_linalg import Cyclotomic, FieldMismatchError, integer_inverses
 from polygas.geometry import bounding_halfwidth, sample_unit_sphere
 from polygas.matroid import mask_elements
 from polygas.mayer import mc_sum, run_chunked
@@ -177,16 +185,184 @@ def safe_count_by_exchange(view, mask, order):
     return count
 
 
-def _field_entry(v):
-    """Integers become Fractions so that division is exact; Fraction and
-    Cyclotomic entries are kept as they are."""
-    return Fraction(v) if isinstance(v, int) else v
+# --------------------------------------------------------------------------
+# Q[x]/Phi_k over Fractions (dense coefficient lists, low degree first)
+# --------------------------------------------------------------------------
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _poly_trim(out)
+
+
+def _poly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _poly_trim(out)
+
+
+def _poly_divmod(num, den):
+    """Exact division of rational polynomials; den must be nonzero."""
+    num = [Fraction(c) for c in num]
+    den = _poly_trim([Fraction(c) for c in den])
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    rem = _poly_trim(list(num))
+    while len(rem) >= len(den):
+        shift = len(rem) - len(den)
+        factor = rem[-1] / den[-1]
+        quot[shift] = factor
+        for i, c in enumerate(den):
+            rem[i + shift] -= factor * c
+        _poly_trim(rem)
+    return _poly_trim(quot), rem
+
+
+def _poly_ext_gcd(a, b):
+    """Extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g."""
+    r0, r1 = _poly_trim([Fraction(c) for c in a]), _poly_trim([Fraction(c) for c in b])
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1) if q else [])
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1) if q else [])
+    return r0, s0, t0
+
+
+@lru_cache(maxsize=None)
+def fraction_cyclotomic_polynomial(k):
+    """Phi_k over Fractions: (x^k - 1) / prod_{d | k, d < k} Phi_d."""
+    num = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
+    for d in range(1, k):
+        if k % d == 0:
+            num, rem = _poly_divmod(num, list(fraction_cyclotomic_polynomial(d)))
+            assert not rem
+    return tuple(num)
+
+
+class FractionCyclotomic:
+    """An element of Q(zeta_k) as phi(k) Fraction coefficients of
+    Q[x]/Phi_k: the slow path `Cyclotomic` is compared against.  Equal to
+    a Cyclotomic with the same coefficients."""
+
+    def __init__(self, k, coeffs):
+        phi = fraction_cyclotomic_polynomial(k)
+        cs = [Fraction(c) for c in coeffs]
+        if len(cs) >= len(phi):
+            _, cs = _poly_divmod(cs, list(phi))
+        self.k = k
+        self.coeffs = tuple(cs + [Fraction(0)] * (len(phi) - 1 - len(cs)))
+
+    @classmethod
+    def of(cls, v, k=None):
+        """A Cyclotomic's coefficients, or a rational in Q(zeta_k)."""
+        if isinstance(v, Cyclotomic):
+            return cls(v.k, v.coeffs)
+        return cls(k, [v])
+
+    def _coerce(self, other):
+        if isinstance(other, (FractionCyclotomic, Cyclotomic)):
+            if other.k != self.k:
+                raise FieldMismatchError("cyclotomic orders differ")
+            return FractionCyclotomic(self.k, other.coeffs)
+        if isinstance(other, (int, Fraction)):
+            return FractionCyclotomic(self.k, [other])
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FractionCyclotomic(self.k, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyclotomic(self.k, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return FractionCyclotomic(self.k, _poly_mul(list(self.coeffs), list(o.coeffs)))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
+        g, s, _ = _poly_ext_gcd(list(self.coeffs),
+                                list(fraction_cyclotomic_polynomial(self.k)))
+        assert len(g) == 1           # Phi_k is irreducible over Q
+        return FractionCyclotomic(self.k, [c / g[0] for c in s])
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.coeffs == o.coeffs
+
+    def to_complex(self):
+        """Horner's rule at zeta_k = exp(2 pi i / k) over the coefficients
+        rounded by float(Fraction)."""
+        z = complex(math.cos(2 * math.pi / self.k), math.sin(2 * math.pi / self.k))
+        acc = 0j
+        for c in reversed(self.coeffs):
+            acc = acc * z + complex(c)
+        return acc
+
+    def __repr__(self):
+        return f"FractionCyclotomic({self.k}, {[str(c) for c in self.coeffs]})"
+
+
+def integer_inverse(int_rows, scales):
+    """`integer_inverses` for one matrix: (N, den) with N a list of integer
+    rows and den > 0 an int."""
+    n = len(int_rows)
+    if any(len(r) != n for r in int_rows) or len(scales) != n:
+        raise ValueError("matrix must be square")
+    num, den = integer_inverses([int_rows], [scales])
+    return num[0].tolist(), int(den[0])
+
+
+def _field_entries(rows):
+    """The rows over Q (Fraction entries) or, when any entry is a
+    Cyclotomic, over Q(zeta_k) (FractionCyclotomic entries), and k."""
+    k = next((v.k for row in rows for v in row if isinstance(v, Cyclotomic)), None)
+    if k is None:
+        return [[Fraction(v) for v in row] for row in rows], None
+    return [[FractionCyclotomic.of(v, k) for v in row] for row in rows], k
 
 
 def field_rank(rows):
     """Rank by plain Gaussian elimination with exact division, over Q
-    (int or Fraction entries) or Q(zeta_k) (Cyclotomic entries)."""
-    m = [[_field_entry(v) for v in row] for row in rows]
+    (int or Fraction entries) or Q(zeta_k) (Cyclotomic entries, computed
+    as FractionCyclotomic)."""
+    m = _field_entries(rows)[0]
     rank = 0
     for col in range(len(m[0]) if m else 0):
         piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
@@ -202,13 +378,27 @@ def field_rank(rows):
     return rank
 
 
+def leibniz_det(rows):
+    """Determinant by the Leibniz formula, over Q or Q(zeta_k) as
+    `field_rank`."""
+    m, k = _field_entries(rows)
+    total = FractionCyclotomic(k, []) if k else Fraction(0)
+    for perm in permutations(range(len(m))):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        term = Fraction(sign)
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
 def fraction_inverse(rows):
     """Inverse of a matrix over Q or Q(zeta_k) by Gauss-Jordan elimination
-    with exact division; ZeroDivisionError when it is singular."""
+    with exact division, as Fractions or FractionCyclotomic values;
+    ZeroDivisionError when it is singular."""
     n = len(rows)
-    aug = [[_field_entry(v) for v in row]
-           + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
+    aug = [row + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(_field_entries(rows)[0])]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:

@@ -13,12 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (chi_by_expansion, circuit_by_rank, fraction_inverse,
-                     safe_count_by_exchange)
+                     integer_inverse, safe_count_by_exchange)
 from polygas.arrangement import (ArrangementError, braid, coxeter_b, coxeter_d,
                                  custom, dowling, threshold, widom_rowlinson)
 from polygas.dimred import check_dr
-from polygas.exact_linalg import (SingularSystemError, _ring_rows,
-                                  exact_inverse, integer_inverse)
+from polygas.exact_linalg import SingularSystemError, _ring_rows, exact_inverse
 from polygas.matroid import (MAX_TABLE_SIZE, LinearOrder, MatroidError,
                              MatroidView, mask_elements)
 from polygas.mayer import pressure_coefficient

@@ -127,10 +127,9 @@ def _make(k, num, den=1):
 
 
 class Cyclotomic:
-    """An element of Q(zeta_k): integer coefficients `num` in the power
-    basis 1, x, ..., x^(phi(k)-1) of Z[x]/Phi_k(x) over a positive `den`,
-    in lowest terms, so equal elements have equal (num, den).  The
-    constructor takes int or Fraction coefficients, any number of them."""
+    """An element of Q(zeta_k): integer coefficients `num` in the power basis
+    of Z[x]/Phi_k(x) over a positive `den`, in lowest terms (equal elements
+    have equal (num, den)), built from any number of int or Fraction ones."""
 
     __slots__ = ("k", "num", "den")
 
@@ -215,8 +214,7 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def __floordiv__(self, other):
-        """For integral self and an integer: floor division of each
-        coefficient, the eliminations' exact division by N(p)."""
+        """Each coefficient of an integral element floor-divided by an int."""
         if not isinstance(other, int) or self.den != 1:
             return NotImplemented
         return _make(self.k, [a // other for a in self.num])
@@ -241,6 +239,8 @@ class Cyclotomic:
         return any(self.num)
 
     def __eq__(self, other):
+        if isinstance(other, Cyclotomic) and not any(self.num[1:] + other.num[1:]):
+            other = Fraction(other.num[0], other.den)   # a rational, any order
         o = self._coerce(other)
         return NotImplemented if o is None else (self.num, self.den) == (o.num, o.den)
 

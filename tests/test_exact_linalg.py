@@ -300,6 +300,11 @@ def test_rational_values_hash_like_the_rational():
     assert table[two] == "two" and table[half] == "half"
     assert table[Cyclotomic(3, [0, 1])] == "zeta"
     assert {two: 1}[2] == 1
+    # rational values of different orders are the same rational
+    assert Cyclotomic(3, [2]) == Cyclotomic(4, [2])
+    assert len({two, half, 2, Cyclotomic(5, [2])}) == 2
+    with pytest.raises(FieldMismatchError):
+        Cyclotomic.zeta(3) == Cyclotomic.zeta(5)
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0, "1", 1j, np.float64(0.5)])

@@ -318,7 +318,7 @@ def test_inexact_coefficients_are_refused(value):
 DOWLINGS = {(n, k): dowling(n, k) for n, k in [(2, 3), (3, 3), (2, 4), (2, 5)]}
 
 
-@pytest.mark.parametrize("nk", sorted(DOWLINGS))
+@pytest.mark.parametrize("nk", sorted(DOWLINGS), ids="dowling{0[0]}_{0[1]}".format)
 def test_dowling_ranks_and_base_inverses_match_field_elimination(nk):
     arr = DOWLINGS[nk]
     n = arr.ambient_dim

@@ -113,6 +113,45 @@ def test_dump_samples_csv_braid3(tmp_path):
         "409af64b85f7a690ecbbc1951e9bd93fd49ebdfd98dc6afd9df9698e346cb3fa")
 
 
+
+# polymer blocks made of many base runs, with runs cut at block and chunk
+# edges: the kernel's per-base data must reach every row bit for bit
+
+def test_volume_braid6_runs_across_blocks_and_chunks():
+    # 1296 bases, 101 rows each: ~81 runs per block, two chunks
+    est = volume_mc(braid(6), 3, 2 ** 17, 31)
+    assert _triple(est) == (76947964.98234059, 435838.51352961286, 130896)
+
+
+def test_volume_braid5_short_runs():
+    # 125 bases, 7 rows each
+    est = volume_mc(braid(5), 3, 7 * 125, 32)
+    assert _triple(est) == (865660.6764347461, 47305.17187254695, 875)
+
+
+def test_volume_dowling_2_3_unequal_radii():
+    # complex coordinates at dim 4; 3 bases of 43690 rows
+    est = volume_mc(dowling(2, 3), 4, 2 ** 17, 33, radii=(1, 1.5, 0.7))
+    assert _triple(est) == (825.2728282082414, 0.8270459546370965, 131070)
+
+
+def test_asa_volume_braid4_mixed_shapes():
+    # capped and plain cylinders of three lengths; 16 bases of 6250 rows
+    shapes = [capped_cylinder_shape(3, 1.0), cylinder_shape(3, 1.0),
+              capped_cylinder_shape(3, 1.5), cylinder_shape(3, 1.0),
+              capped_cylinder_shape(3, 1.0), cylinder_shape(3, 2.0)]
+    est = asa_volume_mc(braid(4), shapes, 100_000, 34)
+    assert _triple(est) == (22471.18634002009, 67.95058261357664, 100000)
+
+
+def test_project_expectation_coxeter_b3():
+    # the polymer side solves for x: 68 bases of 1927 rows
+    report = project_expectation(coxeter_b(3), 1, "norm_sq", 2 ** 17, 35)
+    assert _triple(report.polymer_side) == (97034.93488375202, 536.3123822676029,
+                                            131036)
+    assert _triple(report.mmc_side) == (97445.27091735446, 443.0667735919041,
+                                        131072)
+
 def _digest(arrays):
     h = hashlib.sha256()
     for a in arrays:

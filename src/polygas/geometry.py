@@ -46,12 +46,20 @@ def ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
-def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = None):
-    """Uniform points on S^(dim-1) by Gaussian normalization; unit norm to 1e-12."""
+def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = None,
+                       out: np.ndarray | None = None):
+    """Uniform points on S^(dim-1) by Gaussian normalization; unit norm to
+    1e-12.  With `out`, a C-contiguous (size, dim) float array, the points
+    are written there (the same draws) and out is returned."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     count = 1 if size is None else size
-    g = rng.standard_normal((count, dim))
+    if out is None:
+        g = rng.standard_normal((count, dim))
+    else:
+        if out.shape != (count, dim):
+            raise ValueError(f"out has shape {out.shape}, not {(count, dim)}")
+        g = rng.standard_normal(out=out)
     norms = np.sqrt(_norms_sq(g))[:, None]
     # resample the (probability-zero) degenerate rows rather than dividing by ~0
     while np.any(norms < 1e-12):

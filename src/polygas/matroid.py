@@ -113,7 +113,7 @@ class BaseTable:
     row_abs_sums: np.ndarray   # (bases, n) absolute row sums of B^-1
 
     def __post_init__(self):
-        # C order: the kernels gather rows of the fields on every block
+        # C order: the kernels read rows of the fields on every block
         for name, field in vars(self).items():
             field = np.ascontiguousarray(field)
             field.flags.writeable = False
@@ -311,10 +311,6 @@ class MatroidView:
         and 0 for every other subset."""
         self._compile_tables()
         return self._chi_table
-
-    def spanning_subsets(self):
-        """All subsets of full rank, ascending bitmask order."""
-        return map(int, np.flatnonzero(self.spanning_table))
 
     # -- circuits and activity --------------------------------------------------
 

@@ -102,14 +102,6 @@ class MCEstimate:
         return d
 
 
-def mc_sum(estimates, seed: int, workers: int) -> MCEstimate:
-    """Sum of independent estimates: means add, variances add."""
-    mean = sum(e.mean for e in estimates)
-    var = sum(e.stderr ** 2 for e in estimates)
-    n = sum(e.n_samples for e in estimates)
-    return MCEstimate(mean, math.sqrt(var), n, seed, workers)
-
-
 def z_score(a: MCEstimate, b: MCEstimate) -> float:
     """(a - b) / combined stderr, with the spread floored at 1e-12 relative
     so that two exact (zero-variance) sides differing only by float rounding
@@ -201,7 +193,8 @@ def run_chunked(n_samples: int, seed: int, workers: int, values_fn,
 # --------------------------------------------------------------------------
 
 # rows per block of the tube and polymer kernels: bounds the memory of the
-# gathered (rows, n, n) inverses and of the functional values
+# tube kernel's gathered (rows, n, n) inverses, of the polymer kernel's
+# block buffers and of the functional values
 BLOCK = 8192
 
 
@@ -225,28 +218,28 @@ def _ball_draw(arr: Arrangement, d: int):
 
 
 def _shape_draw(shapes, width: int, sample):
-    """draw(rng, elems) of the tube and polymer kernels for warped shapes:
-    for each e in `elems` (an int array) a point sample(shapes[e], rng,
-    count) with `width` coordinates, shaped elems.shape + (width,), from one
-    sample call per distinct shape."""
+    """(distinct, shape_of, draw) of the tube and polymer kernels for warped
+    shapes: the distinct shapes in order, shape_of[e] the index of
+    hyperplane e's shape among them, and draw(rng, which) a point sample(shape, rng, count) with `width`
+    coordinates for each entry of `which` (an int array of those indices),
+    shaped which.shape + (width,), from one sample call per distinct shape."""
     distinct = list(dict.fromkeys(shapes))
-    shape_of = np.array([distinct.index(s) for s in shapes])
+    shape_of = np.array([distinct.index(s) for s in shapes], dtype=np.intp)
 
-    def draw(rng, elems):
+    def draw(rng, which):
         # the loop's draws for one shape, without its gather and scatter:
         # perfbench warped_projection wall_s 0.96 -> 0.91 s, 5 of 6 pairs
         # (2-vCPU VM)
         if len(distinct) == 1:
-            return sample(distinct[0], rng, elems.size).reshape(
-                elems.shape + (width,))
-        which = shape_of[elems]
-        h = np.empty(elems.shape + (width,))
+            return sample(distinct[0], rng, which.size).reshape(
+                which.shape + (width,))
+        h = np.empty(which.shape + (width,))
         for i, shape in enumerate(distinct):
             pick = which == i
             h[pick] = sample(shape, rng, int(np.count_nonzero(pick)))
         return h
 
-    return draw
+    return distinct, shape_of, draw
 
 
 def _base_picker(cdf: np.ndarray):
@@ -311,8 +304,11 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
         body = ball_volume(d) * np.asarray(arr.radii) ** d
     else:
         bits = _mask_bits(arr.size)
-        draw = _shape_draw(shapes, d,
-                           lambda s, rng, count: s.sample_bottom(rng, count))
+        _, shape_of, draw_shapes = _shape_draw(
+            shapes, d, lambda s, rng, count: s.sample_bottom(rng, count))
+
+        def draw(rng, elems):
+            return draw_shapes(rng, shape_of[elems])
         body = np.array([s.bottom_volume for s in shapes])
     vol = table.abs_det ** -d * np.prod(body[table.elems], axis=1)
     total = float(vol.sum())
@@ -402,20 +398,6 @@ def pressure_coefficient(view: MatroidView, d: int, n_samples: int, seed: int,
         return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
     return _region_estimate(view, d, _chi_weight(view), n_samples,
                             seed, workers)
-
-
-def pressure_coefficient_enumerated(view: MatroidView, d: int, n_samples: int,
-                                    seed: int, workers: int = 1) -> MCEstimate:
-    """Cross-validation path: estimate each spanning subset's coefficient
-    separately (n_samples each) and add them.  Exponential in the ground set;
-    desk scale only."""
-    if d == 0:
-        return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
-    parts = [_region_estimate(view, d, _contains(view, mask), n_samples, seed,
-                              workers, within=mask, stream_base=h_index << 32
-                              ).scaled(_parity(mask))
-             for h_index, mask in enumerate(view.spanning_subsets())]
-    return mc_sum(parts, seed, workers)
 
 
 # --------------------------------------------------------------------------

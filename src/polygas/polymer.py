@@ -17,16 +17,20 @@ The kernel splits the budget evenly across the bases and runs all bases'
 rows as one list: one random stream per CHUNK rows, the chunks on the
 worker pool, and BLOCK rows at a time drawn, mapped to the non-base values
 by each base's float map S_B = C_out(B) B^-1 (a row of the view's base
-table), and tested.  Per-base (n, mean, m2) are merged in chunk order, so
-results are bit-identical for any worker count.  `sample_for_base` and
-`dump_samples_csv` use the same block function on one base.  The region
-sides of the projection laws are calls of the mayer tube kernel.
+table), and tested.  The rows are sorted by base, so each block is a few
+runs of one base's rows, and per-base data reach them as stride-0 views of
+the base table (`_Runs`), in buffers allocated once per chunk.  Per-base
+(n, mean, m2) are merged in chunk order, so results are bit-identical for
+any worker count.  `sample_for_base` and `dump_samples_csv` use the same
+block function on one base.  The region sides of the projection laws are
+calls of the mayer tube kernel.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import mmap
 import time
 from dataclasses import dataclass
 
@@ -52,56 +56,185 @@ class PolymerSample:
     accepted: bool
 
 
-def _accept_block(table: BaseTable, b: np.ndarray, rng, draw, outside,
-                  need_x: bool):
-    """One block of polymer draws, row r for the base in table row b[r]:
-    base values from draw(rng, elems), accepted where outside(values,
-    out_elems) holds for every non-base hyperplane.  Returns (accepted, x),
-    x the solved configurations when need_x, else None."""
-    h = draw(rng, table.elems[b])
-    accepted = outside(table.to_out[b] @ h, table.out[b])
-    return accepted, (table.inv[b] @ h if need_x else None)
+class _Runs:
+    """Rows [row0, row0 + rows) of a stratified list whose row r is drawn
+    for base r // per_base, as parts that each hold whole or partial runs
+    of one base's rows: a partial head run, the whole runs, a partial tail
+    run, empty parts left out.  Part (lo, hi, base, k) is block rows
+    [lo, hi): k runs of (hi - lo) // k rows, for bases base .. base + k - 1.
+
+    Per-base data reach the rows as views (`base`), never as per-row
+    gathers, so a block makes the same numpy calls whatever per_base is.
+    numpy makes the same per-row product for each row of a broadcast stack
+    as for a gathered one, so the results are bit-identical."""
+
+    def __init__(self, row0: int, rows: int, per_base: int):
+        end = row0 + rows
+        whole_lo = -(-row0 // per_base)     # first run starting in the block
+        whole_hi = end // per_base          # first run ending past the block
+        if whole_lo > whole_hi:             # inside one run
+            parts = [(0, rows, row0 // per_base, 1)]
+        else:
+            lo, hi = whole_lo * per_base - row0, whole_hi * per_base - row0
+            parts = [(0, lo, whole_lo - 1, 1),
+                     (lo, hi, whole_lo, whole_hi - whole_lo),
+                     (hi, rows, whole_hi, 1)]
+        self.parts = [part for part in parts if part[1] > part[0]]
+        self.size = rows
+
+    def base(self, a: np.ndarray):
+        """Per-base array a (row b for base b) as one read-only view per
+        part, shaped (k, run rows) + a.shape[1:], with stride 0 on the run
+        rows."""
+        return [np.broadcast_to(a[b:b + k, None], (k, (hi - lo) // k) + a.shape[1:])
+                for lo, hi, b, k in self.parts]
+
+    def rows(self, x: np.ndarray):
+        """The block's rows of x (row i for block row i) as one view per
+        part, shaped (k, run rows) + x.shape[1:]."""
+        return [x[lo:hi].reshape((k, (hi - lo) // k) + x.shape[1:])
+                for lo, hi, _, k in self.parts]
 
 
-def _ball_sides(arr: Arrangement, dim: int, radii):
-    """(draw, outside) of `_accept_block` for balls of the given radii: base
-    value R_e * u_e per element e, u_e a uniform direction in R^dim
-    (cyclotomic arrangements need an even dim and pair it into complex
-    coordinates), and a non-base value outside when its norm exceeds R_e."""
+class _Sides:
+    """How polymer base values are drawn and non-base values tested: each
+    value has `width` entries of `dtype`.  draw(rng, runs, work) returns
+    the rows' base values, shaped (runs.size, n, width), in work.h or a
+    fresh array; outside(runs, work) returns the rows' acceptance flags (a
+    view of work.accepted), given the non-base values in
+    work.vals[:runs.size], which it may overwrite."""
+
+    def __init__(self, width: int, dtype, draw, outside):
+        self.width, self.dtype = width, dtype
+        self.draw, self.outside = draw, outside
+
+
+class _Work:
+    """Buffers for the blocks of one chunk (at most `rows` rows each),
+    allocated once per chunk: base values h, non-base values vals, squared
+    norms and comparisons of the non-base values, acceptance flags, an int
+    per base value (the warped-shape draw's shape indices), and the
+    configurations x when they are needed.
+
+    They share one anonymous memory map, which goes back to the OS when the
+    chunk's arrays are dropped, and whose pages cost memory only once
+    written.  As malloc blocks of 0.1-2 MB they would stay in the worker
+    threads' heaps, which then held ~10 MB each after a perfbench dr_suite
+    pass (2 workers; glibc malloc_stats) against 2-5 MB with the per-row
+    gathers, and the pass's peak RSS rose with them."""
+
+    def __init__(self, table: BaseTable, sides: _Sides, rows: int,
+                 need_x: bool):
+        n, m = table.elems.shape[1], table.out.shape[1]
+        values = ((rows, n, sides.width), sides.dtype)
+        specs = [("h", values),
+                 ("vals", ((rows, m, sides.width), sides.dtype)),
+                 ("norms_sq", ((rows, m), float)),
+                 ("compared", ((rows, m), bool)),
+                 ("accepted", ((rows,), bool)),
+                 ("which", ((rows, n), np.intp))]
+        self.x = None
+        if need_x:
+            specs.append(("x", values))
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize
+                 for _, (shape, dtype) in specs]
+        # each buffer starts on a 64-byte line
+        starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes])
+        memory = np.frombuffer(mmap.mmap(-1, int(starts[-1]) or 1), np.uint8)
+        for (name, (shape, dtype)), start, size in zip(specs, starts, sizes):
+            setattr(self, name,
+                    memory[start:start + size].view(dtype).reshape(shape))
+
+
+def _matmul_runs(runs: _Runs, maps: np.ndarray, h: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """out[i] = maps[b] @ h[i] for each row i of the block, b its base, by
+    one stacked product per part of `runs` over a view of maps."""
+    for part_maps, part_h, part_out in zip(runs.base(maps), runs.rows(h),
+                                           runs.rows(out)):
+        np.matmul(part_maps, part_h, out=part_out)
+    return out
+
+
+def _accept_block(table: BaseTable, runs: _Runs, rng, sides: _Sides,
+                  work: _Work):
+    """One block of polymer draws, the rows of `runs`: base values h from
+    sides.draw, mapped to the non-base values by each row's S_B and tested
+    by sides.outside.  Returns (accepted, x), x the configurations B^-1 h
+    when work holds x buffers, else None."""
+    rows = runs.size
+    h = sides.draw(rng, runs, work)
+    _matmul_runs(runs, table.to_out, h, work.vals[:rows])
+    accepted = sides.outside(runs, work)
+    if work.x is None:
+        return accepted, None
+    return accepted, _matmul_runs(runs, table.inv, h, work.x[:rows])
+
+
+def _ball_sides(arr: Arrangement, table: BaseTable, dim: int, radii) -> _Sides:
+    """Sides for balls of the given radii: base value R_e * u_e per element
+    e, u_e a uniform direction in R^dim (cyclotomic arrangements need an
+    even dim and pair it into complex coordinates), and a non-base value
+    outside when its norm exceeds R_e."""
     if dim < 2:
         raise ValueError("polymer dimension must be >= 2")
     if not arr.complexified and dim % 2:
         raise ValueError("cyclotomic arrangements need an even polymer dimension")
     radii = np.asarray(radii, dtype=float)
-    radii_sq = radii ** 2
+    base_radii = radii[table.elems][..., None]
+    out_radii_sq = (radii ** 2)[table.out]
+    complexified = arr.complexified
 
-    def draw(rng, elems):
-        u = sample_unit_sphere(dim, rng, elems.size).reshape(elems.shape + (dim,))
-        if not arr.complexified:
-            u = u[..., 0::2] + 1j * u[..., 1::2]
-        u *= radii[elems][..., None]
-        return u
+    def draw(rng, runs, work):
+        # the real view of a complex h pairs coordinates (2i, 2i + 1) into
+        # entry i, as u[..., 0::2] + 1j * u[..., 1::2] does
+        h = work.h[:runs.size]
+        u = h if complexified else h.view(float)
+        sample_unit_sphere(dim, rng, u.shape[0] * u.shape[1],
+                           out=u.reshape(-1, dim))
+        for part, r in zip(runs.rows(u), runs.base(base_radii)):
+            part *= r
+        return h
 
-    def outside(vals, out):
-        return np.all(_norms_sq(vals) > radii_sq[out], axis=1)
+    def outside(runs, work):
+        rows = runs.size
+        norms_sq = _norms_sq(work.vals[:rows], out=work.norms_sq[:rows])
+        compared = work.compared[:rows]
+        for part, r_sq, cmp in zip(runs.rows(norms_sq), runs.base(out_radii_sq),
+                                   runs.rows(compared)):
+            np.greater(part, r_sq, out=cmp)
+        return _reduce_columns(np.logical_and, compared, work.accepted[:rows])
 
-    return draw, outside
+    return _Sides(dim if complexified else dim // 2,
+                  float if complexified else complex, draw, outside)
 
 
-def _stratum_stats(values: np.ndarray, b: np.ndarray):
-    """(first base, n, mean, m2) per base of a contiguous run of rows, b
-    the rows' nondecreasing base indices: every base from b[0] to b[-1]
-    has rows, so n > 0 throughout."""
-    first = int(b[0])
-    local = b - first
-    n = np.bincount(local)
+def _reduce_columns(op, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """op.reduce(a, axis=1, out=out) for a (rows, m) bool array and op
+    np.logical_and or np.logical_or, column by column: numpy's reduction
+    over a short trailing axis is 2-7x slower (m = 10 to 3)."""
+    out[...] = a[:, 0] if a.shape[1] else op.identity
+    for j in range(1, a.shape[1]):
+        op(out, a[:, j], out=out)
+    return out
+
+
+def _stratum_stats(values: np.ndarray, start: int, per_base: int):
+    """(first base, n, mean, m2) per base of the rows [start, start +
+    values.size) of the stratified list, row r drawn for base
+    r // per_base: every base from the first to the last has rows, so
+    n > 0 throughout.  The sums run over each base's rows in order."""
+    first = start // per_base
+    edges = np.arange(first, (start + values.size - 1) // per_base + 2) * per_base
+    n = np.diff(np.clip(edges, start, start + values.size))
+    local = np.repeat(np.arange(n.size), n)
     mean = np.bincount(local, values) / n
-    m2 = np.bincount(local, (values - mean[local]) ** 2)
+    m2 = np.bincount(local, (values - np.repeat(mean, n)) ** 2)
     return first, n, mean, m2
 
 
 def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
-                      workers: int, draw, outside, weights,
+                      workers: int, sides: _Sides, weights,
                       g=None) -> MCEstimate:
     """Sum over bases of the base's weight times the mean over that base's
     draws of accepted (times g(x)): the stratified estimator with the
@@ -110,9 +243,10 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
 
     The per_base * |bases| rows are one stratified list, row r drawn for
     base r // per_base, cut into CHUNK-row chunks with one random stream
-    each and run on the worker pool.  Per-base (n, mean, m2) come from
-    bincounts over each chunk and are merged per base in chunk order, so the
-    estimate is bit-identical for any worker count.
+    each and run on the worker pool, BLOCK rows at a time, in buffers
+    allocated once per chunk.  Per-base (n, mean, m2) come from bincounts
+    over each chunk and are merged per base in chunk order, so the estimate
+    is bit-identical for any worker count.
     """
     table = view.base_table
     count = table.masks.size
@@ -123,15 +257,17 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
     weights = np.full(count, weights, dtype=float)
 
     def chunk_stats(rng, start, count):
-        rows = np.arange(start, start + count)
-        b = rows // per_base
+        work = _Work(table, sides, min(BLOCK, count), g is not None)
         values = np.empty(count)
         for lo in range(0, count, BLOCK):
-            block = slice(lo, lo + BLOCK)
-            accepted, x = _accept_block(table, b[block], rng, draw, outside,
-                                        g is not None)
-            values[block] = accepted if g is None else accepted * g(x)
-        return _stratum_stats(values, b)
+            runs = _Runs(start + lo, min(BLOCK, count - lo), per_base)
+            accepted, x = _accept_block(table, runs, rng, sides, work)
+            block = values[lo:lo + runs.size]
+            if g is None:
+                block[:] = accepted
+            else:
+                np.multiply(accepted, g(x), out=block)
+        return _stratum_stats(values, start, per_base)
 
     n = np.zeros(count, dtype=np.int64)
     mean = np.zeros(count)
@@ -147,6 +283,15 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
                       int(n.sum()), seed, workers)
 
 
+def _one_base_block(view: MatroidView, row: int, rows: int, rng,
+                    sides: _Sides):
+    """(accepted, x) of `rows` draws for the base in table row `row`, as
+    one block."""
+    table = view.base_table
+    return _accept_block(table, _Runs(row * rows, rows, rows), rng, sides,
+                         _Work(table, sides, rows, True))
+
+
 def sample_for_base(arr, base_mask: int, dim: int,
                     rng: np.random.Generator, radii=None) -> PolymerSample:
     """One polymer draw for a base: the configuration solving
@@ -158,9 +303,8 @@ def sample_for_base(arr, base_mask: int, dim: int,
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
     row = view._base_row(base_mask)
     table = view.base_table
-    draw, outside = _ball_sides(arr, dim, radii)
-    accepted, x = _accept_block(table, np.full(1, row), rng, draw, outside,
-                                True)
+    accepted, x = _one_base_block(view, row, 1, rng,
+                                  _ball_sides(arr, table, dim, radii))
     base_idx = table.elems[row]
     u = (arr.coeff[base_idx] @ x[0]) / np.asarray(radii)[base_idx][:, None]
     return PolymerSample(base_mask, u, x[0], bool(accepted[0]))
@@ -177,8 +321,8 @@ def volume_mc(arr, dim: int, n_samples: int, seed: int,
     arr = view.arrangement
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
     weight = sphere_area(dim) ** arr.ambient_dim
-    draw, outside = _ball_sides(arr, dim, radii)
-    return _polymer_estimate(view, n_samples, seed, workers, draw, outside,
+    return _polymer_estimate(view, n_samples, seed, workers,
+                             _ball_sides(arr, view.base_table, dim, radii),
                              weight)
 
 
@@ -285,10 +429,9 @@ def project_expectation(arr, d: int, g, n_samples: int, seed: int,
     chi_weight = _chi_weight(view)
     n = arr.ambient_dim
     weight = sphere_area(dim) ** n
-    draw, outside = _ball_sides(arr, dim, arr.radii)
-    polymer_side = _polymer_estimate(view, n_samples, seed, workers, draw,
-                                     outside, weight,
-                                     g=lambda x: g(x[:, :, 2:]))
+    sides = _ball_sides(arr, view.base_table, dim, arr.radii)
+    polymer_side = _polymer_estimate(view, n_samples, seed, workers, sides,
+                                     weight, g=lambda x: g(x[:, :, 2:]))
     # separate seed so the two sides are statistically independent
     mmc_side = _region_estimate(view, d, chi_weight, n_samples, seed + 1,
                                 workers, g=g).scaled((-2.0 * math.pi) ** n)
@@ -341,26 +484,42 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
     d = dim - 2
     shapes = _check_shapes(arr, shapes, d)
 
-    draw = _shape_draw(shapes, dim,
-                       lambda s, rng, count: s.sample_surface(rng, count))
-    distinct = list(dict.fromkeys(shapes))
-    shape_of = np.array([distinct.index(s) for s in shapes])
+    table = view.base_table
+    distinct, shape_of, draw_shapes = _shape_draw(
+        shapes, dim, lambda s, rng, count: s.sample_surface(rng, count))
+    base_shapes = shape_of[table.elems]
+    out_shapes = shape_of[table.out]
 
-    def outside(vals, out):
+    def draw(rng, runs, work):
+        which = work.which[:runs.size]
+        for part, shape in zip(runs.rows(which), runs.base(base_shapes)):
+            part[...] = shape
+        return draw_shapes(rng, which)
+
+    def outside(runs, work):
         # every distinct shape's solid test on all flattened values, then
-        # each value's own shape picked by index, with no per-shape boolean
-        # gather and scatter
-        flat = vals.reshape(-1, dim)
+        # each value's own shape picked per run from the base's shapes
+        rows = runs.size
+        flat = work.vals[:rows].reshape(-1, dim)
         w_sq = _norms_sq(flat[:, :2])
         y = flat[:, 2:]
-        inside = np.stack([s.bottom_contains(y) & (w_sq <= s.warp(y) ** 2)
-                           for s in distinct])
-        inside = np.take_along_axis(inside, shape_of[out].reshape(1, -1), 0)[0]
-        return ~np.any(inside.reshape(out.shape), axis=1)
+        inside = [(s.bottom_contains(y) & (w_sq <= s.warp(y) ** 2)
+                   ).reshape(rows, -1) for s in distinct]
+        if len(distinct) == 1:
+            chosen = inside[0]
+        else:
+            chosen = work.compared[:rows]
+            for index, part, *choices in zip(runs.base(out_shapes),
+                                             runs.rows(chosen),
+                                             *map(runs.rows, inside)):
+                np.choose(index, choices, out=part)
+        accepted = _reduce_columns(np.logical_or, chosen, work.accepted[:rows])
+        return np.logical_not(accepted, out=accepted)
 
     totals = np.array([surface_measure_total(s) for s in shapes])
-    return _polymer_estimate(view, n_samples, seed, workers, draw, outside,
-                             np.prod(totals[view.base_table.elems], axis=1))
+    return _polymer_estimate(view, n_samples, seed, workers,
+                             _Sides(dim, float, draw, outside),
+                             np.prod(totals[table.elems], axis=1))
 
 
 # --------------------------------------------------------------------------
@@ -372,11 +531,13 @@ def dump_samples_csv(path, arr, dim: int, n_samples: int, seed: int,
     """Write (base mask, accepted, flattened coordinates) rows for a small
     number of draws from every base.  `arr` is an Arrangement or a
     MatroidView of one."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     view = view_of(arr)
     arr = view.arrangement
     table = view.base_table
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
-    draw, outside = _ball_sides(arr, dim, radii)
+    sides = _ball_sides(arr, table, dim, radii)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["base_mask", "accepted"]
@@ -384,8 +545,8 @@ def dump_samples_csv(path, arr, dim: int, n_samples: int, seed: int,
                            for j in range(dim)])
         for b_index, base_mask in enumerate(table.masks.tolist()):
             rng = RNGStream(seed, b_index).generator()
-            accepted, x = _accept_block(table, np.full(n_samples, b_index),
-                                        rng, draw, outside, True)
+            accepted, x = _one_base_block(view, b_index, n_samples, rng,
+                                          sides)
             coords = x.reshape(n_samples, -1)
             if np.iscomplexobj(coords):
                 coords = np.concatenate([coords.real, coords.imag], axis=1)

@@ -15,9 +15,11 @@ computed over Fractions, so nothing of the library's integer arithmetic
 in Z[zeta_k] is reused.  `integer_inverse` is a batch of one of the
 library's `integer_inverses`.
 
-And the slow path the region estimators are checked against:
+And the slow paths the region estimators are checked against:
 `box_estimate`, which draws configurations uniformly in the bounding box of
-the base tubes instead of from their mixture.
+the base tubes instead of from their mixture, and
+`pressure_coefficient_enumerated`, one tube-kernel run per spanning subset
+(`spanning_subsets`), added by `mc_sum`.
 
 And the slow path the polymer volumes are checked against:
 `per_base_polymer_estimate`, one chunked run per base with its own block
@@ -37,7 +39,8 @@ from polygas.arrangement import _mask_bits
 from polygas.exact_linalg import Cyclotomic, FieldMismatchError, integer_inverses
 from polygas.geometry import bounding_halfwidth, sample_unit_sphere
 from polygas.matroid import mask_elements
-from polygas.mayer import mc_sum, run_chunked
+from polygas.mayer import (MCEstimate, _contains, _parity, _region_estimate,
+                           pressure_exact_d0, run_chunked)
 
 
 def clip_halfplane(poly, a, b, c):
@@ -461,6 +464,34 @@ def box_estimate(view, d, weight, n_samples, seed, workers=1, *, shapes=None,
 
     return run_chunked(n_samples, seed, workers, values,
                        stream_base=stream_base)
+
+
+def mc_sum(estimates, seed: int, workers: int) -> MCEstimate:
+    """Sum of independent estimates: means add, variances add."""
+    mean = sum(e.mean for e in estimates)
+    var = sum(e.stderr ** 2 for e in estimates)
+    n = sum(e.n_samples for e in estimates)
+    return MCEstimate(mean, math.sqrt(var), n, seed, workers)
+
+
+def spanning_subsets(view):
+    """All subsets of full rank, ascending bitmask order."""
+    return map(int, np.flatnonzero(view.spanning_table))
+
+
+def pressure_coefficient_enumerated(view, d: int, n_samples: int, seed: int,
+                                    workers: int = 1) -> MCEstimate:
+    """The pressure coefficient as the sum over spanning subsets H of each
+    subset's coefficient, estimated separately (n_samples each, stream
+    block h_index << 32) by the tube kernel restricted to H.  Exponential
+    in the ground set; desk scale only."""
+    if d == 0:
+        return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
+    parts = [_region_estimate(view, d, _contains(view, mask), n_samples, seed,
+                              workers, within=mask, stream_base=h_index << 32
+                              ).scaled(_parity(mask))
+             for h_index, mask in enumerate(spanning_subsets(view))]
+    return mc_sum(parts, seed, workers)
 
 
 def ball_sides(arr, dim, radii):

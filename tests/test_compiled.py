@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (chi_by_expansion, circuit_by_rank, fraction_inverse,
-                     integer_inverse, safe_count_by_exchange)
+                     integer_inverse, safe_count_by_exchange, spanning_subsets)
 from polygas.arrangement import (ArrangementError, braid, coxeter_b, coxeter_d,
                                  custom, dowling, threshold, widom_rowlinson)
 from polygas.dimred import check_dr
@@ -73,7 +73,7 @@ def test_bases_of_equals_full_rank_subsets_of_size_rank(label):
     view = MatroidView(SMALL_FAMILIES[label])
     oracle = MatroidView(SMALL_FAMILIES[label])
     n = view.full_rank
-    for mask in view.spanning_subsets():
+    for mask in spanning_subsets(view):
         expected = sorted(sum(1 << e for e in elems)
                           for elems in combinations(mask_elements(mask), n)
                           if oracle.rank_of(sum(1 << e for e in elems)) == n)

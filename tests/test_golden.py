@@ -5,12 +5,12 @@ leave these bits alone too."""
 
 import hashlib
 
+from oracles import pressure_coefficient_enumerated
 from polygas import (LinearOrder, MatroidView, RNGStream, asa_volume_mc, braid,
                      bounding_halfwidth, capped_cylinder_shape, check_dr,
                      coxeter_b, cylinder_shape, dowling, mmc_asa, mmc_mc,
-                     pressure_coefficient, pressure_coefficient_enumerated,
-                     project_expectation, safe_projection_expectation,
-                     sample_for_base, volume_mc)
+                     pressure_coefficient, project_expectation,
+                     safe_projection_expectation, sample_for_base, volume_mc)
 from polygas.mayer import asa_pressure_coefficient
 from polygas.polymer import dump_samples_csv
 

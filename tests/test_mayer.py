@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import hard_rod_pressure_coefficient, slab_region_area
+from oracles import (hard_rod_pressure_coefficient, mc_sum,
+                     pressure_coefficient_enumerated, slab_region_area)
 from polygas.arrangement import braid, coxeter_d, dowling
 from polygas.geometry import capped_cylinder_shape, cylinder_shape, sphere_shape
 from polygas.matroid import MatroidView
-from polygas.mayer import (MCEstimate, SpanningError, mc_sum, mmc_asa, mmc_d0,
-                           mmc_mc, pressure_coefficient,
-                           pressure_coefficient_enumerated, pressure_exact_d0,
-                           z_score)
+from polygas.mayer import (MCEstimate, SpanningError, mmc_asa, mmc_d0, mmc_mc,
+                           pressure_coefficient, pressure_exact_d0, z_score)
 
 
 def within_sigma(est, target, k=4.0):

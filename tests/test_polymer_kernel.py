@@ -16,6 +16,7 @@ from polygas import (MatroidView, asa_volume_mc, braid, capped_cylinder_shape,
                      project_expectation, sphere_area, surface_measure_total,
                      volume_mc, z_score)
 from polygas.matroid import mask_elements
+from polygas.mayer import BLOCK, CHUNK
 
 
 def oracle_volume(view, dim, n_samples, seed, radii=None):
@@ -160,3 +161,53 @@ def test_one_scheduled_run_per_volume(monkeypatch):
     asa_volume_mc(braid(4), [cylinder_shape(3, 1.0)] * 6, 2 ** 14, 0)
     # one run over all rows, not one per base (braid 5: 125, braid 4: 16)
     assert calls == [2 ** 14 // 125 * 125, 2 ** 14]
+
+
+def _run_split_cases(count):
+    """(row0, per_base, rows) blocks of a stratified list of `count` bases:
+    per_base = 1, per_base > BLOCK, a block inside one run, the short last
+    block of a chunk, and random blocks."""
+    per_base = CHUNK // count + 7           # the list ends inside chunk 2
+    last = CHUNK + (per_base * count - CHUNK - 1) // BLOCK * BLOCK
+    cases = [(0, 1, min(BLOCK, count)),
+             (BLOCK, BLOCK + 3, BLOCK),              # two partial runs
+             (5, BLOCK + 3, 100),                    # inside one run
+             (7, 10, 3),                             # inside one short run
+             (last, per_base, per_base * count - last)]
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        per_base = int(rng.integers(1, 200))
+        total = per_base * count
+        row0 = int(rng.integers(0, total))
+        cases.append((row0, per_base,
+                      int(rng.integers(1, min(BLOCK, total - row0) + 1))))
+    return cases
+
+
+@pytest.mark.parametrize("arr", [braid(5), coxeter_b(3), dowling(2, 3)],
+                         ids=["braid5", "coxeterB3", "dowling2_3"])
+def test_run_views_equal_gathered_products(arr):
+    # the stride-0 run products must equal the per-row gathered ones bit for
+    # bit: every estimate rests on it
+    table = MatroidView(arr).base_table
+    count = table.masks.size
+    rng = np.random.default_rng(8)
+    dtype = table.inv.dtype
+    for row0, per_base, rows in _run_split_cases(count):
+        runs = polymer._Runs(row0, rows, per_base)
+        b = np.arange(row0, row0 + rows) // per_base
+        edges = [edge for lo, hi, _, _ in runs.parts for edge in (lo, hi)]
+        assert edges[0] == 0 and edges[-1] == rows and len(runs.parts) <= 3
+        assert edges[1:-1:2] == edges[2:-1:2]     # the parts tile the block
+        assert np.array_equal(
+            np.concatenate([np.repeat(np.arange(base, base + k), (hi - lo) // k)
+                            for lo, hi, base, k in runs.parts]), b)
+        h = rng.standard_normal((rows, table.inv.shape[1], 2))
+        if dtype == complex:
+            h = h + 1j * rng.standard_normal(h.shape)
+        for maps in (table.to_out, table.inv):
+            got = polymer._matmul_runs(runs, maps, h,
+                                       np.empty((rows, maps.shape[1], 2), dtype))
+            assert np.array_equal(got, maps[b] @ h)
+        for view in runs.base(table.to_out):
+            assert not view.flags.writeable and view.strides[1] == 0

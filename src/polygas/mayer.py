@@ -218,28 +218,28 @@ def _ball_draw(arr: Arrangement, d: int):
 
 
 def _shape_draw(shapes, width: int, sample):
-    """(distinct, shape_of, draw) of the tube and polymer kernels for warped
-    shapes: the distinct shapes in order, shape_of[e] the index of
-    hyperplane e's shape among them, and draw(rng, which) a point sample(shape, rng, count) with `width`
-    coordinates for each entry of `which` (an int array of those indices),
-    shaped which.shape + (width,), from one sample call per distinct shape."""
+    """draw(rng, elems) of the tube and polymer kernels for warped shapes:
+    for each e in `elems` (an int array) a point sample(shapes[e], rng,
+    count) with `width` coordinates, shaped elems.shape + (width,), from one
+    sample call per distinct shape."""
     distinct = list(dict.fromkeys(shapes))
-    shape_of = np.array([distinct.index(s) for s in shapes], dtype=np.intp)
+    shape_of = np.array([distinct.index(s) for s in shapes])
 
-    def draw(rng, which):
+    def draw(rng, elems):
         # the loop's draws for one shape, without its gather and scatter:
         # perfbench warped_projection wall_s 0.96 -> 0.91 s, 5 of 6 pairs
         # (2-vCPU VM)
         if len(distinct) == 1:
-            return sample(distinct[0], rng, which.size).reshape(
-                which.shape + (width,))
-        h = np.empty(which.shape + (width,))
+            return sample(distinct[0], rng, elems.size).reshape(
+                elems.shape + (width,))
+        which = shape_of[elems]
+        h = np.empty(elems.shape + (width,))
         for i, shape in enumerate(distinct):
             pick = which == i
             h[pick] = sample(shape, rng, int(np.count_nonzero(pick)))
         return h
 
-    return distinct, shape_of, draw
+    return draw
 
 
 def _base_picker(cdf: np.ndarray):
@@ -304,11 +304,8 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
         body = ball_volume(d) * np.asarray(arr.radii) ** d
     else:
         bits = _mask_bits(arr.size)
-        _, shape_of, draw_shapes = _shape_draw(
-            shapes, d, lambda s, rng, count: s.sample_bottom(rng, count))
-
-        def draw(rng, elems):
-            return draw_shapes(rng, shape_of[elems])
+        draw = _shape_draw(shapes, d,
+                           lambda s, rng, count: s.sample_bottom(rng, count))
         body = np.array([s.bottom_volume for s in shapes])
     vol = table.abs_det ** -d * np.prod(body[table.elems], axis=1)
     total = float(vol.sum())

@@ -96,6 +96,7 @@ class _Runs:
                 for lo, hi, _, k in self.parts]
 
 
+@dataclass(frozen=True)
 class _Sides:
     """How polymer base values are drawn and non-base values tested: each
     value has `width` entries of `dtype`.  draw(rng, runs, work) returns
@@ -104,16 +105,17 @@ class _Sides:
     view of work.accepted), given the non-base values in
     work.vals[:runs.size], which it may overwrite."""
 
-    def __init__(self, width: int, dtype, draw, outside):
-        self.width, self.dtype = width, dtype
-        self.draw, self.outside = draw, outside
+    width: int
+    dtype: type
+    draw: object
+    outside: object
 
 
 class _Work:
     """Buffers for the blocks of one chunk (at most `rows` rows each),
     allocated once per chunk: base values h, non-base values vals, squared
-    norms and comparisons of the non-base values, acceptance flags, an int
-    per base value (the warped-shape draw's shape indices), and the
+    norms and comparisons of the non-base values, acceptance flags, each
+    row's base elements (for the warped-shape draw), and the
     configurations x when they are needed.
 
     They share one anonymous memory map, which goes back to the OS when the
@@ -132,7 +134,7 @@ class _Work:
                  ("norms_sq", ((rows, m), float)),
                  ("compared", ((rows, m), bool)),
                  ("accepted", ((rows,), bool)),
-                 ("which", ((rows, n), np.intp))]
+                 ("elems", ((rows, n), np.intp))]
         self.x = None
         if need_x:
             specs.append(("x", values))
@@ -485,16 +487,16 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
     shapes = _check_shapes(arr, shapes, d)
 
     table = view.base_table
-    distinct, shape_of, draw_shapes = _shape_draw(
-        shapes, dim, lambda s, rng, count: s.sample_surface(rng, count))
-    base_shapes = shape_of[table.elems]
-    out_shapes = shape_of[table.out]
+    draw_shapes = _shape_draw(shapes, dim,
+                              lambda s, rng, count: s.sample_surface(rng, count))
+    distinct = list(dict.fromkeys(shapes))
+    out_shapes = np.array([distinct.index(s) for s in shapes])[table.out]
 
     def draw(rng, runs, work):
-        which = work.which[:runs.size]
-        for part, shape in zip(runs.rows(which), runs.base(base_shapes)):
-            part[...] = shape
-        return draw_shapes(rng, which)
+        elems = work.elems[:runs.size]
+        for part, base_elems in zip(runs.rows(elems), runs.base(table.elems)):
+            part[...] = base_elems
+        return draw_shapes(rng, elems)
 
     def outside(runs, work):
         # every distinct shape's solid test on all flattened values, then

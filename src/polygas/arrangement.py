@@ -51,28 +51,18 @@ def _mask_bits(size: int) -> np.ndarray:
     return 1 << np.arange(size, dtype=np.int64)
 
 
-def _norms_sq(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _norms_sq(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean norms over the last axis (real and imaginary parts
     of complex entries), the squares added column by column: numpy's
     reduction over a trailing axis of a few entries is ~4x slower.  For real
     x with fewer than 8 columns this equals np.linalg.norm(x, axis=-1) ** 2
-    bit for bit, since numpy then adds in order too.
-
-    With `out`, the norms are written there and x (which must be writable)
-    is squared in place, so no temporary is made; the bits are the same."""
+    bit for bit, since numpy then adds in order too."""
     parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
     columns = [part[..., i] for part in parts for i in range(part.shape[-1])]
-    if out is None:
-        total = np.square(columns[0])
-        for column in columns[1:]:
-            total += np.square(column)
-        return total
-    for part in parts:
-        np.square(part, out=part)
-    np.copyto(out, columns[0])
+    total = np.square(columns[0])
     for column in columns[1:]:
-        out += column
-    return out
+        total += np.square(column)
+    return total
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import math
-import mmap
 import time
 from dataclasses import dataclass
 
@@ -100,52 +99,35 @@ class _Runs:
 class _Sides:
     """How polymer base values are drawn and non-base values tested: each
     value has `width` entries of `dtype`.  draw(rng, runs, work) returns
-    the rows' base values, shaped (runs.size, n, width), in work.h or a
-    fresh array; outside(runs, work) returns the rows' acceptance flags (a
-    view of work.accepted), given the non-base values in
-    work.vals[:runs.size], which it may overwrite."""
+    the rows' base values, shaped (runs.size, n, width), in a buffer of
+    work or a fresh array; outside(runs, work) returns the rows' acceptance
+    flags (a view of work.accepted), given the non-base values in
+    work.vals[:runs.size].  `buffers` names the draw's and the test's own
+    buffers in _Work: name -> (shape of one row, dtype)."""
 
     width: int
     dtype: type
     draw: object
     outside: object
+    buffers: dict
 
 
 class _Work:
     """Buffers for the blocks of one chunk (at most `rows` rows each),
-    allocated once per chunk: base values h, non-base values vals, squared
-    norms and comparisons of the non-base values, acceptance flags, each
-    row's base elements (for the warped-shape draw), and the
-    configurations x when they are needed.
-
-    They share one anonymous memory map, which goes back to the OS when the
-    chunk's arrays are dropped, and whose pages cost memory only once
-    written.  As malloc blocks of 0.1-2 MB they would stay in the worker
-    threads' heaps, which then held ~10 MB each after a perfbench dr_suite
-    pass (2 workers; glibc malloc_stats) against 2-5 MB with the per-row
-    gathers, and the pass's peak RSS rose with them."""
+    allocated once per chunk: non-base values vals, acceptance flags
+    accepted, the configurations x when they are needed (else None), and
+    the buffers that sides.buffers names."""
 
     def __init__(self, table: BaseTable, sides: _Sides, rows: int,
                  need_x: bool):
-        n, m = table.elems.shape[1], table.out.shape[1]
-        values = ((rows, n, sides.width), sides.dtype)
-        specs = [("h", values),
-                 ("vals", ((rows, m, sides.width), sides.dtype)),
-                 ("norms_sq", ((rows, m), float)),
-                 ("compared", ((rows, m), bool)),
-                 ("accepted", ((rows,), bool)),
-                 ("elems", ((rows, n), np.intp))]
-        self.x = None
-        if need_x:
-            specs.append(("x", values))
-        sizes = [math.prod(shape) * np.dtype(dtype).itemsize
-                 for _, (shape, dtype) in specs]
-        # each buffer starts on a 64-byte line
-        starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes])
-        memory = np.frombuffer(mmap.mmap(-1, int(starts[-1]) or 1), np.uint8)
-        for (name, (shape, dtype)), start, size in zip(specs, starts, sizes):
-            setattr(self, name,
-                    memory[start:start + size].view(dtype).reshape(shape))
+        def values(count):
+            return np.empty((rows, count, sides.width), sides.dtype)
+
+        self.vals = values(table.out.shape[1])
+        self.accepted = np.empty(rows, dtype=bool)
+        self.x = values(table.elems.shape[1]) if need_x else None
+        for name, (shape, dtype) in sides.buffers.items():
+            setattr(self, name, np.empty((rows,) + shape, dtype=dtype))
 
 
 def _matmul_runs(runs: _Runs, maps: np.ndarray, h: np.ndarray,
@@ -200,21 +182,25 @@ def _ball_sides(arr: Arrangement, table: BaseTable, dim: int, radii) -> _Sides:
 
     def outside(runs, work):
         rows = runs.size
-        norms_sq = _norms_sq(work.vals[:rows], out=work.norms_sq[:rows])
+        norms_sq = _norms_sq(work.vals[:rows])
         compared = work.compared[:rows]
         for part, r_sq, cmp in zip(runs.rows(norms_sq), runs.base(out_radii_sq),
                                    runs.rows(compared)):
             np.greater(part, r_sq, out=cmp)
         return _reduce_columns(np.logical_and, compared, work.accepted[:rows])
 
-    return _Sides(dim if complexified else dim // 2,
-                  float if complexified else complex, draw, outside)
+    width, dtype = (dim, float) if complexified else (dim // 2, complex)
+    n, m = table.elems.shape[1], table.out.shape[1]
+    return _Sides(width, dtype, draw, outside,
+                  {"h": ((n, width), dtype), "compared": ((m,), bool)})
 
 
 def _reduce_columns(op, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """op.reduce(a, axis=1, out=out) for a (rows, m) bool array and op
     np.logical_and or np.logical_or, column by column: numpy's reduction
-    over a short trailing axis is 2-7x slower (m = 10 to 3)."""
+    over a short trailing axis is 2-7x slower (m = 10 to 3).  perfbench
+    planar_invariance wall_s 0.730 s with np.all -> 0.698 s, 5 of 5 pairs
+    (2-vCPU VM)."""
     out[...] = a[:, 0] if a.shape[1] else op.identity
     for j in range(1, a.shape[1]):
         op(out, a[:, j], out=out)
@@ -490,7 +476,9 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
     draw_shapes = _shape_draw(shapes, dim,
                               lambda s, rng, count: s.sample_surface(rng, count))
     distinct = list(dict.fromkeys(shapes))
-    out_shapes = np.array([distinct.index(s) for s in shapes])[table.out]
+    shape_of = np.array([distinct.index(s) for s in shapes])
+    # per base, which non-base values have each distinct shape
+    picks = [shape_of[table.out] == i for i in range(len(distinct))]
 
     def draw(rng, runs, work):
         elems = work.elems[:runs.size]
@@ -499,28 +487,27 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
         return draw_shapes(rng, elems)
 
     def outside(runs, work):
-        # every distinct shape's solid test on all flattened values, then
-        # each value's own shape picked per run from the base's shapes
+        # each distinct shape's solid test on all flattened values, kept
+        # per run where the base's values have that shape
         rows = runs.size
         flat = work.vals[:rows].reshape(-1, dim)
         w_sq = _norms_sq(flat[:, :2])
         y = flat[:, 2:]
-        inside = [(s.bottom_contains(y) & (w_sq <= s.warp(y) ** 2)
-                   ).reshape(rows, -1) for s in distinct]
-        if len(distinct) == 1:
-            chosen = inside[0]
-        else:
-            chosen = work.compared[:rows]
-            for index, part, *choices in zip(runs.base(out_shapes),
-                                             runs.rows(chosen),
-                                             *map(runs.rows, inside)):
-                np.choose(index, choices, out=part)
-        accepted = _reduce_columns(np.logical_or, chosen, work.accepted[:rows])
+        inside = work.inside[:rows]
+        for s, pick in zip(distinct, picks):
+            inside_s = (s.bottom_contains(y) & (w_sq <= s.warp(y) ** 2)
+                        ).reshape(rows, -1)
+            for part, where, values in zip(runs.rows(inside), runs.base(pick),
+                                           runs.rows(inside_s)):
+                np.copyto(part, values, where=where)
+        accepted = _reduce_columns(np.logical_or, inside, work.accepted[:rows])
         return np.logical_not(accepted, out=accepted)
 
     totals = np.array([surface_measure_total(s) for s in shapes])
     return _polymer_estimate(view, n_samples, seed, workers,
-                             _Sides(dim, float, draw, outside),
+                             _Sides(dim, float, draw, outside,
+                                    {"elems": ((table.elems.shape[1],), np.intp),
+                                     "inside": ((table.out.shape[1],), bool)}),
                              np.prod(totals[table.elems], axis=1))
 
 

@@ -5,6 +5,7 @@ case and per-base variance rule."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import polygas.polymer as polymer
 from oracles import ball_sides, per_base_polymer_estimate, surface_sides
 from polygas import (MatroidView, asa_volume_mc, braid, capped_cylinder_shape,
-                     coxeter_b, coxeter_d, cylinder_shape, dowling,
+                     coxeter_b, coxeter_d, custom, cylinder_shape, dowling,
                      project_expectation, sphere_area, surface_measure_total,
                      volume_mc, z_score)
 from polygas.matroid import mask_elements
@@ -108,6 +109,29 @@ def test_asa_volume_mixed_shapes_matches_per_base():
     est = asa_volume_mc(view, shapes, 2 ** 17, 56)
     ref = per_base_polymer_estimate(view, 2 ** 17, 57, *surface_sides(shapes),
                                     base_weight)
+    assert_agree(est, ref)
+
+
+def test_asa_volume_many_distinct_shapes_matches_per_base():
+    # 63 distinct shapes (as many as a base mask has bits), more choices
+    # than numpy 1.x takes in one np.choose call (31), on a rank-2
+    # arrangement of 63 lines in three directions: 123 bases of 133 rows,
+    # ~62 runs per block and one cut at the block edge
+    normals = [(1, 0), (0, 1)] + [(Fraction(8 + k, 8),) * 2 for k in range(61)]
+    arr = custom(normals)
+    shapes = [(capped_cylinder_shape if k % 2 else cylinder_shape)(3, 0.5 + k / 32)
+              for k in range(63)]
+    view = MatroidView(arr)
+    assert len(set(shapes)) == 63 and view.base_table.masks.size == 123
+
+    def base_weight(base):
+        return math.prod(surface_measure_total(shapes[e])
+                         for e in mask_elements(base))
+
+    est = asa_volume_mc(view, shapes, 2 ** 14, 60)
+    ref = per_base_polymer_estimate(view, 2 ** 14, 61, *surface_sides(shapes),
+                                    base_weight)
+    assert est.mean > 0
     assert_agree(est, ref)
 
 

@@ -15,6 +15,9 @@ ring rows (`_ring_rows`): each row times the least positive integer that
 makes it integral, over Z or Z[zeta_k].  Each step divides exactly by the
 previous pivot p: integers by floor division, elements of Z[zeta_k] by a
 multiplication with p* and a floor division of the coefficients by N(p).
+A third, one-row form (`_extend_echelon`) reduces a single ring row
+against echelon rows kept from earlier calls, with no division but the
+residue's integer content.
 The inverse elimination runs on a batch of matrices at once, as numpy
 arrays: int64 where a Hadamard bound proves that exact, Python ints or
 Cyclotomic values in object arrays otherwise.
@@ -333,13 +336,38 @@ def _fraction_free_rank(rows) -> int:
     return rank
 
 
+def _extend_echelon(echelon, row):
+    """Reduce the ring row `row` against `echelon`, a tuple of (pivot
+    column, ring row) pairs in which each earlier pivot column is zero in
+    every later row: one step v = p v - v[c] r per pair whose column is
+    nonzero in v, in order, so no division.  Returns None when the residue
+    is zero (the row is in the span), else the residue's pair: its first
+    nonzero column and the residue divided by its integer content, which
+    keeps a rational residue the primitive integer vector on its line, so
+    its entries are bounded by the minors Bareiss elimination would hold."""
+    v = row
+    for c, r in echelon:
+        f = v[c]
+        if f:
+            p = r[c]
+            v = [p * a - f * b for a, b in zip(v, r)]
+    c = next((i for i, a in enumerate(v) if a), None)
+    if c is None:
+        return None
+    if isinstance(v[c], Cyclotomic):
+        g = math.gcd(*(n for a in v for n in a.num))
+    else:
+        g = math.gcd(*v)
+    return c, v if g == 1 else [a // g for a in v]
+
+
 def exact_rank(rows) -> int:
     """Exact rank of a list of rows over the rows' common field; 0 for empty."""
     rows = [tuple(r) for r in rows]
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("ragged matrix")
     if not rows or not rows[0]:
         return 0
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("ragged matrix")
     return _fraction_free_rank(_ring_rows(rows)[0])
 
 

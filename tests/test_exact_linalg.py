@@ -90,6 +90,14 @@ def test_rank_cyclotomic_pair():
 
 def test_rank_empty():
     assert exact_rank([]) == 0
+    assert exact_rank([[], []]) == 0
+
+
+def test_rank_refuses_ragged_rows():
+    # an empty first row must not hide the ragged rows behind it
+    for rows in ([[], [1, 2]], [[1, 2], []], [[1, 2], [1, 2, 3]]):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            exact_rank(rows)
 
 
 def test_rank_low_order_cyclotomic_matches_rational():

@@ -1,11 +1,15 @@
 import math
 import random
+import sys
+import threading
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from oracles import spanning_subsets
-from polygas.arrangement import braid, coxeter_b, coxeter_d, dowling, threshold
+from oracles import field_rank, spanning_subsets
+from polygas.arrangement import (braid, coxeter_b, coxeter_d, custom, dowling,
+                                 threshold)
 from polygas.matroid import LinearOrder, MatroidError, MatroidView, mask_elements, popcount
 
 
@@ -226,3 +230,146 @@ def test_chi_cross_formula_braid5():
     v = MatroidView(braid(5))
     chi = v.chi_at_zero()
     assert v.safe_base_count() == (-1) ** 4 * chi == 24
+
+
+# --------------------------------------------------------------------------
+# the base search's echelon memo against plain Gaussian elimination
+# --------------------------------------------------------------------------
+
+def oracle_ranks(arr):
+    return [field_rank([arr.normals[e] for e in mask_elements(m)])
+            for m in range(1 << arr.size)]
+
+
+def search_with_ranks_at(view, at_call):
+    """Run the base search and, at its `at_call`-th rank call, query every
+    subset's rank in ascending order while the echelon memo is live.
+    Returns the bases, those ranks and the memo right after them."""
+    rank_of = view.rank_of
+    calls, seen = [], {}
+
+    def counted(mask):
+        calls.append(mask)
+        if len(calls) == at_call:
+            seen["ranks"] = [rank_of(m) for m in range(1 << view.size)]
+            seen["memo"] = dict(view._echelon)
+        return rank_of(mask)
+
+    view.rank_of = counted
+    try:
+        bases = tuple(view.bases())
+    finally:
+        del view.rank_of
+    return bases, seen["ranks"], seen["memo"]
+
+
+def search_calls(arr):
+    """The masks of the search's rank calls, and the memo's size at each."""
+    view = MatroidView(arr)
+    calls, sizes = [], []
+    rank_of = view.rank_of
+
+    def counted(mask):
+        calls.append(mask)
+        sizes.append(len(view._echelon))
+        return rank_of(mask)
+
+    view.rank_of = counted
+    view.bases()
+    return calls, sizes
+
+
+@pytest.mark.parametrize("arr", [braid(4), coxeter_b(3), coxeter_d(3),
+                                 threshold(4), dowling(2, 3)],
+                         ids=["braid4", "coxeterB3", "coxeterD3", "threshold4",
+                              "dowling2_3"])
+def test_rank_of_equals_field_rank_during_and_after_the_search(arr):
+    expected = oracle_ranks(arr)
+    # during: at the search's first call, every independent subset is met in
+    # ascending order after its prefix, so each is answered from the memo
+    view = MatroidView(arr)
+    bases, ranks, memo = search_with_ranks_at(view, 1)
+    assert ranks == expected
+    assert sorted(memo) == [m for m in range(1 << arr.size)
+                            if expected[m] == popcount(m)]
+    assert all(len(rows) == popcount(m) for m, rows in memo.items())
+    assert view._echelon is None
+    # after: the memo is gone, and ranks outside the search are eliminations
+    after = MatroidView(arr)
+    assert tuple(after.bases()) == bases
+    assert after._echelon is None
+    assert [after.rank_of(m) for m in range(1 << arr.size)] == expected
+
+
+@pytest.mark.parametrize("arr", [coxeter_b(4), dowling(3, 3)],
+                         ids=["coxeterB4", "dowling3_3"])
+def test_bases_equal_brute_force(arr):
+    brute = [mask_of(c) for c in combinations(range(arr.size), arr.ambient_dim)
+             if field_rank([arr.normals[e] for e in c]) == arr.ambient_dim]
+    assert list(MatroidView(arr).bases()) == sorted(brute)
+
+
+def test_echelon_rows_stay_bounded_on_large_coprime_entries():
+    # rank 6: six random rows with large entries, plus rows that are small
+    # combinations of them and two with fractional entries
+    rng = random.Random(7)
+    free = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(6)] for _ in range(6)]
+    rows = free + [
+        [a - 3 * b for a, b in zip(free[0], free[1])],
+        [2 * a + b - 5 * c for a, b, c in zip(free[2], free[3], free[4])],
+        [Fraction(a, 7) + Fraction(b, 11) for a, b in zip(free[1], free[5])],
+        [Fraction(rng.randint(-10 ** 6, 10 ** 6), 999983) for _ in range(6)]]
+    arr = custom(rows)
+    expected = oracle_ranks(arr)
+    view = MatroidView(arr)
+    bases, ranks, memo = search_with_ranks_at(view, 2)
+    assert ranks == expected
+    assert len(bases) == sum(popcount(m) == 6 and r == 6
+                             for m, r in enumerate(expected))
+    # each residue is the primitive integer vector on its line, so its
+    # entries are at most the Hadamard bound on the minors of its ring rows
+    big = 0
+    for mask, echelon in memo.items():
+        bound = 1
+        for e, (_, row) in zip(mask_elements(mask), echelon):
+            bound *= sum(a * a for a in view._rows[e])
+            big = max(big, max(a * a for a in row))
+            assert max(a * a for a in row) <= bound
+    assert big > 10 ** 24     # the memo held rows of depth > 1
+    assert view._echelon is None
+
+
+def test_base_search_keeps_the_rank_calls():
+    # 3663: the rank_of calls of braid(6)'s search when each was a fresh
+    # elimination; the memo changes what a call costs, not which are made
+    calls, sizes = search_calls(braid(6))
+    assert len(calls) == len(set(calls)) == 3663
+    # the memo holds the search's path only: the empty set and a prefix
+    # per level below the bases
+    assert max(sizes) == 5
+
+
+def test_concurrent_base_searches_run_once(monkeypatch):
+    calls = []
+    rank_of = MatroidView.rank_of
+    monkeypatch.setattr(MatroidView, "rank_of",
+                        lambda self, mask: calls.append(mask) or rank_of(self, mask))
+    alone = tuple(MatroidView(braid(5)).bases())
+    single = len(calls)
+    calls.clear()
+    view = MatroidView(braid(5))
+    found = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: found.append(
+            tuple(view.bases()))) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(found) == 6 and all(bases == alone for bases in found)
+    assert len(calls) == single == 311

@@ -241,16 +241,15 @@ def oracle_ranks(arr):
             for m in range(1 << arr.size)]
 
 
-def search_with_ranks_at(view, at_call):
-    """Run the base search and, at its `at_call`-th rank call, query every
+def search_with_all_ranks(view):
+    """Run the base search and, at its first rank call, query every
     subset's rank in ascending order while the echelon memo is live.
     Returns the bases, those ranks and the memo right after them."""
     rank_of = view.rank_of
-    calls, seen = [], {}
+    seen = {}
 
     def counted(mask):
-        calls.append(mask)
-        if len(calls) == at_call:
+        if not seen:
             seen["ranks"] = [rank_of(m) for m in range(1 << view.size)]
             seen["memo"] = dict(view._echelon)
         return rank_of(mask)
@@ -285,10 +284,10 @@ def search_calls(arr):
                               "dowling2_3"])
 def test_rank_of_equals_field_rank_during_and_after_the_search(arr):
     expected = oracle_ranks(arr)
-    # during: at the search's first call, every independent subset is met in
-    # ascending order after its prefix, so each is answered from the memo
+    # during: every independent subset is met in ascending order after its
+    # prefix, so each is answered from the memo
     view = MatroidView(arr)
-    bases, ranks, memo = search_with_ranks_at(view, 1)
+    bases, ranks, memo = search_with_all_ranks(view)
     assert ranks == expected
     assert sorted(memo) == [m for m in range(1 << arr.size)
                             if expected[m] == popcount(m)]
@@ -322,7 +321,7 @@ def test_echelon_rows_stay_bounded_on_large_coprime_entries():
     arr = custom(rows)
     expected = oracle_ranks(arr)
     view = MatroidView(arr)
-    bases, ranks, memo = search_with_ranks_at(view, 2)
+    bases, ranks, memo = search_with_all_ranks(view)
     assert ranks == expected
     assert len(bases) == sum(popcount(m) == 6 and r == 6
                              for m, r in enumerate(expected))

@@ -23,7 +23,7 @@ from .matroid import MatroidView
 from .mayer import (MCEstimate, asa_pressure_coefficient, pressure_coefficient,
                     z_score)
 from .polymer import asa_volume_mc, volume_mc
-from .signed_graphs import (SignedGraph, dn_mask_to_graph,
+from .signed_graphs import (SignedGraph, _components, dn_mask_to_graph,
                             spans_with_unbalanced_components, is_balanced)
 
 
@@ -190,7 +190,7 @@ def balanced_weight_check(n: int) -> bool:
     rhs = Counter()
     for mask in range(1 << len(pairs)):
         edges = [pairs[p] for p in range(len(pairs)) if mask >> p & 1]
-        comps = _component_count(n, edges)
+        comps = len(_components(n, edges))
         rhs[len(edges)] += 2 ** (n - comps)
     return lhs == rhs
 
@@ -206,20 +206,6 @@ def _ternary(length: int):
         if i == length:
             return
         state[i] += 1
-
-
-def _component_count(n: int, edges) -> int:
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (i, j) in edges:
-        parent[find(i)] = find(j)
-    return len({find(v) for v in range(n)})
 
 
 # --------------------------------------------------------------------------

@@ -9,18 +9,21 @@ p* is the product of p's Galois conjugates other than p (per-k integer
 matrices of sigma_j: zeta -> zeta^j) and N(p) = p p* its norm, an integer
 for integral p (Cohen, GTM 138, section 4.3).
 
-Ranks and inverses come from two fraction-free eliminations (Bareiss,
-Math. Comp. 22, 1968), one for rank and one Gauss-Jordan for inverses, on
-ring rows (`_ring_rows`): each row times the least positive integer that
-makes it integral, over Z or Z[zeta_k].  Each step divides exactly by the
-previous pivot p: integers by floor division, elements of Z[zeta_k] by a
+Ranks and inverses run on ring rows (`_ring_rows`): each row times the
+least positive integer that makes it integral, over Z or Z[zeta_k].
+
+A rank is the length of an echelon form built one row at a time
+(`_echelon`): each row is reduced against the echelon rows so far
+(`_extend_echelon`), with no division but the residue's integer content,
+and joins them unless it is in their span.  The base search keeps the
+echelon rows of its path and extends them by one row per rank call.
+
+Inverses come from fraction-free Gauss-Jordan elimination (Bareiss,
+Math. Comp. 22, 1968) on a batch of matrices at once, as numpy arrays:
+int64 where a Hadamard bound proves that exact, Python ints or Cyclotomic
+values in object arrays otherwise.  Each step divides exactly by the
+previous pivots p: integers by floor division, elements of Z[zeta_k] by a
 multiplication with p* and a floor division of the coefficients by N(p).
-A third, one-row form (`_extend_echelon`) reduces a single ring row
-against echelon rows kept from earlier calls, with no division but the
-residue's integer content.
-The inverse elimination runs on a batch of matrices at once, as numpy
-arrays: int64 where a Hadamard bound proves that exact, Python ints or
-Cyclotomic values in object arrays otherwise.
 """
 
 from __future__ import annotations
@@ -283,7 +286,7 @@ def field_of(values):
 # --------------------------------------------------------------------------
 
 def _ring_rows(rows):
-    """The rows the fraction-free loops run on, and each row's scale.
+    """The rows the rank and inverse loops run on, and each row's scale.
 
     Each row is multiplied by the lcm of its entries' denominators, the
     least positive integer that makes it integral: rational rows become
@@ -300,40 +303,15 @@ def _ring_rows(rows):
             for r, s in zip(rows, scales)], scales
 
 
-def _quotient_by(pivot):
-    """(f, y) with f(x, y) = x / pivot exactly, for a step's entries x and
-    the previous pivot (or an array of them, one per matrix of a batch):
-    floor division by an integer pivot; for p in Z[zeta_k], y = (p*, N(p)),
+def _quotient_by(pivots):
+    """(f, y) with f(x, y) = x / pivots exactly, for a step's entries x and
+    an array of the previous pivots, one per matrix of a batch: floor
+    division by integer pivots; for p in Z[zeta_k], y = (p*, N(p)),
     computed once per step, and x times p* floor-divided by N(p)."""
-    first = pivot.flat[0] if isinstance(pivot, np.ndarray) else pivot
-    if isinstance(first, Cyclotomic):
+    if isinstance(pivots.flat[0], Cyclotomic):
         return (lambda x, y: x * y[0] // y[1],
-                np.frompyfunc(_conjugate_product, 1, 2)(pivot))
-    return operator.floordiv, pivot
-
-
-def _fraction_free_rank(rows) -> int:
-    """Rank of ring rows by fraction-free (Bareiss) elimination, exact for
-    any magnitudes: each entry stays a minor of the rows, so every division
-    by the previous pivot is exact.  Each step drops the column it has
-    cleared; a column without a pivot is dropped unchanged.  The given rows
-    are not modified."""
-    m = list(rows)
-    rank = 0
-    divide, by = operator.floordiv, 1       # the first step divides by 1
-    while m and m[0]:
-        piv = next((i for i, row in enumerate(m) if row[0]), None)
-        if piv is None:
-            m = [row[1:] for row in m]
-            continue
-        prow = m.pop(piv)
-        p, rest = prow[0], prow[1:]
-        rank += 1
-        m = [[divide(p * a - row[0] * b, by) for a, b in zip(row[1:], rest)]
-             for row in m]
-        if m and m[0]:
-            divide, by = _quotient_by(p)
-    return rank
+                np.frompyfunc(_conjugate_product, 1, 2)(pivots))
+    return operator.floordiv, pivots
 
 
 def _extend_echelon(echelon, row):
@@ -341,10 +319,13 @@ def _extend_echelon(echelon, row):
     column, ring row) pairs in which each earlier pivot column is zero in
     every later row: one step v = p v - v[c] r per pair whose column is
     nonzero in v, in order, so no division.  Returns None when the residue
-    is zero (the row is in the span), else the residue's pair: its first
-    nonzero column and the residue divided by its integer content, which
-    keeps a rational residue the primitive integer vector on its line, so
-    its entries are bounded by the minors Bareiss elimination would hold."""
+    is zero (the row is in the span, as every row is once the echelon has
+    a pivot in each column), else the residue's pair: its first nonzero
+    column and the residue divided by its integer content, which keeps a
+    rational residue the primitive integer vector on its line, so its
+    entries are bounded by the minors of the rows it came from."""
+    if len(echelon) == len(row):
+        return None
     v = row
     for c, r in echelon:
         f = v[c]
@@ -361,14 +342,23 @@ def _extend_echelon(echelon, row):
     return c, v if g == 1 else [a // g for a in v]
 
 
+def _echelon(rows):
+    """Echelon rows of the ring rows `rows`: each row in turn extends the
+    echelon (`_extend_echelon`) unless it is in the span of those before."""
+    echelon = ()
+    for row in rows:
+        residue = _extend_echelon(echelon, row)
+        if residue is not None:
+            echelon += (residue,)
+    return echelon
+
+
 def exact_rank(rows) -> int:
     """Exact rank of a list of rows over the rows' common field; 0 for empty."""
     rows = [tuple(r) for r in rows]
     if len({len(r) for r in rows}) > 1:
         raise ValueError("ragged matrix")
-    if not rows or not rows[0]:
-        return 0
-    return _fraction_free_rank(_ring_rows(rows)[0])
+    return len(_echelon(_ring_rows(rows)[0]))
 
 
 def is_independent(vectors) -> bool:

@@ -4,9 +4,9 @@ external activity, and the characteristic polynomial at zero.
 Ground subsets are bitmasks over hyperplane indices.  All questions are
 answered with exact arithmetic: a view scales its normals once to the
 integral ring rows of `exact_linalg` (over Z or Z[zeta_k]), and a rank is
-one fraction-free elimination on some of them, except inside the base
-search.  Ranks are memoized per subset, and the cache may be read
-concurrently (inserts are lock-protected).
+the length of an echelon form of some of them, extended one row at a time
+(`exact_linalg._extend_echelon`).  Ranks are memoized per subset, and the
+cache may be read concurrently (inserts are lock-protected).
 
 A view compiles its arrangement's derived data the first time it is needed
 and keeps it:
@@ -15,9 +15,9 @@ and keeps it:
   the view's lock.  The search extends an independent set by one element
   at a time, so it keeps the independent sets on its path with their
   echelon rows, and each rank call reduces the one new row against its
-  prefix's rows (`exact_linalg._extend_echelon`) instead of eliminating
-  them all again: braid(6)'s 3,663 calls take 0.013-0.022 s instead of
-  0.08-0.14 s.  The memo is dropped when the search ends;
+  prefix's rows instead of reducing them all again: braid(6)'s 3,663
+  calls take 0.013-0.022 s instead of 0.08-0.14 s.  The memo is dropped
+  when the search ends;
 * an nb table, a spanning table and a chi table over all 2^|E| masks, from
   subset (zeta) transforms of the base indicator: nb[S] is the number of
   bases inside S (the sum of the indicator over the subsets of S), S spans
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement
-from .exact_linalg import (_extend_echelon, _fraction_free_rank, _ring_rows,
+from .exact_linalg import (_echelon, _extend_echelon, _ring_rows,
                            cyclotomic_inverses, integer_inverses)
 
 # the tables index every subset: at 2^24 entries the int64 chi table is
@@ -154,6 +154,7 @@ class MatroidView:
         self.arrangement = arrangement
         self.size = arrangement.size
         self.full_rank = arrangement.ambient_dim
+        # no untraced workload hits it; perfbench/tracing.py re-ranks masks
         self._rank_cache: dict[int, int] = {0: 0}
         # while bases() searches: the independent sets on its path -> their
         # echelon rows
@@ -168,7 +169,7 @@ class MatroidView:
         # per order: the externals of each base minimal in their circuits
         self._minimal_externals: dict[tuple, np.ndarray] = {}
         self._lock = threading.RLock()
-        # the fraction-free loops' rows, and the integerizing row scales
+        # the ring rows of the normals, and the integerizing row scales
         self._rows, self._scales = _ring_rows(arrangement.normals)
 
     @property
@@ -182,12 +183,12 @@ class MatroidView:
     # -- rank ----------------------------------------------------------------
 
     def rank_of(self, mask: int) -> int:
-        """Rank of a subset, memoized.  While `bases()` searches, a subset
-        whose prefix (the subset without its highest element) is an
-        independent set in the search's echelon memo is answered by
-        reducing the highest element's ring row against the prefix's
-        echelon rows (`_extend_echelon`), and an independent result joins
-        the memo; every other subset by one fraction-free elimination."""
+        """Rank of a subset, memoized: the echelon rows of its prefix (the
+        subset without its highest element) extended by the highest
+        element's ring row (`_extend_echelon`).  While `bases()` searches,
+        the prefix's echelon rows come from the search's memo when it holds
+        them, and an independent result joins the memo; otherwise they are
+        built from the prefix's rows (`_echelon`)."""
         if mask >> self.size:       # inline _check_mask: the hottest call
             raise MatroidError("subset outside the ground set")
         cached = self._rank_cache.get(mask)
@@ -195,16 +196,16 @@ class MatroidView:
             return cached
         memo = self._echelon
         top = mask.bit_length() - 1
-        echelon = None if memo is None else memo.get(mask ^ 1 << top)
-        residue = None
+        prefix = mask ^ 1 << top
+        echelon = None if memo is None else memo.get(prefix)
         if echelon is None:
-            r = _fraction_free_rank([self._rows[e] for e in mask_elements(mask)])
-        else:
-            residue = _extend_echelon(echelon, self._rows[top])
-            r = len(echelon) + (residue is not None)
+            memo = None             # the result does not join the memo
+            echelon = _echelon([self._rows[e] for e in mask_elements(prefix)])
+        residue = _extend_echelon(echelon, self._rows[top])
+        r = len(echelon) + (residue is not None)
         with self._lock:
             self._rank_cache[mask] = r
-            if residue is not None:
+            if memo is not None and residue is not None:
                 memo[mask] = echelon + (residue,)
         return r
 

@@ -35,6 +35,39 @@ def signed_graph(n, edges) -> SignedGraph:
 
 
 # --------------------------------------------------------------------------
+# connected components by union-find
+# --------------------------------------------------------------------------
+
+def _components(n: int, edges) -> list:
+    """The vertex lists of the connected components of the graph on 0..n-1
+    with the given edges (i, j, ...), ordered by smallest vertex."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for (i, j, *_) in edges:
+        parent[find(i)] = find(j)
+    comps: dict[int, list] = {}
+    for v in range(n):
+        comps.setdefault(find(v), []).append(v)
+    return list(comps.values())
+
+
+def _component_graphs(g: SignedGraph):
+    """(vertices, edges) of each connected component of g."""
+    comps = _components(g.n, g.edges)
+    index = {v: c for c, verts in enumerate(comps) for v in verts}
+    edges = [[] for _ in comps]
+    for e in g.edges:
+        edges[index[e[0]]].append(e)
+    return zip(comps, edges)
+
+
+# --------------------------------------------------------------------------
 # union-find with parity: sigma_root(i) xor parity[i] is consistent iff the
 # graph is balanced (an edge of sign s demands parity difference (s == -1))
 # --------------------------------------------------------------------------
@@ -124,17 +157,7 @@ def balanced_liftings(n: int, edges) -> int:
         if (i, j) in seen:
             raise ValueError("graph must be simple")
         seen.add((i, j))
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (i, j) in edges:
-        parent[find(i)] = find(j)
-    if len({find(v) for v in range(n)}) != 1:
+    if len(_components(n, edges)) != 1:
         raise ValueError("graph must be connected")
     return 1 << (n - 1)
 
@@ -142,23 +165,6 @@ def balanced_liftings(n: int, edges) -> int:
 # --------------------------------------------------------------------------
 # type D dictionary and base characterization
 # --------------------------------------------------------------------------
-
-def _components(g: SignedGraph):
-    parent = list(range(g.n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (i, j, _) in g.edges:
-        parent[find(i)] = find(j)
-    comps: dict[int, list] = {}
-    for v in range(g.n):
-        comps.setdefault(find(v), []).append(v)
-    return comps
-
 
 def _unique_cycle_sign(vertices, edges):
     """Sign product of the unique cycle of a connected unicyclic multigraph,
@@ -190,21 +196,9 @@ def is_dn_base(g: SignedGraph) -> bool:
     """True iff the graph spans all n vertices, every component contains
     exactly one cycle, and that cycle is unbalanced: the signed cycle-rooted
     spanning forests that index the pair-functional arrangement's bases."""
-    comps = _components(g)
-    by_comp = {root: [] for root in comps}
-    roots = {}
-    for root, verts in comps.items():
-        for v in verts:
-            roots[v] = root
-    for e in g.edges:
-        by_comp[roots[e[0]]].append(e)
-    for root, verts in comps.items():
-        edges = by_comp[root]
-        if len(edges) != len(verts):
-            return False
-        if _unique_cycle_sign(verts, edges) != -1:
-            return False
-    return True
+    return all(len(edges) == len(verts)
+               and _unique_cycle_sign(verts, edges) == -1
+               for verts, edges in _component_graphs(g))
 
 
 def is_dn_independent(g: SignedGraph) -> bool:
@@ -212,16 +206,7 @@ def is_dn_independent(g: SignedGraph) -> bool:
     cycles (edge count <= vertex count) and a component's unique cycle, if
     any, is unbalanced.  A component with more edges than vertices has two
     independent cycles, whose combination always yields a dependency."""
-    comps = _components(g)
-    roots = {}
-    for root, verts in comps.items():
-        for v in verts:
-            roots[v] = root
-    by_comp = {root: [] for root in comps}
-    for e in g.edges:
-        by_comp[roots[e[0]]].append(e)
-    for root, verts in comps.items():
-        edges = by_comp[root]
+    for verts, edges in _component_graphs(g):
         if len(edges) > len(verts):
             return False
         if len(edges) == len(verts) and _unique_cycle_sign(verts, edges) != -1:

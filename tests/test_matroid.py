@@ -10,6 +10,7 @@ import pytest
 from oracles import field_rank, spanning_subsets
 from polygas.arrangement import (braid, coxeter_b, coxeter_d, custom, dowling,
                                  threshold)
+from polygas.exact_linalg import exact_rank
 from polygas.matroid import LinearOrder, MatroidError, MatroidView, mask_elements, popcount
 
 
@@ -279,9 +280,9 @@ def search_calls(arr):
 
 
 @pytest.mark.parametrize("arr", [braid(4), coxeter_b(3), coxeter_d(3),
-                                 threshold(4), dowling(2, 3)],
+                                 threshold(4), dowling(2, 3), dowling(3, 3)],
                          ids=["braid4", "coxeterB3", "coxeterD3", "threshold4",
-                              "dowling2_3"])
+                              "dowling2_3", "dowling3_3"])
 def test_rank_of_equals_field_rank_during_and_after_the_search(arr):
     expected = oracle_ranks(arr)
     # during: every independent subset is met in ascending order after its
@@ -293,7 +294,8 @@ def test_rank_of_equals_field_rank_during_and_after_the_search(arr):
                             if expected[m] == popcount(m)]
     assert all(len(rows) == popcount(m) for m, rows in memo.items())
     assert view._echelon is None
-    # after: the memo is gone, and ranks outside the search are eliminations
+    # after: the memo is gone, and ranks outside the search build their
+    # prefix's echelon rows afresh
     after = MatroidView(arr)
     assert tuple(after.bases()) == bases
     assert after._echelon is None
@@ -336,6 +338,10 @@ def test_echelon_rows_stay_bounded_on_large_coprime_entries():
             assert max(a * a for a in row) <= bound
     assert big > 10 ** 24     # the memo held rows of depth > 1
     assert view._echelon is None
+    # outside the search: a fresh view's ranks, and the fold over all rows
+    fresh = MatroidView(arr)
+    assert [fresh.rank_of(m) for m in range(1 << arr.size)] == expected
+    assert exact_rank(rows) == 6
 
 
 def test_base_search_keeps_the_rank_calls():

@@ -25,9 +25,10 @@ from .geometry import capped_cylinder_shape, cylinder_shape, sphere_shape
 from .matroid import LinearOrder, MatroidView
 from .mayer import (SpanningError, mmc_d0, mmc_mc, pressure_coefficient,
                     z_score)
-from .polymer import (G_FUNCTIONS, dump_samples_csv, planar_invariance_check,
-                      polymer_svg, project_expectation,
-                      safe_projection_expectation, volume_mc)
+from .polymer import (G_FUNCTIONS, dump_samples_csv, live_base_table,
+                      planar_invariance_check, polymer_svg,
+                      project_expectation, safe_projection_expectation,
+                      volume_mc)
 
 
 class CliError(Exception):
@@ -223,6 +224,16 @@ def _cmd_pressure(cfg: ExperimentConfig):
             "estimate": est.to_json_dict("pressure coefficient")}, True
 
 
+def _strata(view: MatroidView, radii) -> dict:
+    """The ball-polymer strata sampled and skipped at these radii, from the
+    kernel's own `live_base_table`.  Skipped strata are provably empty, and
+    the budget is split over the sampled ones, so an estimate's n_samples
+    is (samples // sampled) * sampled, below --samples when any is
+    skipped."""
+    sampled = live_base_table(view, radii).masks.size
+    return {"sampled": sampled, "skipped": view.base_table.masks.size - sampled}
+
+
 def _cmd_polymer_volume(cfg: ExperimentConfig, svg=None, dump=None):
     arr = cfg.build_arrangement()
     dim = cfg.d
@@ -237,16 +248,19 @@ def _cmd_polymer_volume(cfg: ExperimentConfig, svg=None, dump=None):
         if dim != 2:
             raise CliError("SVG snapshots are drawn for 2-D polymers")
         polymer_svg(svg, view, cfg.seed)
-    return {"dim": dim, "estimate": est.to_json_dict("polymer volume")}, True
+    return {"dim": dim, "estimate": est.to_json_dict("polymer volume"),
+            "strata": _strata(view, arr.radii)}, True
 
 
 def _cmd_invariance(cfg: ExperimentConfig):
     arr = cfg.build_arrangement()
     if not cfg.radii_list:
         raise CliError("invariance needs --radii-list, e.g. '1,1,1;1,2,5'")
-    report = planar_invariance_check(arr, cfg.radii_list, cfg.samples,
+    view = MatroidView(arr)
+    report = planar_invariance_check(view, cfg.radii_list, cfg.samples,
                                      cfg.seed, cfg.workers)
     payload = report.to_json_dict()
+    payload["strata"] = [_strata(view, radii) for radii in report.radii_list]
     payload["_csv_rows"] = [
         {"radii": ";".join(map(str, radii)), "mean": est.mean,
          "stderr": est.stderr, "target": report.target, "z_to_target": z}

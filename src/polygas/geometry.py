@@ -40,10 +40,15 @@ def sphere_area(dim: int) -> float:
 
 
 def ball_volume(dim: int) -> float:
-    """Lebesgue volume of the unit ball in R^dim (1 for dim = 0)."""
+    """Lebesgue volume of the unit ball in R^dim (1 for dim = 0), by the
+    recurrence V_d = V_(d-2) 2 pi / d from V_0 = 1 and V_1 = 2, so that
+    V_1 = 2 and V_2 = pi exactly (math.gamma gives V_1 = 2 - 2^-52)."""
     if dim < 0:
         raise ValueError("dim must be >= 0")
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    volume = 2.0 if dim % 2 else 1.0
+    for d in range(2 + dim % 2, dim + 1, 2):
+        volume *= 2.0 * math.pi / d
+    return volume
 
 
 def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = None,

@@ -26,7 +26,9 @@ and keeps it:
   (Crapo: chi(0) = (-1)^r T(1, 0));
 * the base table (`base_table`): each base's elements, inverse and |det|
   as floats, from one batched fraction-free elimination over all bases;
-  the Monte Carlo kernels and the bounding box read it, exact queries never;
+  the Monte Carlo kernels and the bounding box read it, exact queries never.
+  Rational arrangements keep that elimination's exact inverses too, for
+  the exact maps S_B of `exact_to_out`;
 * the circuit table (`circuit_table`): entry [B, e] is the fundamental
   circuit of base B + e, matched exactly against the sorted base masks
   with no rank call and no 2^|E| table; fundamental circuits, order-safety
@@ -127,7 +129,10 @@ class BaseTable:
 
     def inside(self, within: int) -> "BaseTable":
         """The rows of the bases inside the mask `within`."""
-        rows = (self.masks & ~within) == 0
+        return self.take((self.masks & ~within) == 0)
+
+    def take(self, rows) -> "BaseTable":
+        """The given rows (indices or a bool mask over the rows), in order."""
         return BaseTable(*(field[rows] for field in vars(self).values()))
 
 
@@ -164,6 +169,8 @@ class MatroidView:
         self._spanning_table: np.ndarray | None = None
         self._chi_table: np.ndarray | None = None
         self._base_table: BaseTable | None = None
+        # rational arrangements: (N, den) with B^-1 = N / den per table row
+        self._exact_inverses: tuple | None = None
         self._base_masks: np.ndarray | None = None      # with the circuits
         self._circuit_table: np.ndarray | None = None
         # per order: the externals of each base minimal in their circuits
@@ -293,6 +300,7 @@ class MatroidView:
         scales = np.array(self._scales, dtype=object)[elems]
         if self.arrangement.field_kind == "rational":
             num, den = integer_inverses(mats, scales)
+            self._exact_inverses = num, den
             inv = np.ascontiguousarray(num / den[:, None, None], dtype=float)
             sums = np.abs(num).sum(axis=2) / den[:, None]
             abs_det = [d / math.prod(s)
@@ -308,6 +316,24 @@ class MatroidView:
                          self.arrangement.coeff[out] @ inv,
                          np.array(abs_det, dtype=float),
                          np.array(sums, dtype=float))
+
+    def exact_to_out(self, rows) -> tuple:
+        """S_B = C_out(B) B^-1 exactly, for the given rows of the base table
+        of a rational arrangement, from the exact inverses the table was
+        rounded from: (num, den), object arrays of Python ints of shapes
+        (rows, size - n, n) and (rows, size - n), den > 0 and
+        S_B = num / den.  C_f = ring_f / scale_f and B^-1 = N / d give
+        num = ring_out N and den = scale_f d."""
+        table = self.base_table
+        if self._exact_inverses is None:
+            raise MatroidError("exact maps S_B are kept for rational "
+                               "arrangements only")
+        inv_num, inv_den = self._exact_inverses
+        ring = np.array(self._rows, dtype=object)
+        scales = np.array(self._scales, dtype=object)
+        out = table.out[rows]
+        return (ring[out] @ inv_num[rows].astype(object),
+                scales[out] * inv_den[rows].astype(object)[:, None])
 
     # -- tables over all subsets -------------------------------------------------
 

@@ -13,17 +13,23 @@ Every polymer volume (`volume_mc`, `asa_volume_mc`, the polymer side of
 `project_expectation`) is one call of the stratified kernel
 `_polymer_estimate`, which differs between them only in how the base
 values are drawn, how a non-base value is tested, and the base weight.
-The kernel splits the budget evenly across the bases and runs all bases'
-rows as one list: one random stream per CHUNK rows, the chunks on the
-worker pool, and BLOCK rows at a time drawn, mapped to the non-base values
-by each base's float map S_B = C_out(B) B^-1 (a row of the view's base
-table), and tested.  The rows are sorted by base, so each block is a few
+The kernel splits the budget evenly across the bases its sides sample and
+runs all their rows as one list: one random stream per CHUNK rows, the
+chunks on the worker pool, and BLOCK rows at a time drawn, mapped to the
+non-base values by each base's float map S_B = C_out(B) B^-1 (a row of the
+view's base table), and tested.  The rows are sorted by base, so each block is a few
 runs of one base's rows, and per-base data reach them as stride-0 views of
 the base table (`_Runs`), in buffers allocated once per chunk.  Per-base
 (n, mean, m2) are merged in chunk order, so results are bit-identical for
 any worker count.  `sample_for_base` and `dump_samples_csv` use the same
 block function on one base.  The region sides of the projection laws are
 calls of the mayer tube kernel.
+
+The ball volumes sample only the bases whose strata can accept at the
+call's radii (`live_base_table`): base B's stratum is empty when some
+non-base f has sum_{e in B} |S_B[f, e]| R_e <= R_f, by the triangle
+inequality, so its acceptance is exactly 0 and its share of the budget
+goes to the other bases.
 """
 
 from __future__ import annotations
@@ -97,14 +103,16 @@ class _Runs:
 
 @dataclass(frozen=True)
 class _Sides:
-    """How polymer base values are drawn and non-base values tested: each
-    value has `width` entries of `dtype`.  draw(rng, runs, work) returns
-    the rows' base values, shaped (runs.size, n, width), in a buffer of
-    work or a fresh array; outside(runs, work) returns the rows' acceptance
-    flags (a view of work.accepted), given the non-base values in
-    work.vals[:runs.size].  `buffers` names the draw's and the test's own
+    """Which bases are sampled, how their base values are drawn and how
+    non-base values are tested: `table` holds the sampled rows of the
+    view's base table, and each value has `width` entries of `dtype`.
+    draw(rng, runs, work) returns the rows' base values, shaped
+    (runs.size, n, width), in a buffer of work or a fresh array;
+    outside(runs, work) returns the rows' acceptance flags (a view of
+    work.accepted), given the non-base values in work.vals[:runs.size].  `buffers` names the draw's and the test's own
     buffers in _Work: name -> (shape of one row, dtype)."""
 
+    table: BaseTable
     width: int
     dtype: type
     draw: object
@@ -118,14 +126,13 @@ class _Work:
     accepted, the configurations x when they are needed (else None), and
     the buffers that sides.buffers names."""
 
-    def __init__(self, table: BaseTable, sides: _Sides, rows: int,
-                 need_x: bool):
+    def __init__(self, sides: _Sides, rows: int, need_x: bool):
         def values(count):
             return np.empty((rows, count, sides.width), sides.dtype)
 
-        self.vals = values(table.out.shape[1])
+        self.vals = values(sides.table.out.shape[1])
         self.accepted = np.empty(rows, dtype=bool)
-        self.x = values(table.elems.shape[1]) if need_x else None
+        self.x = values(sides.table.elems.shape[1]) if need_x else None
         for name, (shape, dtype) in sides.buffers.items():
             setattr(self, name, np.empty((rows,) + shape, dtype=dtype))
 
@@ -140,12 +147,12 @@ def _matmul_runs(runs: _Runs, maps: np.ndarray, h: np.ndarray,
     return out
 
 
-def _accept_block(table: BaseTable, runs: _Runs, rng, sides: _Sides,
-                  work: _Work):
-    """One block of polymer draws, the rows of `runs`: base values h from
-    sides.draw, mapped to the non-base values by each row's S_B and tested
-    by sides.outside.  Returns (accepted, x), x the configurations B^-1 h
-    when work holds x buffers, else None."""
+def _accept_block(runs: _Runs, rng, sides: _Sides, work: _Work):
+    """One block of polymer draws, the rows of `runs` (rows of sides.table):
+    base values h from sides.draw, mapped to the non-base values by each
+    row's S_B and tested by sides.outside.  Returns (accepted, x), x the
+    configurations B^-1 h when work holds x buffers, else None."""
+    table = sides.table
     rows = runs.size
     h = sides.draw(rng, runs, work)
     _matmul_runs(runs, table.to_out, h, work.vals[:rows])
@@ -156,10 +163,10 @@ def _accept_block(table: BaseTable, runs: _Runs, rng, sides: _Sides,
 
 
 def _ball_sides(arr: Arrangement, table: BaseTable, dim: int, radii) -> _Sides:
-    """Sides for balls of the given radii: base value R_e * u_e per element
-    e, u_e a uniform direction in R^dim (cyclotomic arrangements need an
-    even dim and pair it into complex coordinates), and a non-base value
-    outside when its norm exceeds R_e."""
+    """Sides for balls of the given radii on the rows of `table`: base value
+    R_e * u_e per element e, u_e a uniform direction in R^dim (cyclotomic
+    arrangements need an even dim and pair it into complex coordinates),
+    and a non-base value outside when its norm exceeds R_e."""
     if dim < 2:
         raise ValueError("polymer dimension must be >= 2")
     if not arr.complexified and dim % 2:
@@ -191,8 +198,59 @@ def _ball_sides(arr: Arrangement, table: BaseTable, dim: int, radii) -> _Sides:
 
     width, dtype = (dim, float) if complexified else (dim // 2, complex)
     n, m = table.elems.shape[1], table.out.shape[1]
-    return _Sides(width, dtype, draw, outside,
+    return _Sides(table, width, dtype, draw, outside,
                   {"h": ((n, width), dtype), "compared": ((m,), bool)})
+
+
+# float bounds within this relative distance of R_f are settled exactly
+_TIE_BAND = 1e-12
+
+
+def live_base_table(view: MatroidView, radii) -> BaseTable:
+    """The rows of the view's base table whose ball strata can accept at
+    the given radii, in order: the table itself when every one can.
+
+    Every draw for base B has |h_e| = R_e on B, so a non-base value
+    h_f = sum_e S_B[f, e] h_e has |h_f| <= sum_e |S_B[f, e]| R_e by the
+    triangle inequality, in any dimension, real or complex.  When that
+    bound is at most R_f, no draw has |h_f| > R_f and B's stratum accepts
+    nothing.  The bound is decided in floats outside a band of 1e-12
+    relative to R_f plus a bound on the terms |C_f| |B^-1| R_B that S_B was
+    rounded from, |C_f|_1 max_k |B^-1 row k|_1 max_e R_e.  Inside the band,
+    rational arrangements settle it with the exact S_B, and cyclotomic ones
+    keep the stratum."""
+    table = view.base_table
+    radii = np.asarray(radii, dtype=float)
+    base_radii = radii[table.elems]
+    out_radii = radii[table.out]
+    bound = (np.abs(table.to_out) @ base_radii[..., None])[..., 0]
+    reach = np.abs(view.arrangement.coeff).sum(axis=1)[table.out]
+    terms = reach * (table.row_abs_sums.max(axis=1)
+                     * base_radii.max(axis=1))[:, None]
+    band = _TIE_BAND * (out_radii + terms)
+    empty = bound < out_radii - band
+    ties = (np.abs(bound - out_radii) <= band) & ~empty.any(axis=1)[:, None]
+    if ties.any() and view.arrangement.field_kind == "rational":
+        empty |= _exact_empty(view, radii, ties)
+    live = ~empty.any(axis=1)
+    return table if live.all() else table.take(live)
+
+
+def _exact_empty(view: MatroidView, radii: np.ndarray,
+                 ties: np.ndarray) -> np.ndarray:
+    """Where `ties` holds, whether sum_e |S_B[f, e]| R_e <= R_f exactly,
+    the radii taken as the dyadic rationals the floats are (integers over
+    one power of two); False elsewhere."""
+    table = view.base_table
+    rows = np.flatnonzero(ties.any(axis=1))
+    num, den = view.exact_to_out(rows)
+    ratios = [r.as_integer_ratio() for r in radii.tolist()]
+    scale = max(q for _, q in ratios)
+    whole = np.array([p * (scale // q) for p, q in ratios], dtype=object)
+    bound = (np.abs(num) * whole[table.elems[rows]][:, None, :]).sum(axis=2)
+    empty = np.zeros_like(ties)
+    empty[rows] = ties[rows] & (bound <= whole[table.out[rows]] * den).astype(bool)
+    return empty
 
 
 def _reduce_columns(op, a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -224,10 +282,12 @@ def _stratum_stats(values: np.ndarray, start: int, per_base: int):
 def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
                       workers: int, sides: _Sides, weights,
                       g=None) -> MCEstimate:
-    """Sum over bases of the base's weight times the mean over that base's
-    draws of accepted (times g(x)): the stratified estimator with the
-    budget split evenly across bases.  `weights` holds one weight per row
-    of the view's base table, or one for all bases.
+    """Sum over the bases of sides.table of the base's weight times the mean
+    over that base's draws of accepted (times g(x)): the stratified
+    estimator with the budget split evenly across those bases.  The other
+    bases of the view must accept nothing; n_samples must still be at least
+    the view's base count.  `weights` holds one weight per row of
+    sides.table, or one for all bases.
 
     The per_base * |bases| rows are one stratified list, row r drawn for
     base r // per_base, cut into CHUNK-row chunks with one random stream
@@ -236,20 +296,22 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
     over each chunk and are merged per base in chunk order, so the estimate
     is bit-identical for any worker count.
     """
-    table = view.base_table
-    count = table.masks.size
-    if n_samples < count:
+    total = view.base_table.masks.size
+    if n_samples < total:
         raise ValueError(f"n_samples = {n_samples} is smaller than the "
-                         f"{count} bases it is split across")
+                         f"{total} bases it is split across")
+    count = sides.table.masks.size
+    if count == 0:      # every stratum is empty: the volume is exactly 0
+        return MCEstimate(0.0, 0.0, 0, seed, workers)
     per_base = n_samples // count
     weights = np.full(count, weights, dtype=float)
 
     def chunk_stats(rng, start, count):
-        work = _Work(table, sides, min(BLOCK, count), g is not None)
+        work = _Work(sides, min(BLOCK, count), g is not None)
         values = np.empty(count)
         for lo in range(0, count, BLOCK):
             runs = _Runs(start + lo, min(BLOCK, count - lo), per_base)
-            accepted, x = _accept_block(table, runs, rng, sides, work)
+            accepted, x = _accept_block(runs, rng, sides, work)
             block = values[lo:lo + runs.size]
             if g is None:
                 block[:] = accepted
@@ -271,13 +333,11 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
                       int(n.sum()), seed, workers)
 
 
-def _one_base_block(view: MatroidView, row: int, rows: int, rng,
-                    sides: _Sides):
-    """(accepted, x) of `rows` draws for the base in table row `row`, as
-    one block."""
-    table = view.base_table
-    return _accept_block(table, _Runs(row * rows, rows, rows), rng, sides,
-                         _Work(table, sides, rows, True))
+def _one_base_block(row: int, rows: int, rng, sides: _Sides):
+    """(accepted, x) of `rows` draws for the base in row `row` of
+    sides.table, as one block."""
+    return _accept_block(_Runs(row * rows, rows, rows), rng, sides,
+                         _Work(sides, rows, True))
 
 
 def sample_for_base(arr, base_mask: int, dim: int,
@@ -291,7 +351,7 @@ def sample_for_base(arr, base_mask: int, dim: int,
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
     row = view._base_row(base_mask)
     table = view.base_table
-    accepted, x = _one_base_block(view, row, 1, rng,
+    accepted, x = _one_base_block(row, 1, rng,
                                   _ball_sides(arr, table, dim, radii))
     base_idx = table.elems[row]
     u = (arr.coeff[base_idx] @ x[0]) / np.asarray(radii)[base_idx][:, None]
@@ -302,15 +362,18 @@ def volume_mc(arr, dim: int, n_samples: int, seed: int,
               workers: int = 1, radii=None) -> MCEstimate:
     """Total polymer volume at the given ambient dimension: sum over bases of
     (sphere area)^n times that base's acceptance rate, the sample budget
-    split evenly across bases (n_samples must be at least the base count).
-    `arr` is an Arrangement, or a MatroidView of one whose base table is
-    then reused."""
+    split evenly across the bases whose strata can accept at these radii
+    (`live_base_table`; n_samples must be at least the base count, and the
+    estimate's n_samples is per_base times the live bases).  `arr` is an
+    Arrangement, or a MatroidView of one whose base table is then
+    reused."""
     view = view_of(arr)
     arr = view.arrangement
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
     weight = sphere_area(dim) ** arr.ambient_dim
     return _polymer_estimate(view, n_samples, seed, workers,
-                             _ball_sides(arr, view.base_table, dim, radii),
+                             _ball_sides(arr, live_base_table(view, radii),
+                                         dim, radii),
                              weight)
 
 
@@ -340,13 +403,15 @@ class InvarianceReport:
         }
 
 
-def planar_invariance_check(arr: Arrangement, radii_list, n_samples: int,
+def planar_invariance_check(arr, radii_list, n_samples: int,
                             seed: int, workers: int = 1) -> InvarianceReport:
     """Planar polymer volume for several radii assignments; each must agree
-    with (2 pi)^n |chi(0)| and with the others within 4 sigma."""
+    with (2 pi)^n |chi(0)| and with the others within 4 sigma.  `arr` is an
+    Arrangement or a MatroidView of one."""
     start = time.perf_counter()
+    view = view_of(arr)
+    arr = view.arrangement
     radii_list = [_checked_radii(radii, arr.size) for radii in radii_list]
-    view = MatroidView(arr)
     n = arr.ambient_dim
     target = (2.0 * math.pi) ** n * abs(view.chi_at_zero())
     target_est = MCEstimate(target, 0.0, 0, seed, workers)
@@ -417,7 +482,7 @@ def project_expectation(arr, d: int, g, n_samples: int, seed: int,
     chi_weight = _chi_weight(view)
     n = arr.ambient_dim
     weight = sphere_area(dim) ** n
-    sides = _ball_sides(arr, view.base_table, dim, arr.radii)
+    sides = _ball_sides(arr, live_base_table(view, arr.radii), dim, arr.radii)
     polymer_side = _polymer_estimate(view, n_samples, seed, workers, sides,
                                      weight, g=lambda x: g(x[:, :, 2:]))
     # separate seed so the two sides are statistically independent
@@ -505,7 +570,7 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
 
     totals = np.array([surface_measure_total(s) for s in shapes])
     return _polymer_estimate(view, n_samples, seed, workers,
-                             _Sides(dim, float, draw, outside,
+                             _Sides(table, dim, float, draw, outside,
                                     {"elems": ((table.elems.shape[1],), np.intp),
                                      "inside": ((table.out.shape[1],), bool)}),
                              np.prod(totals[table.elems], axis=1))
@@ -534,8 +599,7 @@ def dump_samples_csv(path, arr, dim: int, n_samples: int, seed: int,
                            for j in range(dim)])
         for b_index, base_mask in enumerate(table.masks.tolist()):
             rng = RNGStream(seed, b_index).generator()
-            accepted, x = _one_base_block(view, b_index, n_samples, rng,
-                                          sides)
+            accepted, x = _one_base_block(b_index, n_samples, rng, sides)
             coords = x.reshape(n_samples, -1)
             if np.iscomplexobj(coords):
                 coords = np.concatenate([coords.real, coords.imag], axis=1)

@@ -21,11 +21,13 @@ the base tubes instead of from their mixture, and
 `pressure_coefficient_enumerated`, one tube-kernel run per spanning subset
 (`spanning_subsets`), added by `mc_sum`.
 
-And the slow path the polymer volumes are checked against:
+And the slow paths the polymer volumes are checked against:
 `per_base_polymer_estimate`, one chunked run per base with its own block
 of random streams, which solves for the configuration and applies the
 non-base functionals to it, with per-base sides (`ball_sides`,
-`surface_sides`) that loop over hyperplanes.
+`surface_sides`) that loop over hyperplanes; and
+`empty_strata_by_fractions`, the strata the ball kernel may skip, by one
+Fraction inverse per base.
 """
 
 import math
@@ -414,6 +416,27 @@ def fraction_inverse(rows):
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def empty_strata_by_fractions(view, radii):
+    """Masks of the bases of a rational arrangement whose ball strata the
+    triangle bound proves empty at these radii: some non-base f with
+    h_f = sum_e c_e h_e has sum_e |c_e| R_e <= R_f, decided in Fractions
+    with one `fraction_inverse` per base and the radii as exact
+    rationals."""
+    arr = view.arrangement
+    n = arr.ambient_dim
+    exact = [Fraction(r) for r in radii]
+    empty = set()
+    for base in view.bases():
+        elems = list(mask_elements(base))
+        inv = fraction_inverse([list(arr.normals[e]) for e in elems])
+        for f in set(range(arr.size)) - set(elems):
+            coords = [sum(Fraction(arr.normals[f][k]) * inv[k][j]
+                          for k in range(n)) for j in range(n)]
+            if sum(abs(c) * exact[e] for c, e in zip(coords, elems)) <= exact[f]:
+                empty.add(base)
+    return empty
 
 
 def _draw_box(arr, rng, count, d, halfwidth):

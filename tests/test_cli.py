@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import polygas
 from polygas.cli import main
 
 
@@ -178,6 +181,21 @@ def test_invariance_command():
     data = json.loads(out)
     assert code == 0
     assert data["pass"] is True
+    # at radii 1, 2, 5 base {0, 1} cannot accept: |h_2| <= 1 + 2 < 5
+    assert data["strata"] == [{"sampled": 3, "skipped": 0},
+                              {"sampled": 2, "skipped": 1}]
+    assert [e["n_samples"] for e in data["estimates"]] == [60000, 60000]
+
+
+def test_polymer_volume_reports_skipped_strata():
+    # coxeter_b(3) at unit radii: 15 of its 68 strata are provably empty, so
+    # the 6800 samples go to the other 53, 128 each
+    code, out = run_cli(["polymer-volume", "--family", "coxeter_b", "--n", "3",
+                         "--d", "2", "--samples", "6800", "--seed", "0"])
+    data = json.loads(out)
+    assert code == 0
+    assert data["strata"] == {"sampled": 53, "skipped": 15}
+    assert data["estimate"]["n_samples"] == 53 * 128
 
 
 def test_tonks_command():
@@ -216,10 +234,16 @@ def test_project_law_command():
 
 
 def test_console_entry_point():
+    # the subprocess imports the same polygas as this process, also when it
+    # comes from a source tree on pytest's path rather than an install
+    source_root = str(Path(polygas.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [source_root] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-m", "polygas.cli", "mmc", "--family", "braid",
          "--n", "2", "--d", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == -1
 

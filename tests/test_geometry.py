@@ -23,6 +23,16 @@ def test_rng_stream_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_ball_volume_exact_in_low_dimensions():
+    # the recurrence V_d = V_(d-2) 2 pi / d: no gamma-function rounding
+    assert ball_volume(0) == 1.0
+    assert ball_volume(1) == 2.0
+    assert ball_volume(2) == math.pi
+    for dim in range(9):
+        assert ball_volume(dim) == pytest.approx(
+            math.pi ** (dim / 2) / math.gamma(dim / 2 + 1), rel=1e-15)
+
+
 def test_sphere_d1_signs():
     pts = sample_unit_sphere(1, rng_for(), 20_000)
     assert set(np.unique(pts)) == {-1.0, 1.0}

@@ -18,6 +18,13 @@ def within_sigma(est, target, k=4.0):
     return abs(est.mean - target) <= k * spread
 
 
+def test_single_base_pressure_coefficient_is_exact():
+    # coxeter_d(2)'s one base has |det| 2: every sample adds
+    # V = 2^-1 * ball_volume(1)^2 = 2 times the chi weight 1
+    est = pressure_coefficient(MatroidView(coxeter_d(2)), 1, 10_000, 0)
+    assert (est.mean, est.stderr) == (2.0, 0.0)
+
+
 def test_mmc_d0():
     v = MatroidView(braid(2))
     assert mmc_d0(v, 0b1) == -1

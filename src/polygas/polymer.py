@@ -17,13 +17,17 @@ The kernel splits the budget evenly across the bases its sides sample and
 runs all their rows as one list: one random stream per CHUNK rows, the
 chunks on the worker pool, and BLOCK rows at a time drawn, mapped to the
 non-base values by each base's float map S_B = C_out(B) B^-1 (a row of the
-view's base table), and tested.  The rows are sorted by base, so each block is a few
-runs of one base's rows, and per-base data reach them as stride-0 views of
-the base table (`_Runs`), in buffers allocated once per chunk.  Per-base
-(n, mean, m2) are merged in chunk order, so results are bit-identical for
-any worker count.  `sample_for_base` and `dump_samples_csv` use the same
-block function on one base.  The region sides of the projection laws are
-calls of the mayer tube kernel.
+view's base table), and tested.  A block's arrays are rows-last, shaped
+(value coordinate, element, row), in buffers allocated once per chunk.  The
+rows are sorted by base, so a block is at most three parts, each k runs of
+one base's rows (`_Runs`): a part of a block array is a (..., k, run rows)
+view, S_B and B^-1 reach it as one stacked matrix product over k
+consecutive rows of the base table, and per-base radii as a (..., k, 1)
+slice of a transposed per-base table.  Per-base (n, mean, m2) are merged in
+chunk order, so results are bit-identical for any worker count.
+`sample_for_base` and `dump_samples_csv` use the same block function on one
+base.  The region sides of the projection laws are calls of the mayer tube
+kernel.
 
 The ball volumes sample only the bases whose strata can accept at the
 call's radii (`live_base_table`): base B's stratum is empty when some
@@ -68,10 +72,10 @@ class _Runs:
     run, empty parts left out.  Part (lo, hi, base, k) is block rows
     [lo, hi): k runs of (hi - lo) // k rows, for bases base .. base + k - 1.
 
-    Per-base data reach the rows as views (`base`), never as per-row
-    gathers, so a block makes the same numpy calls whatever per_base is.
-    numpy makes the same per-row product for each row of a broadcast stack
-    as for a gathered one, so the results are bit-identical."""
+    A rows-last block array splits into one view per part (`split`), so
+    per-base data reach each part as one slice [base:base + k] of a
+    per-base table, never as per-row gathers, and a block makes the same
+    numpy calls whatever per_base is."""
 
     def __init__(self, row0: int, rows: int, per_base: int):
         end = row0 + rows
@@ -87,18 +91,14 @@ class _Runs:
         self.parts = [part for part in parts if part[1] > part[0]]
         self.size = rows
 
-    def base(self, a: np.ndarray):
-        """Per-base array a (row b for base b) as one read-only view per
-        part, shaped (k, run rows) + a.shape[1:], with stride 0 on the run
-        rows."""
-        return [np.broadcast_to(a[b:b + k, None], (k, (hi - lo) // k) + a.shape[1:])
-                for lo, hi, b, k in self.parts]
-
-    def rows(self, x: np.ndarray):
-        """The block's rows of x (row i for block row i) as one view per
-        part, shaped (k, run rows) + x.shape[1:]."""
-        return [x[lo:hi].reshape((k, (hi - lo) // k) + x.shape[1:])
-                for lo, hi, _, k in self.parts]
+    def split(self, *arrays):
+        """Per part, (base, k) and each array's view of the part's rows, for
+        arrays with the block's rows on the last axis: that axis cut into
+        (k, run rows)."""
+        for lo, hi, base, k in self.parts:
+            yield (base, k) + tuple(
+                a[..., lo:hi].reshape(a.shape[:-1] + (k, (hi - lo) // k))
+                for a in arrays)
 
 
 @dataclass(frozen=True)
@@ -106,60 +106,66 @@ class _Sides:
     """Which bases are sampled, how their base values are drawn and how
     non-base values are tested: `table` holds the sampled rows of the
     view's base table, and each value has `width` entries of `dtype`.
-    draw(rng, runs, work) returns the rows' base values, shaped
-    (runs.size, n, width), in a buffer of work or a fresh array;
-    outside(runs, work) returns the rows' acceptance flags (a view of
-    work.accepted), given the non-base values in work.vals[:runs.size].  `buffers` names the draw's and the test's own
-    buffers in _Work: name -> (shape of one row, dtype)."""
+    draw(rng, runs, work) returns the rows' base values, rows-last
+    (width, n, runs.size), in a buffer of work; outside(runs, work, vals)
+    returns the rows' acceptance flags given their non-base values vals,
+    rows-last (width, m, runs.size)."""
 
     table: BaseTable
     width: int
     dtype: type
     draw: object
     outside: object
-    buffers: dict
 
 
 class _Work:
-    """Buffers for the blocks of one chunk (at most `rows` rows each),
-    allocated once per chunk: non-base values vals, acceptance flags
-    accepted, the configurations x when they are needed (else None), and
-    the buffers that sides.buffers names."""
+    """Buffers for the blocks of one chunk: one flat array per name, made
+    at the name's first request, which comes from the chunk's first and
+    largest block, and viewed by each block as a C-contiguous array of the
+    shape it asks for."""
 
-    def __init__(self, sides: _Sides, rows: int, need_x: bool):
-        def values(count):
-            return np.empty((rows, count, sides.width), sides.dtype)
+    def __init__(self):
+        self._flat = {}
 
-        self.vals = values(sides.table.out.shape[1])
-        self.accepted = np.empty(rows, dtype=bool)
-        self.x = values(sides.table.elems.shape[1]) if need_x else None
-        for name, (shape, dtype) in sides.buffers.items():
-            setattr(self, name, np.empty((rows,) + shape, dtype=dtype))
+    def buffer(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
 
 
 def _matmul_runs(runs: _Runs, maps: np.ndarray, h: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
-    """out[i] = maps[b] @ h[i] for each row i of the block, b its base, by
-    one stacked product per part of `runs` over a view of maps."""
-    for part_maps, part_h, part_out in zip(runs.base(maps), runs.rows(h),
-                                           runs.rows(out)):
-        np.matmul(part_maps, part_h, out=part_out)
+    """out[..., i] = maps[b] @ h[..., i] for each row i of the block (the
+    last axis of h, shaped (width, n, rows), and of out), b its base: one
+    stacked matrix product per part of `runs`, over k rows of maps."""
+    for b, k, part_h, part_out in runs.split(h, out):
+        np.matmul(maps[b:b + k], part_h.swapaxes(-3, -2),
+                  out=part_out.swapaxes(-3, -2))
     return out
 
 
-def _accept_block(runs: _Runs, rng, sides: _Sides, work: _Work):
+def _accept_block(runs: _Runs, rng, sides: _Sides, work: _Work,
+                  need_x: bool):
     """One block of polymer draws, the rows of `runs` (rows of sides.table):
     base values h from sides.draw, mapped to the non-base values by each
     row's S_B and tested by sides.outside.  Returns (accepted, x), x the
-    configurations B^-1 h when work holds x buffers, else None."""
+    configurations B^-1 h row by row, (rows, n, width), when need_x, else
+    None."""
     table = sides.table
-    rows = runs.size
+    shape = (sides.width, table.out.shape[1], runs.size)
     h = sides.draw(rng, runs, work)
-    _matmul_runs(runs, table.to_out, h, work.vals[:rows])
-    accepted = sides.outside(runs, work)
-    if work.x is None:
+    vals = _matmul_runs(runs, table.to_out, h,
+                        work.buffer("vals", shape, sides.dtype))
+    accepted = sides.outside(runs, work, vals)
+    if not need_x:
         return accepted, None
-    return accepted, _matmul_runs(runs, table.inv, h, work.x[:rows])
+    x = _matmul_runs(runs, table.inv, h,
+                     work.buffer("x", h.shape, sides.dtype))
+    x_rows = work.buffer("x_rows", x.shape[::-1], sides.dtype)
+    np.copyto(x_rows, x.T)
+    return accepted, x_rows
 
 
 def _ball_sides(arr: Arrangement, table: BaseTable, dim: int, radii) -> _Sides:
@@ -172,34 +178,40 @@ def _ball_sides(arr: Arrangement, table: BaseTable, dim: int, radii) -> _Sides:
     if not arr.complexified and dim % 2:
         raise ValueError("cyclotomic arrangements need an even polymer dimension")
     radii = np.asarray(radii, dtype=float)
-    base_radii = radii[table.elems][..., None]
-    out_radii_sq = (radii ** 2)[table.out]
-    complexified = arr.complexified
+    # per-base radii with the bases on axis 1: (n, bases) and (m, bases)
+    base_radii = radii[table.elems].T
+    out_radii_sq = (radii ** 2)[table.out].T
+    n, m = base_radii.shape[0], out_radii_sq.shape[0]
+    width, dtype = (dim, float) if arr.complexified else (dim // 2, complex)
+    pairs = dim // width
 
     def draw(rng, runs, work):
-        # the real view of a complex h pairs coordinates (2i, 2i + 1) into
-        # entry i, as u[..., 0::2] + 1j * u[..., 1::2] does
-        h = work.h[:runs.size]
-        u = h if complexified else h.view(float)
-        sample_unit_sphere(dim, rng, u.shape[0] * u.shape[1],
-                           out=u.reshape(-1, dim))
-        for part, r in zip(runs.rows(u), runs.base(base_radii)):
-            part *= r
+        # the directions in the sphere draw's order, (rows, n, dim), written
+        # times R_e into h rows-last; a complex h holds coordinates
+        # (2i, 2i + 1) as the real and imaginary part of entry i, as
+        # u[..., 0::2] + 1j * u[..., 1::2] does
+        rows = runs.size
+        u = work.buffer("u", (rows * n, dim))
+        sample_unit_sphere(dim, rng, rows * n, out=u)
+        h = work.buffer("h", (width, n, rows), dtype)
+        # both as (width, n, pairs, rows)
+        u_rows = u.reshape(rows, n, width, pairs).transpose(2, 1, 3, 0)
+        h_rows = h.view(float).reshape(width, n, rows, pairs).transpose(
+            0, 1, 3, 2)
+        for b, k, part_u, part_h in runs.split(u_rows, h_rows):
+            np.multiply(part_u, base_radii[:, None, b:b + k, None], out=part_h)
         return h
 
-    def outside(runs, work):
-        rows = runs.size
-        norms_sq = _norms_sq(work.vals[:rows])
-        compared = work.compared[:rows]
-        for part, r_sq, cmp in zip(runs.rows(norms_sq), runs.base(out_radii_sq),
-                                   runs.rows(compared)):
-            np.greater(part, r_sq, out=cmp)
-        return _reduce_columns(np.logical_and, compared, work.accepted[:rows])
+    def outside(runs, work, vals):
+        # the squares added in _norms_sq's order: real parts, then imaginary
+        norms_sq = _norms_sq(vals.transpose(1, 2, 0))
+        compared = work.buffer("compared", norms_sq.shape, bool)
+        for b, k, part, cmp in runs.split(norms_sq, compared):
+            np.greater(part, out_radii_sq[:, b:b + k, None], out=cmp)
+        accepted = work.buffer("accepted", (runs.size,), bool)
+        return np.logical_and.reduce(compared, axis=0, out=accepted)
 
-    width, dtype = (dim, float) if complexified else (dim // 2, complex)
-    n, m = table.elems.shape[1], table.out.shape[1]
-    return _Sides(table, width, dtype, draw, outside,
-                  {"h": ((n, width), dtype), "compared": ((m,), bool)})
+    return _Sides(table, width, dtype, draw, outside)
 
 
 # float bounds within this relative distance of R_f are settled exactly
@@ -253,18 +265,6 @@ def _exact_empty(view: MatroidView, radii: np.ndarray,
     return empty
 
 
-def _reduce_columns(op, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """op.reduce(a, axis=1, out=out) for a (rows, m) bool array and op
-    np.logical_and or np.logical_or, column by column: numpy's reduction
-    over a short trailing axis is 2-7x slower (m = 10 to 3).  perfbench
-    planar_invariance wall_s 0.730 s with np.all -> 0.698 s, 5 of 5 pairs
-    (2-vCPU VM)."""
-    out[...] = a[:, 0] if a.shape[1] else op.identity
-    for j in range(1, a.shape[1]):
-        op(out, a[:, j], out=out)
-    return out
-
-
 def _stratum_stats(values: np.ndarray, start: int, per_base: int):
     """(first base, n, mean, m2) per base of the rows [start, start +
     values.size) of the stratified list, row r drawn for base
@@ -291,10 +291,11 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
 
     The per_base * |bases| rows are one stratified list, row r drawn for
     base r // per_base, cut into CHUNK-row chunks with one random stream
-    each and run on the worker pool, BLOCK rows at a time, in buffers
-    allocated once per chunk.  Per-base (n, mean, m2) come from bincounts
-    over each chunk and are merged per base in chunk order, so the estimate
-    is bit-identical for any worker count.
+    each and run on the worker pool, BLOCK rows at a time, in rows-last
+    buffers allocated once per chunk; g, when given, takes the block's
+    configurations row by row, (rows, n, width).  Per-base (n, mean, m2)
+    come from bincounts over each chunk and are merged per base in chunk
+    order, so the estimate is bit-identical for any worker count.
     """
     total = view.base_table.masks.size
     if n_samples < total:
@@ -307,11 +308,11 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
     weights = np.full(count, weights, dtype=float)
 
     def chunk_stats(rng, start, count):
-        work = _Work(sides, min(BLOCK, count), g is not None)
+        work = _Work()
         values = np.empty(count)
         for lo in range(0, count, BLOCK):
             runs = _Runs(start + lo, min(BLOCK, count - lo), per_base)
-            accepted, x = _accept_block(runs, rng, sides, work)
+            accepted, x = _accept_block(runs, rng, sides, work, g is not None)
             block = values[lo:lo + runs.size]
             if g is None:
                 block[:] = accepted
@@ -336,8 +337,8 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
 def _one_base_block(row: int, rows: int, rng, sides: _Sides):
     """(accepted, x) of `rows` draws for the base in row `row` of
     sides.table, as one block."""
-    return _accept_block(_Runs(row * rows, rows, rows), rng, sides,
-                         _Work(sides, rows, True))
+    return _accept_block(_Runs(row * rows, rows, rows), rng, sides, _Work(),
+                         True)
 
 
 def sample_for_base(arr, base_mask: int, dim: int,
@@ -538,41 +539,64 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
     shapes = _check_shapes(arr, shapes, d)
 
     table = view.base_table
+    n, m = table.elems.shape[1], table.out.shape[1]
     draw_shapes = _shape_draw(shapes, dim,
                               lambda s, rng, count: s.sample_surface(rng, count))
     distinct = list(dict.fromkeys(shapes))
-    shape_of = np.array([distinct.index(s) for s in shapes])
-    # per base, which non-base values have each distinct shape
-    picks = [shape_of[table.out] == i for i in range(len(distinct))]
+    # the smallest integer type, so that the stable sort of a block's
+    # shape indices is a radix sort
+    shape_of = np.array([distinct.index(s) for s in shapes],
+                        dtype=np.min_scalar_type(len(distinct) - 1))
+    # per-base tables with the bases on axis 1: elements (n, bases) and the
+    # shapes of the non-base values (m, bases)
+    base_elems = table.elems.T
+    out_shapes = shape_of[table.out].T
 
     def draw(rng, runs, work):
-        elems = work.elems[:runs.size]
-        for part, base_elems in zip(runs.rows(elems), runs.base(table.elems)):
-            part[...] = base_elems
-        return draw_shapes(rng, elems)
-
-    def outside(runs, work):
-        # each distinct shape's solid test on all flattened values, kept
-        # per run where the base's values have that shape
+        # the surface draws in row order, (rows, n, dim), written rows-last
         rows = runs.size
-        flat = work.vals[:rows].reshape(-1, dim)
-        w_sq = _norms_sq(flat[:, :2])
-        y = flat[:, 2:]
-        inside = work.inside[:rows]
-        for s, pick in zip(distinct, picks):
-            inside_s = (s.bottom_contains(y) & (w_sq <= s.warp(y) ** 2)
-                        ).reshape(rows, -1)
-            for part, where, values in zip(runs.rows(inside), runs.base(pick),
-                                           runs.rows(inside_s)):
-                np.copyto(part, values, where=where)
-        accepted = _reduce_columns(np.logical_or, inside, work.accepted[:rows])
+        elems = work.buffer("elems", (n, rows), np.intp)
+        for b, k, part in runs.split(elems):
+            part[...] = base_elems[:, b:b + k, None]
+        h = work.buffer("h", (dim, n, rows))
+        np.copyto(h, draw_shapes(rng, elems.T).T)
+        return h
+
+    def own_values(runs, work):
+        """(shape, index of its values among the block's m * rows non-base
+        values) per distinct shape: the values grouped by a stable sort of
+        their shape indices, or all of them for a single shape.  The single
+        shape skips the sort and the gather: asa_volume_mc on braid(4) with
+        six cylinders, 300,000 samples, 0.103-0.116 s against 0.122-0.135 s
+        (best of 15, three runs, 2-vCPU VM)."""
+        if len(distinct) == 1:
+            return [(distinct[0], slice(None))]
+        which = work.buffer("which", (m, runs.size), shape_of.dtype)
+        for b, k, part in runs.split(which):
+            part[...] = out_shapes[:, b:b + k, None]
+        order = np.argsort(which, axis=None, kind="stable")
+        counts = np.bincount(which.reshape(-1), minlength=len(distinct))
+        return list(zip(distinct, np.split(order, np.cumsum(counts)[:-1])))
+
+    def outside(runs, work, vals):
+        # each distinct shape's solid test on its own values only, gathered
+        # from the block's values and scattered back
+        rows = runs.size
+        w_sq = _norms_sq(vals[:2].transpose(1, 2, 0)).reshape(-1)
+        y = vals[2:].reshape(d, m * rows).T
+        inside = work.buffer("inside", (m, rows), bool)
+        flat = inside.reshape(-1)
+        for s, own in own_values(runs, work):
+            y_own = y[own]
+            flat[own] = (s.bottom_contains(y_own)
+                         & (w_sq[own] <= s.warp(y_own) ** 2))
+        accepted = work.buffer("accepted", (rows,), bool)
+        np.logical_or.reduce(inside, axis=0, out=accepted)
         return np.logical_not(accepted, out=accepted)
 
     totals = np.array([surface_measure_total(s) for s in shapes])
     return _polymer_estimate(view, n_samples, seed, workers,
-                             _Sides(table, dim, float, draw, outside,
-                                    {"elems": ((table.elems.shape[1],), np.intp),
-                                     "inside": ((table.out.shape[1],), bool)}),
+                             _Sides(table, dim, float, draw, outside),
                              np.prod(totals[table.elems], axis=1))
 
 

@@ -338,7 +338,7 @@ def _one_base_block(row: int, rows: int, rng, sides: _Sides):
     """(accepted, x) of `rows` draws for the base in row `row` of
     sides.table, as one block."""
     return _accept_block(_Runs(row * rows, rows, rows), rng, sides, _Work(),
-                         True)
+                         need_x=True)
 
 
 def sample_for_base(arr, base_mask: int, dim: int,

@@ -17,14 +17,16 @@ The kernel splits the budget evenly across the bases its sides sample and
 runs all their rows as one list: one random stream per CHUNK rows, the
 chunks on the worker pool, and BLOCK rows at a time drawn, mapped to the
 non-base values by each base's float map S_B = C_out(B) B^-1 (a row of the
-view's base table), and tested.  A block's arrays are rows-last, shaped
-(value coordinate, element, row), in buffers allocated once per chunk.  The
-rows are sorted by base, so a block is at most three parts, each k runs of
-one base's rows (`_Runs`): a part of a block array is a (..., k, run rows)
-view, S_B and B^-1 reach it as one stacked matrix product over k
-consecutive rows of the base table, and per-base radii as a (..., k, 1)
-slice of a transposed per-base table.  Per-base (n, mean, m2) are merged in
-chunk order, so results are bit-identical for any worker count.
+view's base table), and tested.  A block's values are shaped (element, row,
+value coordinate), its squared norms and comparisons (element, row), in
+buffers allocated once per chunk.  The rows are sorted by base, so a block
+is at most three parts, each k runs of one base's rows (`_Runs`): a part of
+a block array is an (element, k, run rows, ...) view, S_B and B^-1 reach it
+as one stacked matrix product over k consecutive rows of the base table,
+whose columns are a run's (row, value coordinate) pairs, and per-base radii
+as an (element, k, 1) slice of a transposed per-base table.  Per-base
+(n, mean, m2) are merged in chunk order, so results are bit-identical for
+any worker count.
 `sample_for_base` and `dump_samples_csv` use the same block function on one
 base.  The region sides of the projection laws are calls of the mayer tube
 kernel.
@@ -72,10 +74,10 @@ class _Runs:
     run, empty parts left out.  Part (lo, hi, base, k) is block rows
     [lo, hi): k runs of (hi - lo) // k rows, for bases base .. base + k - 1.
 
-    A rows-last block array splits into one view per part (`split`), so
-    per-base data reach each part as one slice [base:base + k] of a
-    per-base table, never as per-row gathers, and a block makes the same
-    numpy calls whatever per_base is."""
+    A block array with its rows on axis 1 splits into one view per part
+    (`split`), so per-base data reach each part as one slice
+    [base:base + k] of a per-base table, never as per-row gathers, and a
+    block makes the same numpy calls whatever per_base is."""
 
     def __init__(self, row0: int, rows: int, per_base: int):
         end = row0 + rows
@@ -93,11 +95,11 @@ class _Runs:
 
     def split(self, *arrays):
         """Per part, (base, k) and each array's view of the part's rows, for
-        arrays with the block's rows on the last axis: that axis cut into
+        arrays with the block's rows on axis 1: that axis cut into
         (k, run rows)."""
         for lo, hi, base, k in self.parts:
             yield (base, k) + tuple(
-                a[..., lo:hi].reshape(a.shape[:-1] + (k, (hi - lo) // k))
+                a[:, lo:hi].reshape((a.shape[0], k, (hi - lo) // k) + a.shape[2:])
                 for a in arrays)
 
 
@@ -106,10 +108,10 @@ class _Sides:
     """Which bases are sampled, how their base values are drawn and how
     non-base values are tested: `table` holds the sampled rows of the
     view's base table, and each value has `width` entries of `dtype`.
-    draw(rng, runs, work) returns the rows' base values, rows-last
-    (width, n, runs.size), in a buffer of work; outside(runs, work, vals)
+    draw(rng, runs, work) returns the rows' base values, shaped
+    (n, runs.size, width), in a buffer of work; outside(runs, work, vals)
     returns the rows' acceptance flags given their non-base values vals,
-    rows-last (width, m, runs.size)."""
+    shaped (m, runs.size, width)."""
 
     table: BaseTable
     width: int
@@ -132,17 +134,25 @@ class _Work:
         flat = self._flat.get(name)
         if flat is None:
             flat = self._flat[name] = np.empty(size, dtype)
+        assert flat.dtype == dtype and flat.size >= size, (name, shape, dtype)
         return flat[:size].reshape(shape)
 
 
 def _matmul_runs(runs: _Runs, maps: np.ndarray, h: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
-    """out[..., i] = maps[b] @ h[..., i] for each row i of the block (the
-    last axis of h, shaped (width, n, rows), and of out), b its base: one
-    stacked matrix product per part of `runs`, over k rows of maps."""
+    """out[:, i] = maps[b] @ h[:, i] for each row i of the block (axis 1 of
+    h, shaped (n, rows, width), and of out), b its base: one stacked matrix
+    product per part of `runs`, over k rows of maps, each run's (row, value
+    coordinate) pairs as the columns.  A one-row run's product is the
+    per-row product maps[b] @ h[:, i] itself; a longer run's gives its bits
+    for real maps and may differ in the last bits for complex ones
+    (test_run_views_equal_gathered_products)."""
+    def columns(part):      # (elements, k, L, width) -> (k, elements, L * width)
+        return part.reshape(part.shape[:2] + (math.prod(part.shape[2:]),)
+                            ).swapaxes(0, 1)
+
     for b, k, part_h, part_out in runs.split(h, out):
-        np.matmul(maps[b:b + k], part_h.swapaxes(-3, -2),
-                  out=part_out.swapaxes(-3, -2))
+        np.matmul(maps[b:b + k], columns(part_h), out=columns(part_out))
     return out
 
 
@@ -154,7 +164,7 @@ def _accept_block(runs: _Runs, rng, sides: _Sides, work: _Work,
     configurations B^-1 h row by row, (rows, n, width), when need_x, else
     None."""
     table = sides.table
-    shape = (sides.width, table.out.shape[1], runs.size)
+    shape = (table.out.shape[1], runs.size, sides.width)
     h = sides.draw(rng, runs, work)
     vals = _matmul_runs(runs, table.to_out, h,
                         work.buffer("vals", shape, sides.dtype))
@@ -163,8 +173,8 @@ def _accept_block(runs: _Runs, rng, sides: _Sides, work: _Work,
         return accepted, None
     x = _matmul_runs(runs, table.inv, h,
                      work.buffer("x", h.shape, sides.dtype))
-    x_rows = work.buffer("x_rows", x.shape[::-1], sides.dtype)
-    np.copyto(x_rows, x.T)
+    x_rows = work.buffer("x_rows", (runs.size,) + h.shape[::2], sides.dtype)
+    np.copyto(x_rows, x.swapaxes(0, 1))
     return accepted, x_rows
 
 
@@ -183,28 +193,25 @@ def _ball_sides(arr: Arrangement, table: BaseTable, dim: int, radii) -> _Sides:
     out_radii_sq = (radii ** 2)[table.out].T
     n, m = base_radii.shape[0], out_radii_sq.shape[0]
     width, dtype = (dim, float) if arr.complexified else (dim // 2, complex)
-    pairs = dim // width
 
     def draw(rng, runs, work):
-        # the directions in the sphere draw's order, (rows, n, dim), written
-        # times R_e into h rows-last; a complex h holds coordinates
-        # (2i, 2i + 1) as the real and imaginary part of entry i, as
-        # u[..., 0::2] + 1j * u[..., 1::2] does
+        # the directions in the sphere draw's order, (rows, n, dim), drawn
+        # into the block's non-base value buffer (free until the S_B
+        # product) and written times R_e into h, (n, rows, dim) as floats;
+        # a complex h holds coordinates (2i, 2i + 1) as the real and
+        # imaginary part of entry i, as u[..., 0::2] + 1j * u[..., 1::2] does
         rows = runs.size
-        u = work.buffer("u", (rows * n, dim))
+        free = work.buffer("vals", (max(n, m) * rows * width,), dtype)
+        u = free.view(float)[:rows * n * dim].reshape(rows * n, dim)
         sample_unit_sphere(dim, rng, rows * n, out=u)
-        h = work.buffer("h", (width, n, rows), dtype)
-        # both as (width, n, pairs, rows)
-        u_rows = u.reshape(rows, n, width, pairs).transpose(2, 1, 3, 0)
-        h_rows = h.view(float).reshape(width, n, rows, pairs).transpose(
-            0, 1, 3, 2)
-        for b, k, part_u, part_h in runs.split(u_rows, h_rows):
-            np.multiply(part_u, base_radii[:, None, b:b + k, None], out=part_h)
+        h = work.buffer("h", (n, rows, width), dtype)
+        u_rows = u.reshape(rows, n, dim).swapaxes(0, 1)
+        for b, k, part_u, part_h in runs.split(u_rows, h.view(float)):
+            np.multiply(part_u, base_radii[:, b:b + k, None, None], out=part_h)
         return h
 
     def outside(runs, work, vals):
-        # the squares added in _norms_sq's order: real parts, then imaginary
-        norms_sq = _norms_sq(vals.transpose(1, 2, 0))
+        norms_sq = _norms_sq(vals)
         compared = work.buffer("compared", norms_sq.shape, bool)
         for b, k, part, cmp in runs.split(norms_sq, compared):
             np.greater(part, out_radii_sq[:, b:b + k, None], out=cmp)
@@ -291,8 +298,8 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
 
     The per_base * |bases| rows are one stratified list, row r drawn for
     base r // per_base, cut into CHUNK-row chunks with one random stream
-    each and run on the worker pool, BLOCK rows at a time, in rows-last
-    buffers allocated once per chunk; g, when given, takes the block's
+    each and run on the worker pool, BLOCK rows at a time, in buffers
+    allocated once per chunk; g, when given, takes the block's
     configurations row by row, (rows, n, width).  Per-base (n, mean, m2)
     come from bincounts over each chunk and are merged per base in chunk
     order, so the estimate is bit-identical for any worker count.
@@ -543,7 +550,7 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
     draw_shapes = _shape_draw(shapes, dim,
                               lambda s, rng, count: s.sample_surface(rng, count))
     distinct = list(dict.fromkeys(shapes))
-    # the smallest integer type, so that the stable sort of a block's
+    # the smallest integer type, so that the stable sort of a part's
     # shape indices is a radix sort
     shape_of = np.array([distinct.index(s) for s in shapes],
                         dtype=np.min_scalar_type(len(distinct) - 1))
@@ -553,43 +560,34 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
     out_shapes = shape_of[table.out].T
 
     def draw(rng, runs, work):
-        # the surface draws in row order, (rows, n, dim), written rows-last
+        # the surface draws in row order, (rows, n, dim), written to h as
+        # (n, rows, dim)
         rows = runs.size
         elems = work.buffer("elems", (n, rows), np.intp)
         for b, k, part in runs.split(elems):
             part[...] = base_elems[:, b:b + k, None]
-        h = work.buffer("h", (dim, n, rows))
-        np.copyto(h, draw_shapes(rng, elems.T).T)
+        h = work.buffer("h", (n, rows, dim))
+        np.copyto(h, draw_shapes(rng, elems.T).swapaxes(0, 1))
         return h
 
-    def own_values(runs, work):
-        """(shape, index of its values among the block's m * rows non-base
-        values) per distinct shape: the values grouped by a stable sort of
-        their shape indices, or all of them for a single shape.  The single
-        shape skips the sort and the gather: asa_volume_mc on braid(4) with
-        six cylinders, 300,000 samples, 0.103-0.116 s against 0.122-0.135 s
-        (best of 15, three runs, 2-vCPU VM)."""
-        if len(distinct) == 1:
-            return [(distinct[0], slice(None))]
-        which = work.buffer("which", (m, runs.size), shape_of.dtype)
-        for b, k, part in runs.split(which):
-            part[...] = out_shapes[:, b:b + k, None]
-        order = np.argsort(which, axis=None, kind="stable")
-        counts = np.bincount(which.reshape(-1), minlength=len(distinct))
-        return list(zip(distinct, np.split(order, np.cumsum(counts)[:-1])))
-
     def outside(runs, work, vals):
-        # each distinct shape's solid test on its own values only, gathered
-        # from the block's values and scattered back
+        # per part, each distinct shape's solid test on the runs of the
+        # values that have it only: the part's (non-base element, run)
+        # pairs grouped by a stable sort of their shape indices, their runs
+        # of values gathered, tested and scattered back
         rows = runs.size
-        w_sq = _norms_sq(vals[:2].transpose(1, 2, 0)).reshape(-1)
-        y = vals[2:].reshape(d, m * rows).T
         inside = work.buffer("inside", (m, rows), bool)
-        flat = inside.reshape(-1)
-        for s, own in own_values(runs, work):
-            y_own = y[own]
-            flat[own] = (s.bottom_contains(y_own)
-                         & (w_sq[own] <= s.warp(y_own) ** 2))
+        for b, k, part_vals, part_inside in runs.split(vals, inside):
+            which = out_shapes[:, b:b + k].reshape(-1)
+            order = np.argsort(which, kind="stable")
+            counts = np.bincount(which, minlength=len(distinct))
+            for s, own in zip(distinct, np.split(order, np.cumsum(counts)[:-1])):
+                own = np.divmod(own, k)
+                v = part_vals[own]          # (pairs, run rows, dim)
+                y = v[..., 2:].reshape(-1, d)
+                w_sq = _norms_sq(v[..., :2]).reshape(-1)
+                inside_s = s.bottom_contains(y) & (w_sq <= s.warp(y) ** 2)
+                part_inside[own] = inside_s.reshape(v.shape[:2])
         accepted = work.buffer("accepted", (rows,), bool)
         np.logical_or.reduce(inside, axis=0, out=accepted)
         return np.logical_not(accepted, out=accepted)

@@ -231,12 +231,11 @@ def _run_split_cases(count):
 @pytest.mark.parametrize("arr", [braid(3), braid(5), coxeter_b(3), dowling(2, 3)],
                          ids=["braid3", "braid5", "coxeterB3", "dowling2_3"])
 def test_run_views_equal_gathered_products(arr):
-    # the stacked run products on rows-last arrays must equal the per-row
-    # gathered ones: every estimate rests on it.  Bit for bit for real maps
-    # of two or more rows on runs of two or more rows.  Complex maps,
-    # single-row maps (braid(3)'s S_B) and single-row runs (per_base = 1,
-    # where matmul takes BLAS's matrix-vector path) may round differently,
-    # so there the bound is ULPS units in the last place of |maps[b]| @ |h|.
+    # the stacked run products must equal the per-row gathered ones: every
+    # estimate rests on it.  Bit for bit for real maps, on every run length
+    # (a one-row run is the per-row product itself).  Complex maps may round
+    # differently, so there the bound is ULPS units in the last place of
+    # |maps[b]| @ |h|.
     table = MatroidView(arr).base_table
     count = table.masks.size
     rng = np.random.default_rng(8)
@@ -250,21 +249,21 @@ def test_run_views_equal_gathered_products(arr):
         assert np.array_equal(
             np.concatenate([np.repeat(np.arange(base, base + k), (hi - lo) // k)
                             for lo, hi, base, k in runs.parts]), b)
-        # the rows whose run part has runs of two or more rows
-        long_run = np.concatenate([np.full(hi - lo, hi - lo >= 2 * k)
-                                   for lo, hi, _, k in runs.parts])
-        h = rng.standard_normal((2, table.inv.shape[1], rows))
+        h = rng.standard_normal((table.inv.shape[1], rows, 2))
         if dtype == complex:
             h = h + 1j * rng.standard_normal(h.shape)
+        h_rows = np.ascontiguousarray(h.swapaxes(0, 1))
         for maps in (table.to_out, table.inv):
-            out = np.empty((2, maps.shape[1], rows), dtype)
+            out = np.empty((maps.shape[1], rows, 2), dtype)
             got = polymer._matmul_runs(runs, maps, h, out)
             assert got is out
-            want = (maps[b] @ h.T).T
-            scale = (np.abs(maps[b]) @ np.abs(h).T).T
-            assert np.all(np.abs(got - want) <= ULPS * np.spacing(scale))
-            if dtype != complex and maps.shape[1] >= 2:
-                assert np.array_equal(got[..., long_run], want[..., long_run])
+            got = got.swapaxes(0, 1)
+            want = maps[b] @ h_rows
+            if dtype == complex:
+                scale = np.abs(maps[b]) @ np.abs(h_rows)
+                assert np.all(np.abs(got - want) <= ULPS * np.spacing(scale))
+            else:
+                assert np.array_equal(got, want)
         # each part's view is a view of the block's rows, k runs of them
         for _, k, part in runs.split(h):
-            assert np.shares_memory(part, h) and part.shape[-2] == k
+            assert np.shares_memory(part, h) and part.shape[1] == k

@@ -14,24 +14,23 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import arrangement as arr_mod
-from .arrangement import Arrangement, ArrangementError, from_descriptor, subset_labels
+from .arrangement import Arrangement, from_descriptor, subset_labels
 from .dimred import (balanced_weight_check, check_asa_dr, check_dr,
                      tonks_series_check, typeD_unbalanced_check)
 from .exact_linalg import FieldMismatchError
 from .geometry import capped_cylinder_shape, cylinder_shape, sphere_shape
 from .matroid import LinearOrder, MatroidView
-from .mayer import (SpanningError, mmc_d0, mmc_mc, pressure_coefficient,
-                    z_score)
+from .mayer import Z_LIMIT, mmc_d0, mmc_mc, pressure_coefficient, z_score
 from .polymer import (G_FUNCTIONS, dump_samples_csv, live_base_table,
                       planar_invariance_check, polymer_svg,
                       project_expectation, safe_projection_expectation,
                       volume_mc)
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Usage or configuration problem; exits with code 1."""
 
 
@@ -44,21 +43,22 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class ExperimentConfig:
+    # field order is the order of the "config" echo and of its CSV columns
     family: str = "braid"
     n: int = 3
-    k: int | None = None
-    colors: list | None = None
-    radii: list | None = None
-    normals: list | None = None
     d: int = 1
     samples: int = 100_000
     seed: int = 0
     workers: int = 1
+    k: int | None = None
+    colors: list | None = None
+    radii: list | None = None
+    normals: list | None = None
     radii_list: list | None = None
+    subset: list | None = None
     shape: str = "cylinder"
     length: float = 1.0
     g: str = "const1"
-    subset: list | None = None
     m_max: int = 3
     orders: int = 0
     safe: bool = False
@@ -92,29 +92,30 @@ class ExperimentConfig:
         return desc
 
     def build_arrangement(self) -> Arrangement:
-        try:
-            return from_descriptor(self.descriptor())
-        except (ArrangementError, FieldMismatchError) as exc:
-            raise CliError(str(exc)) from exc
+        return from_descriptor(self.descriptor())
 
     def echo(self) -> dict:
-        d = {"family": self.family, "n": self.n, "d": self.d,
-             "samples": self.samples, "seed": self.seed, "workers": self.workers}
-        for key in ("k", "colors", "radii", "normals", "radii_list", "subset"):
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = value
-        for key in ("shape", "length", "g", "m_max", "orders", "safe"):
-            d[key] = getattr(self, key)
-        return d
+        return {key: value for key, value in asdict(self).items()
+                if value is not None}
 
 
-def _parse_floats(text: str) -> list:
+def _floats(text: str) -> list:
     return [float(v) for v in text.split(",") if v != ""]
 
 
-def _parse_ints(text: str) -> list:
-    return [int(v) for v in text.split(",") if v != ""]
+# argparse types of the list flags, named in its error messages; an empty
+# list counts as a flag not given
+def int_list(text: str) -> list | None:
+    return [int(v) for v in text.split(",") if v != ""] or None
+
+
+def float_list(text: str) -> list | None:
+    return _floats(text) or None
+
+
+def float_lists(text: str) -> list | None:
+    """semicolon-separated comma lists"""
+    return [_floats(part) for part in text.split(";") if part] or None
 
 
 # config file values must have their ExperimentConfig field's type: no bool
@@ -128,28 +129,20 @@ _TYPE_CHECKS = {
 
 def _build_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    for key in ("family", "n", "k", "d", "samples", "seed", "workers",
-                "shape", "length", "g", "m_max", "orders", "safe"):
-        value = getattr(args, key, None)
+    for field in fields(cfg):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "colors", None):
-        cfg.colors = _parse_ints(args.colors)
-    if getattr(args, "radii", None):
-        cfg.radii = _parse_floats(args.radii)
-    if getattr(args, "radii_list", None):
-        cfg.radii_list = [_parse_floats(part)
-                          for part in args.radii_list.split(";") if part]
-    if getattr(args, "subset", None):
-        cfg.subset = _parse_ints(args.subset)
-    if getattr(args, "config", None):
+            setattr(cfg, field.name, value)
+    if args.config:
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config: {exc}") from exc
+        if not isinstance(data, dict):
+            raise CliError("a config file holds one JSON object")
         for key, value in data.items():
-            if not hasattr(cfg, key):
+            if key not in cfg.__annotations__:
                 raise CliError(f"unknown config key {key!r}")
             kind, _, optional = cfg.__annotations__[key].partition(" | ")
             if not (_TYPE_CHECKS[kind](value) or value is None and optional):
@@ -161,10 +154,10 @@ def _build_config(args) -> ExperimentConfig:
 
 
 # --------------------------------------------------------------------------
-# subcommand implementations (each returns (payload dict, passed bool))
+# subcommand implementations: (cfg, args) -> (payload dict, passed bool)
 # --------------------------------------------------------------------------
 
-def _cmd_chi(cfg: ExperimentConfig):
+def _cmd_chi(cfg: ExperimentConfig, args):
     arr = cfg.build_arrangement()
     view = MatroidView(arr)
     chi = view.chi_at_zero()
@@ -182,7 +175,7 @@ def _cmd_chi(cfg: ExperimentConfig):
     return payload, sign_ok
 
 
-def _cmd_bases(cfg: ExperimentConfig):
+def _cmd_bases(cfg: ExperimentConfig, args):
     arr = cfg.build_arrangement()
     view = MatroidView(arr)
     bases = [{"mask": b, "hyperplanes": list(subset_labels(arr, b))}
@@ -201,22 +194,19 @@ def _subset_mask(cfg: ExperimentConfig, arr: Arrangement) -> int:
     return mask
 
 
-def _cmd_mmc(cfg: ExperimentConfig):
+def _cmd_mmc(cfg: ExperimentConfig, args):
     arr = cfg.build_arrangement()
     view = MatroidView(arr)
     mask = _subset_mask(cfg, arr)
-    try:
-        if cfg.d == 0:
-            return {"subset_mask": mask, "exact": True,
-                    "value": mmc_d0(view, mask)}, True
-        est = mmc_mc(view, mask, cfg.d, cfg.samples, cfg.seed, cfg.workers)
-    except SpanningError as exc:
-        raise CliError(str(exc)) from exc
+    if cfg.d == 0:
+        return {"subset_mask": mask, "exact": True,
+                "value": mmc_d0(view, mask)}, True
+    est = mmc_mc(view, mask, cfg.d, cfg.samples, cfg.seed, cfg.workers)
     return {"subset_mask": mask, "exact": False,
             "estimate": est.to_json_dict("mmc")}, True
 
 
-def _cmd_pressure(cfg: ExperimentConfig):
+def _cmd_pressure(cfg: ExperimentConfig, args):
     arr = cfg.build_arrangement()
     view = MatroidView(arr)
     est = pressure_coefficient(view, cfg.d, cfg.samples, cfg.seed, cfg.workers)
@@ -234,7 +224,7 @@ def _strata(view: MatroidView, radii) -> dict:
     return {"sampled": sampled, "skipped": view.base_table.masks.size - sampled}
 
 
-def _cmd_polymer_volume(cfg: ExperimentConfig, svg=None, dump=None):
+def _cmd_polymer_volume(cfg: ExperimentConfig, args):
     arr = cfg.build_arrangement()
     dim = cfg.d
     if dim < 2:
@@ -242,17 +232,18 @@ def _cmd_polymer_volume(cfg: ExperimentConfig, svg=None, dump=None):
                        "dimension, which must be >= 2")
     view = MatroidView(arr)
     est = volume_mc(view, dim, cfg.samples, cfg.seed, cfg.workers)
-    if dump:
-        dump_samples_csv(dump, view, dim, min(cfg.samples, 200), cfg.seed)
-    if svg:
+    if args.dump_samples:
+        dump_samples_csv(args.dump_samples, view, dim, min(cfg.samples, 200),
+                         cfg.seed)
+    if args.svg:
         if dim != 2:
             raise CliError("SVG snapshots are drawn for 2-D polymers")
-        polymer_svg(svg, view, cfg.seed)
+        polymer_svg(args.svg, view, cfg.seed)
     return {"dim": dim, "estimate": est.to_json_dict("polymer volume"),
             "strata": _strata(view, arr.radii)}, True
 
 
-def _cmd_invariance(cfg: ExperimentConfig):
+def _cmd_invariance(cfg: ExperimentConfig, args):
     arr = cfg.build_arrangement()
     if not cfg.radii_list:
         raise CliError("invariance needs --radii-list, e.g. '1,1,1;1,2,5'")
@@ -269,30 +260,21 @@ def _cmd_invariance(cfg: ExperimentConfig):
     return payload, report.passed
 
 
-def _cmd_dr_check(cfg: ExperimentConfig):
-    arr = cfg.build_arrangement()
-    try:
-        report = check_dr(arr, cfg.d, cfg.samples, cfg.seed, cfg.workers)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _cmd_dr_check(cfg: ExperimentConfig, args):
+    report = check_dr(cfg.build_arrangement(), cfg.d, cfg.samples, cfg.seed,
+                      cfg.workers)
     return report.to_json_dict(), report.passed
 
 
-def _cmd_tonks(cfg: ExperimentConfig):
-    try:
-        report = tonks_series_check(cfg.m_max, 1, cfg.samples, cfg.seed,
+def _cmd_tonks(cfg: ExperimentConfig, args):
+    report = tonks_series_check(cfg.m_max, 1, cfg.samples, cfg.seed,
+                                cfg.workers)
+    return report.to_json_dict(), report.passed
+
+
+def _cmd_type_d(cfg: ExperimentConfig, args):
+    report = typeD_unbalanced_check(cfg.n, cfg.d, cfg.samples, cfg.seed,
                                     cfg.workers)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    return report.to_json_dict(), report.passed
-
-
-def _cmd_type_d(cfg: ExperimentConfig):
-    try:
-        report = typeD_unbalanced_check(cfg.n, cfg.d, cfg.samples, cfg.seed,
-                                        cfg.workers)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     ok = report.combinatorial_ok and report.dr.passed
     payload = report.to_json_dict()
     payload["balanced_weight_ok"] = balanced_weight_check(min(cfg.n + 1, 5))
@@ -309,30 +291,23 @@ def _shapes_for(cfg: ExperimentConfig, arr: Arrangement):
     return [makers[cfg.shape]() for _ in range(arr.size)]
 
 
-def _cmd_asa_dr(cfg: ExperimentConfig):
+def _cmd_asa_dr(cfg: ExperimentConfig, args):
     arr = cfg.build_arrangement()
-    try:
-        shapes = _shapes_for(cfg, arr)
-        report = check_asa_dr(arr, shapes, cfg.d, cfg.samples, cfg.seed,
-                              cfg.workers)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = check_asa_dr(arr, _shapes_for(cfg, arr), cfg.d, cfg.samples,
+                          cfg.seed, cfg.workers)
     payload = report.to_json_dict()
     payload["shape"] = {"kind": cfg.shape, "dim": cfg.d + 2,
                         "length": cfg.length}
     return payload, report.passed
 
 
-def _cmd_project_law(cfg: ExperimentConfig):
+def _cmd_project_law(cfg: ExperimentConfig, args):
     arr = cfg.build_arrangement()
     if cfg.g not in G_FUNCTIONS:
         raise CliError(f"unknown g {cfg.g!r}; choose from {sorted(G_FUNCTIONS)}")
     view = MatroidView(arr)
-    try:
-        report = project_expectation(view, cfg.d, cfg.g, cfg.samples, cfg.seed,
-                                     cfg.workers)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = project_expectation(view, cfg.d, cfg.g, cfg.samples, cfg.seed,
+                                 cfg.workers)
     payload = report.to_json_dict()
     passed = report.passed
     if cfg.safe:
@@ -343,7 +318,7 @@ def _cmd_project_law(cfg: ExperimentConfig):
         z_safe = z_score(safe_est, report.mmc_side)
         payload["safe_side"] = safe_est.to_json_dict("safe-base projection")
         payload["z_safe_vs_mmc"] = z_safe
-        passed = passed and abs(z_safe) < 4.0
+        passed = passed and abs(z_safe) < Z_LIMIT
         payload["pass"] = passed
     return payload, passed
 
@@ -359,6 +334,7 @@ _COMMANDS = {
     "type-d": _cmd_type_d,
     "asa-dr": _cmd_asa_dr,
     "project-law": _cmd_project_law,
+    "polymer-volume": _cmd_polymer_volume,
 }
 
 
@@ -405,18 +381,18 @@ def _emit(payload: dict, fmt: str, out_path: str | None):
 # --------------------------------------------------------------------------
 
 def _add_common(sub):
-    sub.add_argument("--family", choices=sorted(arr_mod._FAMILIES), default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--colors", default=None, help="comma list, e.g. 2,2")
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--samples", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--radii", default=None, help="comma list of radii")
-    sub.add_argument("--out", default=None)
+    sub.add_argument("--family", choices=sorted(arr_mod._FAMILIES))
+    sub.add_argument("--n", type=int)
+    sub.add_argument("--k", type=int)
+    sub.add_argument("--colors", type=int_list, help="comma list, e.g. 2,2")
+    sub.add_argument("--d", type=int)
+    sub.add_argument("--samples", type=int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--workers", type=int)
+    sub.add_argument("--radii", type=float_list, help="comma list of radii")
+    sub.add_argument("--out")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--config", default=None,
+    sub.add_argument("--config",
                      help="JSON config file; file values override flags")
 
 
@@ -428,28 +404,26 @@ def build_parser() -> _Parser:
         sub = subs.add_parser(name)
         _add_common(sub)
         if name == "chi":
-            sub.add_argument("--orders", type=int, default=None,
+            sub.add_argument("--orders", type=int,
                              help="extra random linear orders to report")
         if name == "mmc":
-            sub.add_argument("--subset", default=None,
+            sub.add_argument("--subset", type=int_list,
                              help="comma list of hyperplane indices")
         if name == "invariance":
-            sub.add_argument("--radii-list", dest="radii_list", default=None,
+            sub.add_argument("--radii-list", type=float_lists,
                              help="semicolon-separated radii assignments")
         if name == "tonks":
-            sub.add_argument("--m-max", dest="m_max", type=int, default=None)
+            sub.add_argument("--m-max", type=int)
         if name == "asa-dr":
-            sub.add_argument("--shape", default=None,
+            sub.add_argument("--shape",
                              choices=("sphere", "cylinder", "capped_cylinder"))
-            sub.add_argument("--length", type=float, default=None)
+            sub.add_argument("--length", type=float)
         if name == "project-law":
-            sub.add_argument("--g", default=None,
-                             choices=sorted(G_FUNCTIONS))
+            sub.add_argument("--g", choices=sorted(G_FUNCTIONS))
             sub.add_argument("--safe", action="store_true", default=None)
-    poly = subs.add_parser("polymer-volume")
-    _add_common(poly)
-    poly.add_argument("--svg", default=None, help="write a 2-D snapshot here")
-    poly.add_argument("--dump-samples", dest="dump_samples", default=None)
+        if name == "polymer-volume":
+            sub.add_argument("--svg", help="write a 2-D snapshot here")
+            sub.add_argument("--dump-samples")
     return parser
 
 
@@ -462,23 +436,14 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args)
         started = time.perf_counter()
-        if args.command == "polymer-volume":
-            payload, passed = _cmd_polymer_volume(
-                cfg, svg=getattr(args, "svg", None),
-                dump=getattr(args, "dump_samples", None))
-        else:
-            payload, passed = _COMMANDS[args.command](cfg)
-        payload = dict(payload)
+        payload, passed = _COMMANDS[args.command](cfg, args)
         payload["config"] = cfg.echo()
         payload.setdefault("wall_time", time.perf_counter() - started)
         _emit(payload, args.format, args.out)
         return 0 if passed else 2
-    except CliError as exc:
-        print(f"polygas: error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, FieldMismatchError) as exc:
-        # arrangement, spanning, matroid, singular-system and input-range
-        # errors are all ValueErrors: the run's inputs are at fault
+        # CliError and the arrangement, spanning, matroid, singular-system and
+        # input-range errors are all ValueErrors: the run's inputs are at fault
         print(f"polygas: error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,8 +20,8 @@ from itertools import combinations
 
 from .arrangement import Arrangement, braid, coxeter_d
 from .matroid import MatroidView
-from .mayer import (MCEstimate, asa_pressure_coefficient, pressure_coefficient,
-                    z_score)
+from .mayer import (Z_LIMIT, MCEstimate, asa_pressure_coefficient,
+                    pressure_coefficient, z_score)
 from .polymer import asa_volume_mc, volume_mc
 from .signed_graphs import (SignedGraph, _components, dn_mask_to_graph,
                             spans_with_unbalanced_components, is_balanced)
@@ -49,21 +49,28 @@ class DRReport:
         }
 
 
+def _dr_report(arr: Arrangement, d: int, pressure, volume) -> DRReport:
+    """The reduction identity on one view of arr: lhs = (-2 pi)^n *
+    pressure(view), then rhs = volume(view), and their z score."""
+    start = time.perf_counter()
+    view = MatroidView(arr)
+    lhs = pressure(view).scaled((-2.0 * math.pi) ** arr.ambient_dim)
+    rhs = volume(view)
+    z = z_score(lhs, rhs)
+    return DRReport(arr.to_descriptor(), d, lhs, rhs, z, abs(z) < Z_LIMIT,
+                    time.perf_counter() - start)
+
+
 def check_dr(arr: Arrangement, d: int, n_samples: int, seed: int,
              workers: int = 1) -> DRReport:
     """Estimate both sides of the reduction identity with n_samples each and
     report the z score.  d = 0 makes the left side exact."""
-    start = time.perf_counter()
     if not arr.complexified and d % 2:
         raise ValueError("cyclotomic arrangements need even d")
-    view = MatroidView(arr)
-    n = arr.ambient_dim
-    lhs = pressure_coefficient(view, d, n_samples, seed, workers).scaled(
-        (-2.0 * math.pi) ** n)
-    rhs = volume_mc(view, d + 2, n_samples, seed + 1, workers)
-    z = z_score(lhs, rhs)
-    return DRReport(arr.to_descriptor(), d, lhs, rhs, z, abs(z) < 4.0,
-                    time.perf_counter() - start)
+    return _dr_report(
+        arr, d,
+        lambda view: pressure_coefficient(view, d, n_samples, seed, workers),
+        lambda view: volume_mc(view, d + 2, n_samples, seed + 1, workers))
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +124,7 @@ def tonks_series_check(m_max: int, d: int = 1, n_samples: int = 100_000,
         est = pressure_coefficient(view, d, n_samples, seed + m, workers)
         expected = hard_rod_coefficient(m)
         z = z_score(est, MCEstimate(float(expected), 0.0, 0, seed, workers))
-        rows.append(TonksRow(m, est, expected, z, abs(z) < 4.0))
+        rows.append(TonksRow(m, est, expected, z, abs(z) < Z_LIMIT))
     return TonksReport(tuple(rows), all(r.passed for r in rows),
                        time.perf_counter() - start)
 
@@ -216,13 +223,8 @@ def check_asa_dr(arr: Arrangement, shapes, d: int, n_samples: int, seed: int,
                  workers: int = 1) -> DRReport:
     """Reduction identity with per-hyperplane surfaces: bottom-membership
     pressure coefficient against the surface-sampled polymer volume."""
-    start = time.perf_counter()
-    view = MatroidView(arr)
-    n = arr.ambient_dim
-    lhs = asa_pressure_coefficient(view, shapes, d, n_samples, seed,
-                                   workers).scaled((-2.0 * math.pi) ** n)
-    rhs = asa_volume_mc(view, shapes, n_samples, seed + 1, workers)
-    z = z_score(lhs, rhs)
-    report = DRReport(arr.to_descriptor(), d, lhs, rhs, z, abs(z) < 4.0,
-                      time.perf_counter() - start)
-    return report
+    return _dr_report(
+        arr, d,
+        lambda view: asa_pressure_coefficient(view, shapes, d, n_samples, seed,
+                                              workers),
+        lambda view: asa_volume_mc(view, shapes, n_samples, seed + 1, workers))

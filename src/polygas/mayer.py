@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -78,12 +79,9 @@ class MCEstimate:
             return replace(other, seed=self.seed, workers=self.workers)
         if nb == 0:
             return self
-        n = na + nb
-        delta = other.mean - self.mean
-        mean = self.mean + delta * nb / n
-        m2 = max(self._m2() + other._m2() + delta * delta * na * nb / n, 0.0)
-        stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-        return MCEstimate(mean, stderr, n, self.seed, self.workers)
+        return _estimate(_merge_stats((na, self.mean, self._m2()),
+                                      (nb, other.mean, other._m2())),
+                         self.seed, self.workers)
 
     def _m2(self) -> float:
         n = self.n_samples
@@ -100,6 +98,10 @@ class MCEstimate:
         if quantity is not None:
             d["quantity"] = quantity
         return d
+
+
+# a check passes while |z| < Z_LIMIT
+Z_LIMIT = 4.0
 
 
 def z_score(a: MCEstimate, b: MCEstimate) -> float:
@@ -166,6 +168,14 @@ def _merge_stats(a, b):
     return (n, mean, m2)
 
 
+def _estimate(stats, seed: int, workers: int) -> MCEstimate:
+    """The MCEstimate of pooled (n, mean, m2) stats."""
+    n, mean, m2 = stats
+    m2 = max(m2, 0.0)  # float cancellation can leave a tiny negative
+    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+    return MCEstimate(mean, stderr, n, seed, workers)
+
+
 def run_chunked(n_samples: int, seed: int, workers: int, values_fn,
                 stream_base: int = 0) -> MCEstimate:
     """Estimate the mean of values_fn(rng, count) samples.
@@ -179,13 +189,7 @@ def run_chunked(n_samples: int, seed: int, workers: int, values_fn,
         lambda rng, start, count: _stats_of(
             np.asarray(values_fn(rng, count), dtype=float)),
         stream_base=stream_base)
-    total = results[0]
-    for r in results[1:]:
-        total = _merge_stats(total, r)
-    n, mean, m2 = total
-    m2 = max(m2, 0.0)  # float cancellation can leave a tiny negative
-    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return MCEstimate(mean, stderr, n, seed, workers)
+    return _estimate(reduce(_merge_stats, results), seed, workers)
 
 
 # --------------------------------------------------------------------------

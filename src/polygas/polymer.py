@@ -51,7 +51,7 @@ from .arrangement import Arrangement, _checked_radii, _norms_sq
 from .geometry import (RNGStream, sample_unit_sphere, sphere_area,
                        surface_measure_total)
 from .matroid import BaseTable, LinearOrder, MatroidView, view_of
-from .mayer import (BLOCK, MCEstimate, _check_shapes, _chi_weight,
+from .mayer import (BLOCK, Z_LIMIT, MCEstimate, _check_shapes, _chi_weight,
                     _merge_stats, _region_estimate, _shape_draw, map_chunks,
                     z_score)
 
@@ -432,7 +432,7 @@ def planar_invariance_check(arr, radii_list, n_samples: int,
     for i in range(len(estimates)):
         for j in range(i + 1, len(estimates)):
             pair = max(pair, abs(z_score(estimates[i], estimates[j])))
-    passed = all(abs(z) < 4.0 for z in z_target) and pair < 4.0
+    passed = all(abs(z) < Z_LIMIT for z in z_target) and pair < Z_LIMIT
     return InvarianceReport(tuple(radii_list), tuple(estimates), target,
                             z_target, pair, passed,
                             time.perf_counter() - start)
@@ -497,7 +497,7 @@ def project_expectation(arr, d: int, g, n_samples: int, seed: int,
     mmc_side = _region_estimate(view, d, chi_weight, n_samples, seed + 1,
                                 workers, g=g).scaled((-2.0 * math.pi) ** n)
     z = z_score(polymer_side, mmc_side)
-    return ProjectionReport(polymer_side, mmc_side, z, abs(z) < 4.0)
+    return ProjectionReport(polymer_side, mmc_side, z, abs(z) < Z_LIMIT)
 
 
 def safe_projection_expectation(arr, d: int, g, order: LinearOrder,

@@ -1,11 +1,15 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import polygas
-from polygas.cli import main
+from polygas.cli import ExperimentConfig, build_parser, main
 
 
 def run_cli(args, tmp_path=None):
@@ -248,11 +252,19 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["value"] == -1
 
 
-def test_unknown_config_key_exit_one(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text('{"familee": "braid"}')
-    code, _ = run_cli(["chi", "--config", str(cfg)])
-    assert code == 1
+def test_unknown_config_key_exit_one(tmp_path, capsys):
+    # "echo" and "validate" name methods of the config, not keys
+    for key in ("familee", "echo", "validate"):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: "braid"}))
+        code, out = run_cli(["chi", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err == f"polygas: error: unknown config key {key!r}\n"
+    cfg.write_text(json.dumps([{"family": "braid"}]))
+    code, out = run_cli(["chi", "--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("polygas: error:")
 
 
 def test_fewer_samples_than_bases_exit_one(capsys):
@@ -289,6 +301,94 @@ def test_well_typed_config_values_pass(tmp_path):
                                "radii": [1, 2, 3]}))
     code, _ = run_cli(["pressure-coeff", "--config", str(cfg)])
     assert code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["dr-check", "--family", "dowling", "--n", "2", "--k", "3", "--d", "1"],
+    ["tonks", "--m-max", "5"],
+    ["type-d", "--n", "4"],
+    ["asa-dr", "--family", "dowling", "--n", "2", "--k", "3", "--d", "2"],
+    ["project-law", "--family", "dowling", "--n", "2", "--k", "3", "--d", "2"],
+    ["mmc", "--family", "braid", "--n", "3", "--d", "1", "--subset", "0"],
+    ["chi", "--family", "braid", "--n", "3", "--radii", "1,2"],
+], ids=lambda args: args[0])
+def test_library_input_errors_exit_one(args, capsys):
+    # every library input error reaches the one handler in main
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("polygas: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["pressure-coeff", "--radii", "a,b"], "--radii"),
+    (["bases", "--colors", "2,x"], "--colors"),
+    (["mmc", "--subset", "x"], "--subset"),
+    (["invariance", "--radii-list", "1,a"], "--radii-list"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_malformed_list_flags_exit_one(args, flag, capsys):
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+def test_empty_list_flag_counts_as_not_given():
+    runs = [run_cli(["mmc", "--family", "braid", "--n", "3", "--d", "0",
+                     *extra]) for extra in ([], ["--radii", ""],
+                                            ["--radii", ","], ["--subset", ""])]
+    assert all(code == 0 for code, _ in runs)
+    assert len({json.dumps(without_volatile(json.loads(out)))
+                for _, out in runs}) == 1
+
+
+def test_config_echo_round_trips_every_field(tmp_path):
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps({
+        "family": "dowling", "n": 2, "k": 3, "d": 2, "samples": 3000,
+        "seed": 4, "colors": [2, 2], "radii": [1.0, 1.0, 2.0],
+        "normals": [["1", "0"], ["0", "1"]], "radii_list": [[1.0, 1.0, 1.0]],
+        "subset": [0, 1], "length": 2.0, "orders": 1}))
+    code, out = run_cli(["mmc", "--config", str(first)])
+    assert code == 0
+    echo = json.loads(out)["config"]
+    assert set(echo) == {field.name for field in fields(ExperimentConfig)}
+    again = tmp_path / "echo.json"
+    again.write_text(json.dumps(echo))
+    code2, out2 = run_cli(["mmc", "--config", str(again)])
+    assert code2 == 0
+    assert without_volatile(json.loads(out2)) == without_volatile(json.loads(out))
+
+
+_COMMON_OPTIONS = ["-h", "--help", "--family", "--n", "--k", "--colors", "--d",
+                   "--samples", "--seed", "--workers", "--radii", "--out",
+                   "--format", "--config"]
+
+# the CLI's option surface, pinned: adding, dropping or renaming an option
+# must change this table
+_OWN_OPTIONS = {
+    "chi": ["--orders"], "bases": [], "mmc": ["--subset"],
+    "pressure-coeff": [], "invariance": ["--radii-list"], "dr-check": [],
+    "tonks": ["--m-max"], "type-d": [], "asa-dr": ["--shape", "--length"],
+    "project-law": ["--g", "--safe"],
+    "polymer-volume": ["--svg", "--dump-samples"],
+}
+
+
+def test_option_surface_is_pinned():
+    parser = build_parser()
+    subs = next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+    assert list(subs) == list(_OWN_OPTIONS)
+    keys = {field.name for field in fields(ExperimentConfig)}
+    for name, sub in subs.items():
+        options = [s for action in sub._actions for s in action.option_strings]
+        assert options == _COMMON_OPTIONS + _OWN_OPTIONS[name], name
+        # every flag but the output, config and artifact ones sets the
+        # config field of its name
+        dests = {action.dest for action in sub._actions} - {
+            "help", "out", "format", "config", "svg", "dump_samples"}
+        assert dests <= keys, name
 
 
 def test_one_view_per_command(tmp_path, monkeypatch):

@@ -16,10 +16,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from .exact_linalg import Cyclotomic, exact_rank, field_of
+from .signed_graphs import _dn_edges
 
 
 # int64 bitmasks: bit 63 is the sign bit
@@ -176,21 +178,28 @@ def _build(normals, labels, radii, family, params, k=None) -> Arrangement:
 # named families
 # --------------------------------------------------------------------------
 
+def _pair_rows(n: int, pairs) -> tuple:
+    """The normals and labels of the functionals x_i - sign * x_j on R^n, one
+    per (i, j, sign) with 0 <= i < j <= n (0-based): j = n is the gauge
+    point, whose coordinate is fixed to 0."""
+    normals, labels = [], []
+    for i, j, sign in pairs:
+        row = [0] * n
+        row[i] = 1
+        if j < n:
+            row[j] = -sign
+        normals.append(row)
+        labels.append(f"x{i+1}{'-' if sign == 1 else '+'}x{j+1}")
+    return normals, labels
+
+
 def braid(m: int, radii=None) -> Arrangement:
     """Pair-difference functionals x_i - x_j (i < j <= m) in the gauge x_m = 0,
     an essential rank-(m-1) arrangement on R^(m-1)."""
     if m < 2:
         raise ArrangementError("braid needs m >= 2")
-    n = m - 1
-    normals, labels = [], []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            row = [0] * n
-            row[i - 1] = 1
-            if j <= n:
-                row[j - 1] = -1
-            normals.append(row)
-            labels.append(f"x{i}-x{j}")
+    normals, labels = _pair_rows(m - 1, ((i, j, 1) for i, j
+                                         in combinations(range(m), 2)))
     return _build(normals, labels, radii, "braid", (("n", m),))
 
 
@@ -198,15 +207,7 @@ def coxeter_d(n: int, radii=None) -> Arrangement:
     """x_i - x_j and x_i + x_j for i < j <= n."""
     if n < 2:
         raise ArrangementError("coxeter_d needs n >= 2")
-    normals, labels = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            minus = [0] * n
-            minus[i], minus[j] = 1, -1
-            plus = [0] * n
-            plus[i], plus[j] = 1, 1
-            normals += [minus, plus]
-            labels += [f"x{i+1}-x{j+1}", f"x{i+1}+x{j+1}"]
+    normals, labels = _pair_rows(n, _dn_edges(n))
     return _build(normals, labels, radii, "coxeter_d", (("n", n),))
 
 
@@ -214,15 +215,7 @@ def coxeter_b(n: int, radii=None) -> Arrangement:
     """The pair functionals of coxeter_d plus the coordinate hyperplanes x_l = 0."""
     if n < 1:
         raise ArrangementError("coxeter_b needs n >= 1")
-    normals, labels = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            minus = [0] * n
-            minus[i], minus[j] = 1, -1
-            plus = [0] * n
-            plus[i], plus[j] = 1, 1
-            normals += [minus, plus]
-            labels += [f"x{i+1}-x{j+1}", f"x{i+1}+x{j+1}"]
+    normals, labels = _pair_rows(n, _dn_edges(n))
     for i in range(n):
         row = [0] * n
         row[i] = 1
@@ -236,13 +229,8 @@ def threshold(n: int, radii=None) -> Arrangement:
     and is rejected as non-essential."""
     if n < 2:
         raise ArrangementError("threshold needs n >= 2")
-    normals, labels = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [0] * n
-            row[i], row[j] = 1, 1
-            normals.append(row)
-            labels.append(f"x{i+1}+x{j+1}")
+    normals, labels = _pair_rows(n, ((i, j, -1) for i, j
+                                     in combinations(range(n), 2)))
     return _build(normals, labels, radii, "threshold", (("n", n),))
 
 
@@ -256,23 +244,17 @@ def dowling(n: int, k: int, radii=None) -> Arrangement:
         raise ArrangementError(
             f"dowling needs k >= 2, got k = {k} (k = 1 gives the normals "
             f"x_i - x_j, of rank {n - 1} < {n}: use braid({n}))")
+    if k == 2:
+        normals, labels = _pair_rows(n, _dn_edges(n))
+        return _build(normals, labels, radii, "dowling", (("n", n), ("k", k)))
     normals, labels = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for m in range(k):
-                row = [0] * n
-                row[i] = 1
-                if k == 2:
-                    row[j] = -1 if m == 0 else 1
-                else:
-                    row = [Cyclotomic.from_rational(k, v) for v in row]
-                    row[j] = -Cyclotomic.zeta(k, m)
-                normals.append(row)
-                labels.append(f"x{i+1}-z^{m}*x{j+1}" if k >= 3
-                              else (f"x{i+1}-x{j+1}" if m == 0
-                                    else f"x{i+1}+x{j+1}"))
-    return _build(normals, labels, radii, "dowling", (("n", n), ("k", k)),
-                  k=k if k >= 3 else None)
+    for i, j in combinations(range(n), 2):
+        for m in range(k):
+            row = [Cyclotomic.from_rational(k, int(c == i)) for c in range(n)]
+            row[j] = -Cyclotomic.zeta(k, m)
+            normals.append(row)
+            labels.append(f"x{i+1}-z^{m}*x{j+1}")
+    return _build(normals, labels, radii, "dowling", (("n", n), ("k", k)), k=k)
 
 
 def widom_rowlinson(counts, radii=None) -> Arrangement:
@@ -281,22 +263,10 @@ def widom_rowlinson(counts, radii=None) -> Arrangement:
     counts = tuple(int(c) for c in counts)
     if len(counts) < 2 or any(c < 1 for c in counts):
         raise ArrangementError("widom_rowlinson needs >= 2 colour classes, each nonempty")
-    m = sum(counts)
-    colour = []
-    for c, cnt in enumerate(counts):
-        colour += [c] * cnt
-    n = m - 1
-    normals, labels = [], []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if colour[i] == colour[j]:
-                continue
-            row = [0] * n
-            row[i] = 1
-            if j != m - 1:  # gauge: the last point's coordinate is fixed to 0
-                row[j] = -1
-            normals.append(row)
-            labels.append(f"x{i+1}-x{j+1}")
+    colour = [c for c, cnt in enumerate(counts) for _ in range(cnt)]
+    normals, labels = _pair_rows(len(colour) - 1, (
+        (i, j, 1) for i, j in combinations(range(len(colour)), 2)
+        if colour[i] != colour[j]))
     return _build(normals, labels, radii, "widom_rowlinson",
                   (("colors", list(counts)),))
 

@@ -118,13 +118,24 @@ def float_lists(text: str) -> list | None:
     return [_floats(part) for part in text.split(";") if part] or None
 
 
+def _is_float(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 # config file values must have their ExperimentConfig field's type: no bool
 # for a number, an int or a float for a float
 _TYPE_CHECKS = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "float": _is_float,
     "list": lambda v: isinstance(v, list), "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool)}
+    "bool": lambda v: isinstance(v, bool),
+    "float list": lambda v: isinstance(v, list) and all(map(_is_float, v)),
+    "rational list": lambda v: isinstance(v, list) and all(
+        isinstance(x, str) or _is_float(x) for x in v)}
+# the entry type of each list-valued key: a wrong entry would otherwise fail
+# deep in the library with a TypeError
+_ENTRY_KINDS = {"colors": "int", "subset": "int", "radii": "float",
+                "radii_list": "float list", "normals": "rational list"}
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -148,6 +159,11 @@ def _build_config(args) -> ExperimentConfig:
             if not (_TYPE_CHECKS[kind](value) or value is None and optional):
                 raise CliError(f"config key {key!r} must be of type {kind}, "
                                f"not {value!r}")
+            if kind == "list" and value is not None:
+                entry = _ENTRY_KINDS[key]
+                if not all(map(_TYPE_CHECKS[entry], value)):
+                    raise CliError(f"entries of config key {key!r} must be "
+                                   f"of type {entry}, not {value!r}")
             setattr(cfg, key, value)  # file overrides flags
     cfg.validate()
     return cfg

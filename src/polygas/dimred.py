@@ -16,14 +16,14 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, product
 
 from .arrangement import Arrangement, braid, coxeter_d
 from .matroid import MatroidView
 from .mayer import (Z_LIMIT, MCEstimate, asa_pressure_coefficient,
                     pressure_coefficient, z_score)
 from .polymer import asa_volume_mc, volume_mc
-from .signed_graphs import (SignedGraph, _components, dn_mask_to_graph,
+from .signed_graphs import (SignedGraph, _Components, dn_mask_to_graph,
                             spans_with_unbalanced_components, is_balanced)
 
 
@@ -184,35 +184,16 @@ def balanced_weight_check(n: int) -> bool:
         raise ValueError("n must be <= 5 (exhaustive enumeration)")
     pairs = list(combinations(range(n), 2))
     lhs = Counter()
-    for assign in _ternary(len(pairs)):
-        edges = []
-        for (i, j), state in zip(pairs, assign):
-            if state == 1:
-                edges.append((i, j, 1))
-            elif state == 2:
-                edges.append((i, j, -1))
-        g = SignedGraph(n, tuple(edges))
-        if is_balanced(g):
+    for signs in product((0, 1, -1), repeat=len(pairs)):
+        edges = tuple((i, j, s) for (i, j), s in zip(pairs, signs) if s)
+        if is_balanced(SignedGraph(n, edges)):
             lhs[len(edges)] += 1
     rhs = Counter()
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[p] for p in range(len(pairs)) if mask >> p & 1]
-        comps = len(_components(n, edges))
+    for chosen in product((False, True), repeat=len(pairs)):
+        edges = list(compress(pairs, chosen))
+        comps = len(_Components(n, edges).counts())
         rhs[len(edges)] += 2 ** (n - comps)
     return lhs == rhs
-
-
-def _ternary(length: int):
-    state = [0] * length
-    while True:
-        yield tuple(state)
-        i = 0
-        while i < length and state[i] == 2:
-            state[i] = 0
-            i += 1
-        if i == length:
-            return
-        state[i] += 1
 
 
 # --------------------------------------------------------------------------

@@ -171,7 +171,8 @@ class MatroidView:
         self._base_table: BaseTable | None = None
         # rational arrangements: (N, den) with B^-1 = N / den per table row
         self._exact_inverses: tuple | None = None
-        self._base_masks: np.ndarray | None = None      # with the circuits
+        # (masks, elems, out): the base list as arrays, for both compiles
+        self._base_arrays: tuple | None = None
         self._circuit_table: np.ndarray | None = None
         # per order: the externals of each base minimal in their circuits
         self._minimal_externals: dict[tuple, np.ndarray] = {}
@@ -287,12 +288,21 @@ class MatroidView:
 
     def _base_elements(self):
         """The base masks as int64, and each base's elements and other
-        elements, ascending: one np.nonzero over the mask bits."""
-        masks = np.fromiter(self.bases(), dtype=np.int64)
-        bits = masks[:, None] >> np.arange(self.size) & 1
-        elems = np.nonzero(bits)[1].reshape(masks.size, self.full_rank)
-        out = np.nonzero(bits == 0)[1].reshape(masks.size, -1)
-        return masks, elems, out
+        elements, ascending: one np.nonzero over the mask bits.  Built once
+        per view, read-only and C-ordered, so the base table shares them
+        (np.nonzero's columns are strided views of an (entries, 2) array)."""
+        with self._lock:
+            if self._base_arrays is None:
+                masks = np.fromiter(self.bases(), dtype=np.int64)
+                bits = masks[:, None] >> np.arange(self.size) & 1
+                elems = np.ascontiguousarray(
+                    np.nonzero(bits)[1].reshape(masks.size, self.full_rank))
+                out = np.ascontiguousarray(
+                    np.nonzero(bits == 0)[1].reshape(masks.size, -1))
+                for array in (masks, elems, out):
+                    array.flags.writeable = False
+                self._base_arrays = masks, elems, out
+            return self._base_arrays
 
     def _compile_base_table(self) -> BaseTable:
         masks, elems, out = self._base_elements()
@@ -387,7 +397,7 @@ class MatroidView:
         for e in B.  Compiled once per view."""
         with self._lock:
             if self._circuit_table is None:
-                self._base_masks, self._circuit_table = self._compile_circuits()
+                self._circuit_table = self._compile_circuits()
             return self._circuit_table
 
     def _compile_circuits(self):
@@ -409,9 +419,8 @@ class MatroidView:
             found = np.searchsorted(masks, swapped)
             found = masks[np.minimum(found, masks.size - 1)] == swapped
             circuits[rows, e] = bit | (found * elem_bits[rows]).sum(axis=1)
-        for table in (masks, circuits):
-            table.flags.writeable = False
-        return masks, circuits
+        circuits.flags.writeable = False
+        return circuits
 
     def _base_row(self, base_mask: int) -> int:
         """The base's row in the base list; MatroidError unless it is a
@@ -508,7 +517,7 @@ class MatroidView:
         iff none of its externals inside S is minimal in its circuit, which
         lies in B + e, inside S."""
         bad = self._minimal_externals_of(order)
-        bases = self._base_masks
+        bases = self._base_elements()[0]
         uniq, inverse = np.unique(masks, return_inverse=True)
         if uniq.size and (uniq[0] < 0 or uniq[-1] >> self.size):
             raise MatroidError("subset outside the ground set")

@@ -6,6 +6,14 @@ Vertices are 0..n-1.  Edges are (i, j, sign) with i < j and sign in
 {+1, -1}; at most one edge of each sign per pair, no loops.  The edge
 (i, j, +1) corresponds to the difference functional x_i - x_j and
 (i, j, -1) to the sum functional x_i + x_j.
+
+Every question is answered by one union-find with parity (`_Components`)
+that keeps, per connected component, its vertex count, its edge count and
+whether it is balanced.  A connected component with |E| = |V| has exactly
+one cycle (its cycle space has dimension |E| - |V| + 1), so that cycle is
+unbalanced exactly when the component is: the frame-matroid bases (a
+spanning forest of unicyclic components with unbalanced cycles, Zaslavsky
+1982) are read off the counts and the flag without finding any cycle.
 """
 
 from __future__ import annotations
@@ -35,87 +43,62 @@ def signed_graph(n, edges) -> SignedGraph:
 
 
 # --------------------------------------------------------------------------
-# connected components by union-find
+# connected components by union-find with parity: the graph is balanced iff
+# the vertices can be signed so that every edge (i, j, s) has
+# sigma_i sigma_j = s, i.e. parity_i xor parity_j == (s == -1)
 # --------------------------------------------------------------------------
 
-def _components(n: int, edges) -> list:
-    """The vertex lists of the connected components of the graph on 0..n-1
-    with the given edges (i, j, ...), ordered by smallest vertex."""
-    parent = list(range(n))
+class _Components:
+    """The connected components of the graph on 0..n-1 with the given edges,
+    (i, j, sign) or unsigned (i, j).  Per root: the component's vertex
+    count, edge count and balance."""
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (i, j, *_) in edges:
-        parent[find(i)] = find(j)
-    comps: dict[int, list] = {}
-    for v in range(n):
-        comps.setdefault(find(v), []).append(v)
-    return list(comps.values())
-
-
-def _component_graphs(g: SignedGraph):
-    """(vertices, edges) of each connected component of g."""
-    comps = _components(g.n, g.edges)
-    index = {v: c for c, verts in enumerate(comps) for v in verts}
-    edges = [[] for _ in comps]
-    for e in g.edges:
-        edges[index[e[0]]].append(e)
-    return zip(comps, edges)
-
-
-# --------------------------------------------------------------------------
-# union-find with parity: sigma_root(i) xor parity[i] is consistent iff the
-# graph is balanced (an edge of sign s demands parity difference (s == -1))
-# --------------------------------------------------------------------------
-
-class _ParityUF:
-    def __init__(self, n):
+    def __init__(self, n: int, edges):
         self.parent = list(range(n))
-        self.parity = [0] * n
-        self.bad_roots = set()
+        self.parity = [0] * n       # relative to the parent
+        self.vertex_count = [1] * n
+        self.edge_count = [0] * n
+        self.balanced = [True] * n
+        for (i, j, *sign) in edges:
+            self._join(i, j, sign == [-1])
 
-    def find(self, i):
+    def find(self, v: int) -> int:
+        """The root of v's component; afterwards parity[v] is v's parity
+        relative to it (a root's parity is 0)."""
         path = []
-        while self.parent[i] != i:
-            path.append(i)
-            i = self.parent[i]
-        p = 0
+        while self.parent[v] != v:
+            path.append(v)
+            v = self.parent[v]
+        parity = 0
         for node in reversed(path):
-            p ^= self.parity[node]
-            self.parent[node] = i
-            self.parity[node] = p
-        return i
+            parity ^= self.parity[node]
+            self.parent[node] = v
+            self.parity[node] = parity
+        return v
 
-    def union(self, i, j, want):
+    def _join(self, i: int, j: int, odd: bool) -> None:
         ri, rj = self.find(i), self.find(j)
-        pi = self.parity[i] if self.parent[i] != i else 0
-        pj = self.parity[j] if self.parent[j] != j else 0
+        odd ^= self.parity[i] ^ self.parity[j]
         if ri == rj:
-            if pi ^ pj != want:
-                self.bad_roots.add(ri)
+            self.edge_count[ri] += 1
+            self.balanced[ri] = self.balanced[ri] and not odd
             return
         self.parent[rj] = ri
-        self.parity[rj] = pi ^ pj ^ want
-        if rj in self.bad_roots:
-            self.bad_roots.discard(rj)
-            self.bad_roots.add(ri)
+        self.parity[rj] = odd
+        self.vertex_count[ri] += self.vertex_count[rj]
+        self.edge_count[ri] += self.edge_count[rj] + 1
+        self.balanced[ri] = self.balanced[ri] and self.balanced[rj]
 
-
-def _parity_structure(g: SignedGraph) -> _ParityUF:
-    uf = _ParityUF(g.n)
-    for (i, j, s) in g.edges:
-        uf.union(i, j, 1 if s == -1 else 0)
-    return uf
+    def counts(self) -> list:
+        """(vertex count, edge count, balanced) of each component."""
+        return [(self.vertex_count[v], self.edge_count[v], self.balanced[v])
+                for v, p in enumerate(self.parent) if p == v]
 
 
 def is_balanced(g: SignedGraph) -> bool:
     """Every cycle (including two-cycles from parallel +- edges) has sign
     product +1; decided by the vertex-signing criterion."""
-    return not _parity_structure(g).bad_roots
+    return all(bal for _, _, bal in _Components(g.n, g.edges).counts())
 
 
 @dataclass(frozen=True)
@@ -130,11 +113,10 @@ def split_components(g: SignedGraph) -> ComponentSplit:
     """Partition the vertices by connected component; a component is
     unbalanced iff it contains an unbalanced cycle.  Isolated vertices are
     balanced."""
-    uf = _parity_structure(g)
-    bad = {uf.find(r) for r in uf.bad_roots}
+    comps = _Components(g.n, g.edges)
     bal_v, unbal_v = set(), set()
     for v in range(g.n):
-        (unbal_v if uf.find(v) in bad else bal_v).add(v)
+        (bal_v if comps.balanced[comps.find(v)] else unbal_v).add(v)
     bal_e = tuple(e for e in g.edges if e[0] in bal_v)
     unbal_e = tuple(e for e in g.edges if e[0] in unbal_v)
     return ComponentSplit(frozenset(bal_v), bal_e, frozenset(unbal_v), unbal_e)
@@ -157,7 +139,7 @@ def balanced_liftings(n: int, edges) -> int:
         if (i, j) in seen:
             raise ValueError("graph must be simple")
         seen.add((i, j))
-    if len(_components(n, edges)) != 1:
+    if len(_Components(n, edges).counts()) != 1:
         raise ValueError("graph must be connected")
     return 1 << (n - 1)
 
@@ -166,39 +148,20 @@ def balanced_liftings(n: int, edges) -> int:
 # type D dictionary and base characterization
 # --------------------------------------------------------------------------
 
-def _unique_cycle_sign(vertices, edges):
-    """Sign product of the unique cycle of a connected unicyclic multigraph,
-    found by pruning degree-1 vertices."""
-    edges = list(edges)
-    degree = {v: 0 for v in vertices}
-    for (i, j, _) in edges:
-        degree[i] += 1
-        degree[j] += 1
-    changed = True
-    while changed:
-        changed = False
-        for v, d in list(degree.items()):
-            if d == 1:
-                for idx, (i, j, s) in enumerate(edges):
-                    if v in (i, j):
-                        degree[i] -= 1
-                        degree[j] -= 1
-                        edges.pop(idx)
-                        changed = True
-                        break
-    sign = 1
-    for (_, _, s) in edges:
-        sign *= s
-    return sign
+def _dn_edges(n: int) -> list:
+    """The signed edges of coxeter_d(n)'s hyperplanes in construction
+    order: for each pair i < j, the difference (i, j, +1) then the sum
+    (i, j, -1)."""
+    return [(i, j, s) for i in range(n) for j in range(i + 1, n)
+            for s in (1, -1)]
 
 
 def is_dn_base(g: SignedGraph) -> bool:
     """True iff the graph spans all n vertices, every component contains
     exactly one cycle, and that cycle is unbalanced: the signed cycle-rooted
     spanning forests that index the pair-functional arrangement's bases."""
-    return all(len(edges) == len(verts)
-               and _unique_cycle_sign(verts, edges) == -1
-               for verts, edges in _component_graphs(g))
+    return all(e == v and not bal
+               for v, e, bal in _Components(g.n, g.edges).counts())
 
 
 def is_dn_independent(g: SignedGraph) -> bool:
@@ -206,46 +169,24 @@ def is_dn_independent(g: SignedGraph) -> bool:
     cycles (edge count <= vertex count) and a component's unique cycle, if
     any, is unbalanced.  A component with more edges than vertices has two
     independent cycles, whose combination always yields a dependency."""
-    for verts, edges in _component_graphs(g):
-        if len(edges) > len(verts):
-            return False
-        if len(edges) == len(verts) and _unique_cycle_sign(verts, edges) != -1:
-            return False
-    return True
+    return all(e < v or e == v and not bal
+               for v, e, bal in _Components(g.n, g.edges).counts())
 
 
 def dn_mask_to_graph(n: int, mask: int) -> SignedGraph:
-    """Decode a subset of the coxeter_d(n) arrangement (construction order:
-    for each pair i<j, difference then sum) into its signed graph under the
-    dictionary difference <-> +, sum <-> -."""
-    edges = []
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mask >> idx & 1:
-                edges.append((i, j, 1))
-            if mask >> (idx + 1) & 1:
-                edges.append((i, j, -1))
-            idx += 2
-    return SignedGraph(n, tuple(edges))
+    """Decode a subset of the coxeter_d(n) arrangement into its signed graph
+    under the dictionary difference <-> +, sum <-> -."""
+    return SignedGraph(n, tuple(e for bit, e in enumerate(_dn_edges(n))
+                                if mask >> bit & 1))
 
 
 def dn_graph_to_mask(g: SignedGraph) -> int:
-    mask = 0
-    pair_index = {}
-    idx = 0
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            pair_index[(i, j)] = idx
-            idx += 2
-    for (i, j, s) in g.edges:
-        mask |= 1 << (pair_index[(i, j)] + (0 if s == 1 else 1))
-    return mask
+    bit = {e: b for b, e in enumerate(_dn_edges(g.n))}
+    return sum(1 << bit[e] for e in g.edges)
 
 
 def spans_with_unbalanced_components(g: SignedGraph) -> bool:
     """Rank-n criterion for subsets of the pair-functional arrangement:
     every connected component (including isolated vertices) contains an
     unbalanced cycle."""
-    split = split_components(g)
-    return not split.balanced_vertices
+    return not any(bal for _, _, bal in _Components(g.n, g.edges).counts())

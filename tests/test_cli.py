@@ -294,6 +294,21 @@ def test_mistyped_config_values_exit_one(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, bad, key", [
+    ("mmc", {"d": 0, "subset": ["x"]}, "subset"),
+    ("invariance", {"radii_list": [1]}, "radii_list"),
+], ids=["subset", "radii_list"])
+def test_mistyped_config_list_entries_exit_one(tmp_path, capsys, command, bad,
+                                               key):
+    cfg = tmp_path / "entries.json"
+    cfg.write_text(json.dumps(bad))
+    code, out = run_cli([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("polygas: error:") and repr(key) in err
+    assert "Traceback" not in err
+
+
 def test_well_typed_config_values_pass(tmp_path):
     cfg = tmp_path / "typed.json"
     cfg.write_text(json.dumps({"family": "braid", "n": 3, "d": 0, "k": None,

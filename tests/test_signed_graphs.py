@@ -272,14 +272,29 @@ def test_dn_dictionary_round_trip():
             assert dn_graph_to_mask(g) == mask
 
 
+def dn_sample_masks(n, per_size, seed):
+    """per_size random subsets of coxeter_d(n)'s hyperplanes of every size."""
+    import random
+    rng = random.Random(seed)
+    size = n * (n - 1)
+    return [sum(1 << e for e in rng.sample(range(size), k))
+            for k in range(size + 1) for _ in range(per_size)]
+
+
 def test_dn_base_matches_exact_independence():
-    # over ALL subsets of the 2*C(n,2) pair hyperplanes, n <= 4
-    for n in range(2, 5):
-        arr = coxeter_d(n)
-        view = MatroidView(arr)
-        for mask in range(1 << arr.size):
+    # over ALL subsets of the 2*C(n,2) pair hyperplanes for n <= 4, and for
+    # n = 5 (2^20 subsets) 143 seeded subsets of each size 0..20, where
+    # components reach five vertices and twenty edges; the cycle enumeration
+    # checks the balance flag there too
+    cases = [(n, range(1 << (n * (n - 1)))) for n in range(2, 5)]
+    cases.append((5, dn_sample_masks(5, 143, seed=5)))
+    for n, masks in cases:
+        view = MatroidView(coxeter_d(n))
+        for mask in masks:
             g = dn_mask_to_graph(n, mask)
             independent = view.rank_of(mask) == popcount(mask)
             assert independent == is_dn_independent(g)
             assert view.is_base(mask) == is_dn_base(g)
             assert view.is_spanning(mask) == spans_with_unbalanced_components(g)
+            if n == 5:
+                assert is_balanced(g) == brute_is_balanced(g)

@@ -65,8 +65,6 @@ def check_dr(arr: Arrangement, d: int, n_samples: int, seed: int,
              workers: int = 1) -> DRReport:
     """Estimate both sides of the reduction identity with n_samples each and
     report the z score.  d = 0 makes the left side exact."""
-    if not arr.complexified and d % 2:
-        raise ValueError("cyclotomic arrangements need even d")
     return _dr_report(
         arr, d,
         lambda view: pressure_coefficient(view, d, n_samples, seed, workers),

@@ -51,19 +51,18 @@ def ball_volume(dim: int) -> float:
     return volume
 
 
-def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = None,
+def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int,
                        out: np.ndarray | None = None):
     """Uniform points on S^(dim-1) by Gaussian normalization; unit norm to
     1e-12.  With `out`, a C-contiguous (size, dim) float array, the points
     are written there (the same draws) and out is returned."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    count = 1 if size is None else size
     if out is None:
-        g = rng.standard_normal((count, dim))
+        g = rng.standard_normal((size, dim))
     else:
-        if out.shape != (count, dim):
-            raise ValueError(f"out has shape {out.shape}, not {(count, dim)}")
+        if out.shape != (size, dim):
+            raise ValueError(f"out has shape {out.shape}, not {(size, dim)}")
         g = rng.standard_normal(out=out)
     norms = np.sqrt(_norms_sq(g))[:, None]
     # resample the (probability-zero) degenerate rows rather than dividing by ~0
@@ -72,7 +71,7 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = No
         g[bad] = rng.standard_normal((int(bad.sum()), dim))
         norms = np.sqrt(_norms_sq(g))[:, None]
     g /= norms
-    return g[0] if size is None else g
+    return g
 
 
 def uniform_ball(dim: int, rng: np.random.Generator, size: int):
@@ -237,9 +236,6 @@ class BoundingBox:
     """The cube [-M, M]^(total dims) used as the uniform sampling domain."""
 
     halfwidth: float
-
-    def volume(self, total_dims: int) -> float:
-        return (2.0 * self.halfwidth) ** total_dims
 
 
 def bounding_halfwidth(arr, radii=None) -> BoundingBox:

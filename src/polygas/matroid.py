@@ -9,26 +9,28 @@ the length of an echelon form of some of them, extended one row at a time
 cache may be read concurrently (inserts are lock-protected).
 
 A view compiles its arrangement's derived data the first time it is needed
-and keeps it:
+into one store, a dict whose entries are made under the view's lock
+(`_compiled`) and kept; each compile returns what it builds:
 
-* the base list, by a backtracking search pruned by rank, run once under
-  the view's lock.  The search extends an independent set by one element
-  at a time, so it keeps the independent sets on its path with their
-  echelon rows, and each rank call reduces the one new row against its
-  prefix's rows instead of reducing them all again: braid(6)'s 3,663
-  calls take 0.013-0.022 s instead of 0.08-0.14 s.  The memo is dropped
-  when the search ends;
-* an nb table, a spanning table and a chi table over all 2^|E| masks, from
-  subset (zeta) transforms of the base indicator: nb[S] is the number of
-  bases inside S (the sum of the indicator over the subsets of S), S spans
-  exactly when nb[S] > 0, and chi[S] is the sum over T inside S of
-  (-1)^|T| spanning[T], which is chi_S(0) for a spanning S and 0 otherwise
-  (Crapo: chi(0) = (-1)^r T(1, 0));
+* the base list (`bases`), one read-only int64 array of ascending masks
+  that the base table shares and every base lookup reads, by a
+  backtracking search pruned by rank.  The search extends an independent
+  set by one element at a time, so it keeps the independent sets on its
+  path with their echelon rows, and each rank call reduces the one new row
+  against its prefix's rows instead of reducing them all again: braid(6)'s
+  3,663 calls take 0.013-0.022 s instead of 0.08-0.14 s.  The memo is
+  dropped when the search ends;
+* an nb table and a chi table over all 2^|E| masks, from subset (zeta)
+  transforms of the base indicator: nb[S] is the number of bases inside S
+  (the sum of the indicator over the subsets of S), S spans exactly when
+  nb[S] > 0, and chi[S] is the sum over the spanning T inside S of
+  (-1)^|T|, which is chi_S(0) for a spanning S and 0 otherwise (Crapo:
+  chi(0) = (-1)^r T(1, 0));
 * the base table (`base_table`): each base's elements, inverse and |det|
   as floats, from one batched fraction-free elimination over all bases;
   the Monte Carlo kernels and the bounding box read it, exact queries never.
-  Rational arrangements keep that elimination's exact inverses too, for
-  the exact maps S_B of `exact_to_out`;
+  Rational arrangements keep that elimination's exact inverses beside it,
+  for the exact maps S_B of `exact_to_out`;
 * the circuit table (`circuit_table`): entry [B, e] is the fundamental
   circuit of base B + e, matched exactly against the sorted base masks
   with no rank call and no 2^|E| table; fundamental circuits, order-safety
@@ -37,15 +39,15 @@ and keeps it:
   circuits.
 
 The subset tables hold 2^|E| entries, so they are refused above
-MAX_TABLE_SIZE hyperplanes; the circuit table works up to the 63-bit mask
-limit.  The order-safe base count stays as an independent second formula
-for chi(0); the tests keep subset expansion over rank calls as the tables'
-oracle and a per-base exchange loop over rank calls as the circuits'.
+MAX_TABLE_SIZE hyperplanes; the base list and the circuit table work up to
+the 63-bit mask limit.  The order-safe base count stays as an independent
+second formula for chi(0); the tests keep subset expansion over rank calls
+as the tables' oracle and a per-base exchange loop over rank calls as the
+circuits'.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 import threading
@@ -164,21 +166,19 @@ class MatroidView:
         # while bases() searches: the independent sets on its path -> their
         # echelon rows
         self._echelon: dict[int, tuple] | None = None
-        self._bases: tuple | None = None
-        self._nb_table: np.ndarray | None = None
-        self._spanning_table: np.ndarray | None = None
-        self._chi_table: np.ndarray | None = None
-        self._base_table: BaseTable | None = None
-        # rational arrangements: (N, den) with B^-1 = N / den per table row
-        self._exact_inverses: tuple | None = None
-        # (masks, elems, out): the base list as arrays, for both compiles
-        self._base_arrays: tuple | None = None
-        self._circuit_table: np.ndarray | None = None
-        # per order: the externals of each base minimal in their circuits
-        self._minimal_externals: dict[tuple, np.ndarray] = {}
+        # the compiled data by key, each entry made once (`_compiled`)
+        self._store: dict = {}
         self._lock = threading.RLock()
         # the ring rows of the normals, and the integerizing row scales
         self._rows, self._scales = _ring_rows(arrangement.normals)
+
+    def _compiled(self, key, build):
+        """The store's entry `key`, made by `build()` at the first request
+        under the view's lock, so concurrent readers share one build."""
+        with self._lock:
+            if key not in self._store:
+                self._store[key] = build()
+            return self._store[key]
 
     @property
     def ground_mask(self) -> int:
@@ -227,19 +227,25 @@ class MatroidView:
     # -- bases -----------------------------------------------------------------
 
     def bases(self):
-        """All bases, each once, in ascending bitmask order (backtracking
-        search pruned by rank, run once per view under its lock)."""
-        with self._lock:
-            if self._bases is None:
-                self._bases = self._search_bases()
-        return iter(self._bases)
+        """All bases, each once, in ascending bitmask order.  The first call
+        runs the search and keeps its result in the store."""
+        return iter(self._compiled("bases", self._search_bases).tolist())
 
-    def _search_bases(self) -> tuple:
+    def _base_masks(self) -> np.ndarray:
+        """The base list: read-only int64 masks, ascending."""
+        if "bases" not in self._store:
+            self.bases()            # the search runs where tracers time it
+        return self._store["bases"]
+
+    def _search_bases(self) -> np.ndarray:
         """Extend each independent set by every larger element that raises
         its rank.  Each of the search's rank calls extends the independent
         set at the top of its path by one row, so the echelon memo holds
         only that path: an entry is dropped once its subtree is searched,
         and the memo once the search ends."""
+        if self.size > 63:
+            raise MatroidError(f"{self.size} hyperplanes: base masks are "
+                               "int64, at most 63 hyperplanes are supported")
         found = []
         n, size = self.full_rank, self.size
         memo = self._echelon = {0: ()}
@@ -260,15 +266,16 @@ class MatroidView:
             extend(0, 0, 0)
         finally:
             self._echelon = None
-        found.sort()
-        return tuple(found)
+        masks = np.sort(np.array(found, dtype=np.int64))
+        masks.flags.writeable = False
+        return masks
 
     def bases_of(self, mask: int):
         """Bases of the sub-arrangement on `mask` (rank must be full), in
         ascending bitmask order."""
         self._check_mask(mask)
-        self.bases()
-        found = [b for b in self._bases if not b & ~mask]
+        masks = self._base_masks()
+        found = masks[(masks & ~mask) == 0].tolist()
         if not found:
             raise MatroidError("subset is not spanning")
         return found
@@ -281,51 +288,50 @@ class MatroidView:
         denominator is |det S A| = |det A| times the product of the row
         scales), over Z[zeta_k] for cyclotomic ones (`cyclotomic_inverses`,
         which divides by the pivot +-det S A and undoes the row scales)."""
-        with self._lock:
-            if self._base_table is None:
-                self._base_table = self._compile_base_table()
-            return self._base_table
+        return self._compiled("base_table", self._compile_base_table)[0]
 
     def _base_elements(self):
-        """The base masks as int64, and each base's elements and other
-        elements, ascending: one np.nonzero over the mask bits.  Built once
-        per view, read-only and C-ordered, so the base table shares them
-        (np.nonzero's columns are strided views of an (entries, 2) array)."""
-        with self._lock:
-            if self._base_arrays is None:
-                masks = np.fromiter(self.bases(), dtype=np.int64)
-                bits = masks[:, None] >> np.arange(self.size) & 1
-                elems = np.ascontiguousarray(
-                    np.nonzero(bits)[1].reshape(masks.size, self.full_rank))
-                out = np.ascontiguousarray(
-                    np.nonzero(bits == 0)[1].reshape(masks.size, -1))
-                for array in (masks, elems, out):
-                    array.flags.writeable = False
-                self._base_arrays = masks, elems, out
-            return self._base_arrays
+        """(elems, out): each base's elements and other elements, ascending,
+        in base-list order, from one np.nonzero over the mask bits.
+        Read-only and C-ordered, so the base table shares them (np.nonzero's
+        columns are strided views of an (entries, 2) array)."""
+        def build():
+            masks = self._base_masks()
+            bits = masks[:, None] >> np.arange(self.size) & 1
+            elems = np.ascontiguousarray(
+                np.nonzero(bits)[1].reshape(masks.size, self.full_rank))
+            out = np.ascontiguousarray(
+                np.nonzero(bits == 0)[1].reshape(masks.size, -1))
+            for array in (elems, out):
+                array.flags.writeable = False
+            return elems, out
+        return self._compiled("elements", build)
 
-    def _compile_base_table(self) -> BaseTable:
-        masks, elems, out = self._base_elements()
+    def _compile_base_table(self) -> tuple:
+        """(BaseTable, exact inverses): for rational arrangements the exact
+        inverses are (N, den), B^-1 = N / den per table row, and None for
+        cyclotomic ones."""
+        elems, out = self._base_elements()
         mats = np.array(self._rows, dtype=object)[elems]
         scales = np.array(self._scales, dtype=object)[elems]
         if self.arrangement.field_kind == "rational":
-            num, den = integer_inverses(mats, scales)
-            self._exact_inverses = num, den
+            num, den = exact = integer_inverses(mats, scales)
             inv = np.ascontiguousarray(num / den[:, None, None], dtype=float)
             sums = np.abs(num).sum(axis=2) / den[:, None]
             abs_det = [d / math.prod(s)
                        for d, s in zip(den.tolist(), scales.tolist())]
         else:
-            exact, dets = cyclotomic_inverses(mats, scales)
+            exact = None
+            inverses, dets = cyclotomic_inverses(mats, scales)
             inv = np.array([[[v.to_complex() for v in row] for row in m]
-                            for m in exact], dtype=complex)
+                            for m in inverses], dtype=complex)
             sums = [[sum(abs(v) for v in row) for row in m]
                     for m in inv.tolist()]
             abs_det = [abs(d.to_complex()) for d in dets]
-        return BaseTable(masks, elems, out, inv,
+        return BaseTable(self._base_masks(), elems, out, inv,
                          self.arrangement.coeff[out] @ inv,
                          np.array(abs_det, dtype=float),
-                         np.array(sums, dtype=float))
+                         np.array(sums, dtype=float)), exact
 
     def exact_to_out(self, rows) -> tuple:
         """S_B = C_out(B) B^-1 exactly, for the given rows of the base table
@@ -334,11 +340,11 @@ class MatroidView:
         (rows, size - n, n) and (rows, size - n), den > 0 and
         S_B = num / den.  C_f = ring_f / scale_f and B^-1 = N / d give
         num = ring_out N and den = scale_f d."""
-        table = self.base_table
-        if self._exact_inverses is None:
+        table, exact = self._compiled("base_table", self._compile_base_table)
+        if exact is None:
             raise MatroidError("exact maps S_B are kept for rational "
                                "arrangements only")
-        inv_num, inv_den = self._exact_inverses
+        inv_num, inv_den = exact
         ring = np.array(self._rows, dtype=object)
         scales = np.array(self._scales, dtype=object)
         out = table.out[rows]
@@ -347,46 +353,33 @@ class MatroidView:
 
     # -- tables over all subsets -------------------------------------------------
 
-    def _compile_tables(self) -> None:
-        with self._lock:
-            if self._chi_table is not None:
-                return
-            if self.size > MAX_TABLE_SIZE:
-                raise MatroidError(
-                    f"{self.size} hyperplanes: the nb, chi and spanning tables "
-                    f"index all 2^{self.size} subsets, and at most "
-                    f"{MAX_TABLE_SIZE} hyperplanes are supported")
-            nb = np.zeros(1 << self.size, dtype=np.int32)   # <= C(24, 12) bases
-            nb[list(self.bases())] = 1
-            _subset_sums(nb)
-            spanning = nb > 0
-            chi = np.where(spanning, _subset_parity_signs(self.size), 0)
-            _subset_sums(chi)
-            for table in (nb, spanning, chi):
-                table.flags.writeable = False
-            self._nb_table = nb
-            self._spanning_table = spanning
-            self._chi_table = chi
+    def _compile_tables(self) -> tuple:
+        """(nb, chi); spanning is nb > 0, so it is not kept."""
+        if self.size > MAX_TABLE_SIZE:
+            raise MatroidError(
+                f"{self.size} hyperplanes: the nb and chi tables index all "
+                f"2^{self.size} subsets, and at most {MAX_TABLE_SIZE} "
+                f"hyperplanes are supported")
+        nb = np.zeros(1 << self.size, dtype=np.int32)   # <= C(24, 12) bases
+        nb[self._base_masks()] = 1
+        _subset_sums(nb)
+        chi = np.where(nb > 0, _subset_parity_signs(self.size), 0)
+        _subset_sums(chi)
+        for table in (nb, chi):
+            table.flags.writeable = False
+        return nb, chi
 
     @property
     def nb_table(self) -> np.ndarray:
         """Read-only int32 array: entry S is the number of bases inside
-        subset S."""
-        self._compile_tables()
-        return self._nb_table
-
-    @property
-    def spanning_table(self) -> np.ndarray:
-        """Read-only bool array: entry S is True iff subset S has full rank."""
-        self._compile_tables()
-        return self._spanning_table
+        subset S, so S spans iff it is positive."""
+        return self._compiled("tables", self._compile_tables)[0]
 
     @property
     def chi_table(self) -> np.ndarray:
         """Read-only int64 array: entry S is chi_S(0) for a spanning subset S
         and 0 for every other subset."""
-        self._compile_tables()
-        return self._chi_table
+        return self._compiled("tables", self._compile_tables)[1]
 
     # -- circuits and activity --------------------------------------------------
 
@@ -395,20 +388,13 @@ class MatroidView:
         """Read-only (bases, size) int64 array in base-list order: entry
         [B, e] is the fundamental circuit of B + e for e outside B, and 0
         for e in B.  Compiled once per view."""
-        with self._lock:
-            if self._circuit_table is None:
-                self._circuit_table = self._compile_circuits()
-            return self._circuit_table
+        return self._compiled("circuits", self._compile_circuits)
 
     def _compile_circuits(self):
         """The circuit of B + e is e plus every b in B whose exchange
         B - b + e is a base: one np.searchsorted of the exchanges against
         the sorted base masks per ground element, matched exactly."""
-        if self.size > 63:
-            raise MatroidError(
-                f"{self.size} hyperplanes: circuit masks are int64, and at "
-                f"most 63 hyperplanes are supported")
-        masks, elems, _ = self._base_elements()
+        masks, (elems, _) = self._base_masks(), self._base_elements()
         elem_bits = np.int64(1) << elems
         dropped = masks[:, None] & ~elem_bits            # B - b, per b in B
         circuits = np.zeros((masks.size, self.size), dtype=np.int64)
@@ -425,10 +411,11 @@ class MatroidView:
     def _base_row(self, base_mask: int) -> int:
         """The base's row in the base list; MatroidError unless it is a
         base."""
-        self.bases()
-        bases = self._bases
-        row = bisect.bisect_left(bases, base_mask)
-        if row == len(bases) or bases[row] != base_mask:
+        masks = self._base_masks()
+        # the range guard keeps searchsorted's key inside int64
+        row = (int(np.searchsorted(masks, base_mask))
+               if 0 <= base_mask <= self.ground_mask else masks.size)
+        if row == masks.size or masks[row] != base_mask:
             raise MatroidError(f"mask {base_mask!r} is not a base")
         return row
 
@@ -445,21 +432,23 @@ class MatroidView:
     def _minimal_externals_of(self, order: LinearOrder) -> np.ndarray:
         """(bases,) int64 read-only: per base, the mask of the externals e
         that are minimal under `order` in their circuits (no circuit element
-        comes before e).  Cached per order; a cached order was checked."""
-        bad = self._minimal_externals.get(order.elements)
-        if bad is not None:
+        comes before e).  Compiled once per order, which must list exactly
+        the ground set (its elements are distinct)."""
+        def build():
+            if set(order.elements) != set(range(self.size)):
+                raise MatroidError(
+                    f"order {list(order.elements)} is not a permutation of "
+                    f"the ground set 0..{self.size - 1}")
+            circuits = self.circuit_table
+            # earlier[e]: the mask of the elements before e in the order
+            ranked = np.int64(1) << np.array(order.elements, dtype=np.int64)
+            earlier = np.empty(self.size, dtype=np.int64)
+            earlier[list(order.elements)] = np.cumsum(ranked) - ranked
+            minimal = (circuits != 0) & ((circuits & earlier) == 0)
+            bad = minimal @ (np.int64(1) << np.arange(self.size, dtype=np.int64))
+            bad.flags.writeable = False
             return bad
-        self._check_order(order)
-        circuits = self.circuit_table
-        # earlier[e]: the mask of the elements before e in the order
-        ranked = np.int64(1) << np.array(order.elements, dtype=np.int64)
-        earlier = np.empty(self.size, dtype=np.int64)
-        earlier[list(order.elements)] = np.cumsum(ranked) - ranked
-        minimal = (circuits != 0) & ((circuits & earlier) == 0)
-        bad = minimal @ (np.int64(1) << np.arange(self.size, dtype=np.int64))
-        bad.flags.writeable = False
-        with self._lock:
-            return self._minimal_externals.setdefault(order.elements, bad)
+        return self._compiled(("minimal externals", order.elements), build)
 
     def is_safe(self, base_mask: int, order: LinearOrder, within: int | None = None) -> bool:
         """True iff no external element is minimal (under `order`) in its
@@ -480,7 +469,7 @@ class MatroidView:
         if mask is None:
             mask = self.ground_mask
         self._check_mask(mask)
-        if not self.spanning_table[mask]:
+        if not self.nb_table[mask]:
             raise MatroidError("subset is not spanning")
         return int(self.chi_table[mask])
 
@@ -517,7 +506,7 @@ class MatroidView:
         iff none of its externals inside S is minimal in its circuit, which
         lies in B + e, inside S."""
         bad = self._minimal_externals_of(order)
-        bases = self._base_elements()[0]
+        bases = self._base_masks()
         uniq, inverse = np.unique(masks, return_inverse=True)
         if uniq.size and (uniq[0] < 0 or uniq[-1] >> self.size):
             raise MatroidError("subset outside the ground set")
@@ -531,15 +520,6 @@ class MatroidView:
             inside[start:start + step] = holds.sum(axis=1)
             safe[start:start + step] = (holds & ((bad & chunk) == 0)).sum(axis=1)
         return safe[inverse], inside[inverse]
-
-    def _check_order(self, order: LinearOrder) -> None:
-        """Raise MatroidError unless the order lists exactly the ground set
-        (its elements are distinct, and a cached count was made under a
-        checked order)."""
-        if set(order.elements) != set(range(self.size)):
-            raise MatroidError(
-                f"order {list(order.elements)} is not a permutation of the "
-                f"ground set 0..{self.size - 1}")
 
 
 def view_of(source) -> MatroidView:

@@ -171,7 +171,6 @@ def _merge_stats(a, b):
 def _estimate(stats, seed: int, workers: int) -> MCEstimate:
     """The MCEstimate of pooled (n, mean, m2) stats."""
     n, mean, m2 = stats
-    m2 = max(m2, 0.0)  # float cancellation can leave a tiny negative
     stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
     return MCEstimate(mean, stderr, n, seed, workers)
 

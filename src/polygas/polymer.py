@@ -536,8 +536,6 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
     base count."""
     view = view_of(arr)
     arr = view.arrangement
-    if not arr.complexified:
-        raise ValueError("warped-surface polymers need a real arrangement")
     dims = {s.dim for s in shapes}
     if len(dims) != 1:
         raise ValueError("all shapes must share one ambient dimension")
@@ -624,7 +622,8 @@ def dump_samples_csv(path, arr, dim: int, n_samples: int, seed: int,
             accepted, x = _one_base_block(b_index, n_samples, rng, sides)
             coords = x.reshape(n_samples, -1)
             if np.iscomplexobj(coords):
-                coords = np.concatenate([coords.real, coords.imag], axis=1)
+                # complex entry k holds the real coordinates (2k, 2k + 1)
+                coords = coords.view(float)
             for row in range(n_samples):
                 writer.writerow([base_mask, int(accepted[row])]
                                 + [f"{v:.9g}" for v in coords[row]])

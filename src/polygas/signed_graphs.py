@@ -175,8 +175,13 @@ def is_dn_independent(g: SignedGraph) -> bool:
 
 def dn_mask_to_graph(n: int, mask: int) -> SignedGraph:
     """Decode a subset of the coxeter_d(n) arrangement into its signed graph
-    under the dictionary difference <-> +, sum <-> -."""
-    return SignedGraph(n, tuple(e for bit, e in enumerate(_dn_edges(n))
+    under the dictionary difference <-> +, sum <-> -.  ValueError for a
+    negative mask or a bit at or above its n(n - 1) hyperplanes."""
+    edges = _dn_edges(n)
+    if mask < 0 or mask >> len(edges):
+        raise ValueError(f"mask {mask!r} is not a subset of the "
+                         f"{len(edges)} hyperplanes of coxeter_d({n})")
+    return SignedGraph(n, tuple(e for bit, e in enumerate(edges)
                                 if mask >> bit & 1))
 
 

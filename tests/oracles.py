@@ -470,7 +470,7 @@ def box_estimate(view, d, weight, n_samples, seed, workers=1, *, shapes=None,
         bits = _mask_bits(arr.size)
         radii = [s.bottom_outer_radius for s in shapes]
     box = bounding_halfwidth(view, radii=radii)
-    vol = box.volume(d * arr.ambient_dim)
+    vol = (2.0 * box.halfwidth) ** (d * arr.ambient_dim)
 
     def values(rng, count):
         pts = _draw_box(arr, rng, count, d, box.halfwidth)
@@ -499,7 +499,7 @@ def mc_sum(estimates, seed: int, workers: int) -> MCEstimate:
 
 def spanning_subsets(view):
     """All subsets of full rank, ascending bitmask order."""
-    return map(int, np.flatnonzero(view.spanning_table))
+    return map(int, np.flatnonzero(view.nb_table > 0))
 
 
 def pressure_coefficient_enumerated(view, d: int, n_samples: int, seed: int,

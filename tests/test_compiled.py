@@ -1,4 +1,4 @@
-"""The compiled matroid data (chi and spanning tables, base list, base
+"""The compiled matroid data (nb and chi tables, base list, base
 inverses over Q and Q(zeta_k), fundamental circuits and order-safe base
 counts) against independent slow paths, and the guards around it."""
 
@@ -21,6 +21,7 @@ from polygas.exact_linalg import SingularSystemError, _ring_rows, exact_inverse
 from polygas.matroid import (MAX_TABLE_SIZE, LinearOrder, MatroidError,
                              MatroidView, mask_elements)
 from polygas.mayer import pressure_coefficient
+from polygas.polymer import sample_for_base
 
 SMALL_FAMILIES = {
     "braid2": braid(2), "braid3": braid(3), "braid4": braid(4),
@@ -50,10 +51,10 @@ def test_tables_match_rank_and_subset_expansion(label):
     n = arr.ambient_dim
     rng = random.Random(label)
     order = LinearOrder.shuffled(arr.size, rng)
-    assert view.chi_table.shape == view.spanning_table.shape == (1 << arr.size,)
+    assert view.chi_table.shape == view.nb_table.shape == (1 << arr.size,)
     for mask in range(1 << arr.size):
         spanning = oracle.rank_of(mask) == n
-        assert bool(view.spanning_table[mask]) == spanning
+        assert bool(view.nb_table[mask] > 0) == spanning
         chi = chi_by_expansion(oracle, mask)
         assert view.chi_table[mask] == chi
         assert view.chi_if_spanning(mask) == chi
@@ -96,7 +97,6 @@ def test_nb_table_counts_the_bases_inside_each_mask(label):
         except MatroidError:
             expected = 0
         assert nb[mask] == expected
-        assert bool(view.spanning_table[mask]) == (expected > 0)
 
 
 @pytest.mark.parametrize("label", sorted(SMALL_FAMILIES))
@@ -183,15 +183,39 @@ def test_safe_counts_above_the_table_cap():
         assert view.safe_base_count(order=order) == 29
     assert len(view.circuit_table) == 435
     assert view.fundamental_circuit(0b11, 2) == 0b111
-    assert view._nb_table is None and view._chi_table is None
+    # the counts compiled the base list and the circuits, no subset table
+    assert {"bases", "circuits"} <= view._store.keys()
+    assert "tables" not in view._store
     with pytest.raises(MatroidError, match="at most 24 hyperplanes"):
         view.chi_at_zero()
-    # circuit masks are int64: refused above 63 hyperplanes, before any
-    # base enumeration
+    # base and circuit masks are int64: refused above 63 hyperplanes, before
+    # any base enumeration
     wide = MatroidView(custom([[1, k] for k in range(64)]))
     with pytest.raises(MatroidError, match="at most 63 hyperplanes"):
         wide.safe_base_count()
-    assert wide._bases is None
+    with pytest.raises(MatroidError, match="at most 63 hyperplanes"):
+        wide.bases()
+    assert wide._store == {}
+
+
+@pytest.mark.parametrize("mask", [-1, -0b101, 0b1000, 0b1011, 1 << 63,
+                                  (1 << 63) | 0b011, 1 << 64])
+def test_base_queries_refuse_masks_outside_the_ground_set(mask):
+    # braid(3): three hyperplanes, any two of them a base
+    view = MatroidView(braid(3))
+    order = LinearOrder.default(3)
+    rng = np.random.default_rng(0)
+    with pytest.raises(MatroidError):
+        view.is_safe(mask, order)
+    with pytest.raises(MatroidError):
+        view.is_safe(0b011, order, within=mask)
+    with pytest.raises(MatroidError):
+        view.fundamental_circuit(mask, 2)
+    with pytest.raises(MatroidError):
+        sample_for_base(view, mask, 2, rng)
+    with pytest.raises(MatroidError):
+        view.bases_of(mask)
+    assert view.is_safe(0b011, order)
 
 
 def test_concurrent_readers_share_one_circuit_compile(monkeypatch):
@@ -296,7 +320,7 @@ def test_table_refused_above_the_limit():
         view.chi_at_zero()
     with pytest.raises(MatroidError, match="at most 24 hyperplanes"):
         pressure_coefficient(view, 1, 10, 0)
-    assert view._bases is None     # refused before any base enumeration
+    assert view._store == {}       # refused before any base enumeration
     assert view.rank_of(view.ground_mask) == 7     # rank queries still work
 
 

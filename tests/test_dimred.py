@@ -46,7 +46,7 @@ def test_check_dr_coxeter_b2_d0():
 
 
 def test_check_dr_cyclotomic_odd_d_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even d"):
         check_dr(dowling(2, 3), 1, 100, 0)
 
 

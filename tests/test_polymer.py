@@ -1,14 +1,17 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from polygas.arrangement import ArrangementError, braid, coxeter_b, coxeter_d
+from polygas.arrangement import (ArrangementError, braid, coxeter_b, coxeter_d,
+                                 dowling)
 from polygas.geometry import (RNGStream, capped_cylinder_shape, cylinder_shape,
                               sphere_area, sphere_shape)
-from polygas.matroid import LinearOrder, MatroidError, mask_elements
+from polygas.matroid import LinearOrder, MatroidError, MatroidView, mask_elements
 from polygas.mayer import z_score
-from polygas.polymer import (asa_volume_mc, dump_samples_csv,
+from polygas.polymer import (_ball_sides, _one_base_block, asa_volume_mc,
+                             dump_samples_csv,
                              planar_invariance_check, polymer_svg,
                              project_expectation, safe_projection_expectation,
                              sample_for_base, volume_mc)
@@ -215,6 +218,11 @@ def test_asa_volume_capped():
     assert est.mean == pytest.approx(2 * math.pi * 1.0 + 4 * math.pi, rel=1e-12)
 
 
+def test_asa_volume_refuses_cyclotomic_arrangements():
+    with pytest.raises(ValueError, match="real arrangement"):
+        asa_volume_mc(dowling(2, 3), [sphere_shape(4)] * 3, 3_000, 0)
+
+
 def test_asa_volume_with_rejection():
     # braid(3) with spheres must reproduce the plain polymer volume
     shapes = [sphere_shape(4)] * 3
@@ -232,6 +240,31 @@ def test_dump_and_svg(tmp_path):
     svg_path = tmp_path / "poly.svg"
     polymer_svg(svg_path, braid(3), seed=1)
     assert svg_path.read_text().startswith("<svg")
+
+
+def test_dump_samples_csv_interleaves_complex_coordinates(tmp_path):
+    # dowling(2, 3) at dim 4: entry k of a complex coordinate holds the real
+    # coordinates (2k, 2k + 1), so column x{i}_{j} is the real part of
+    # x[i, j // 2] for even j and its imaginary part for odd j
+    arr, dim, rows = dowling(2, 3), 4, 5
+    path = tmp_path / "samples.csv"
+    dump_samples_csv(path, arr, dim, rows, 0)
+    with open(path, newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    assert header == ["base_mask", "accepted"] + [
+        f"x{i}_{j}" for i in range(arr.ambient_dim) for j in range(dim)]
+    table = MatroidView(arr).base_table
+    sides = _ball_sides(arr, table, dim, arr.radii)
+    expected = []
+    for b_index, base_mask in enumerate(table.masks.tolist()):
+        rng = RNGStream(0, b_index).generator()
+        accepted, x = _one_base_block(b_index, rows, rng, sides)
+        for row in range(rows):
+            coords = [x[row, i, j // 2].imag if j % 2 else x[row, i, j // 2].real
+                      for i in range(arr.ambient_dim) for j in range(dim)]
+            expected.append([str(base_mask), str(int(accepted[row]))]
+                            + [f"{v:.9g}" for v in coords])
+    assert body == expected
 
 
 def test_projection_rejects_non_finite_g():

@@ -298,3 +298,11 @@ def test_dn_base_matches_exact_independence():
             assert view.is_spanning(mask) == spans_with_unbalanced_components(g)
             if n == 5:
                 assert is_balanced(g) == brute_is_balanced(g)
+
+
+def test_dn_mask_to_graph_refuses_masks_outside_the_ground_set():
+    # coxeter_d(2) has the two hyperplanes x0 - x1 and x0 + x1
+    assert dn_graph_to_mask(dn_mask_to_graph(2, 0b11)) == 0b11
+    for mask in (0b110, 0b100, -1, 1 << 63):
+        with pytest.raises(ValueError, match="coxeter_d"):
+            dn_mask_to_graph(2, mask)

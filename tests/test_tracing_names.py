@@ -26,3 +26,15 @@ def test_tracer_installs_and_uninstalls():
     names = {span.name for span in tracer.spans}
     assert {"check_dr", "volume_mc", "pressure_coefficient", "run_chunked",
             "bounding_halfwidth"} <= names
+
+
+def test_traced_chi_times_the_base_search():
+    # a fresh view's chi(0) compiles its tables from the base list, so the
+    # base search runs inside MatroidView.bases, where the tracer times it
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert polygas.MatroidView(polygas.braid(5)).chi_at_zero() == 24
+    finally:
+        tracer.uninstall()
+    assert tracer.totals()["matroid.bases_s"] > 0

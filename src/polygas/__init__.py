@@ -15,8 +15,9 @@ from .geometry import (ASAShape, BoundingBox, RNGStream, ball_volume,
                        cylinder_shape, sample_unit_sphere, sphere_area,
                        sphere_shape, surface_measure_total, uniform_ball)
 from .matroid import BaseTable, LinearOrder, MatroidView
-from .mayer import (MCEstimate, SpanningError, mmc_asa, mmc_d0, mmc_mc,
-                    pressure_coefficient, pressure_exact_d0, z_score)
+from .mayer import (MCEstimate, SpanningError, asa_pressure_coefficient,
+                    mmc_asa, mmc_d0, mmc_mc, pressure_coefficient,
+                    pressure_exact_d0, z_score)
 from .polymer import (G_FUNCTIONS, PolymerSample, asa_volume_mc,
                       planar_invariance_check, project_expectation,
                       safe_projection_expectation, sample_for_base, volume_mc)

@@ -150,7 +150,7 @@ class Arrangement:
                 f"hyperplanes={self.size}, field={self.field_kind})")
 
 
-def _build(normals, labels, radii, family, params, k=None) -> Arrangement:
+def _build(normals, labels, radii, family, params) -> Arrangement:
     normals = tuple(tuple(row) for row in normals)
     if not normals:
         raise ArrangementError("arrangement needs at least one hyperplane")
@@ -161,8 +161,6 @@ def _build(normals, labels, radii, family, params, k=None) -> Arrangement:
         if not any(row):
             raise ArrangementError("zero normal vector")
     kind, korder = field_of(v for row in normals for v in row)
-    if k is not None and kind == "cyclotomic" and korder != k:
-        raise ArrangementError("cyclotomic order mismatch")
     rank = exact_rank(normals)
     if rank != n:
         raise ArrangementError(
@@ -254,7 +252,7 @@ def dowling(n: int, k: int, radii=None) -> Arrangement:
             row[j] = -Cyclotomic.zeta(k, m)
             normals.append(row)
             labels.append(f"x{i+1}-z^{m}*x{j+1}")
-    return _build(normals, labels, radii, "dowling", (("n", n), ("k", k)), k=k)
+    return _build(normals, labels, radii, "dowling", (("n", n), ("k", k)))
 
 
 def widom_rowlinson(counts, radii=None) -> Arrangement:

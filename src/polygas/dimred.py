@@ -107,19 +107,17 @@ class TonksReport:
         }
 
 
-def tonks_series_check(m_max: int, d: int = 1, n_samples: int = 100_000,
-                       seed: int = 0, workers: int = 1) -> TonksReport:
+def tonks_series_check(m_max: int, n_samples: int = 100_000, seed: int = 0,
+                       workers: int = 1) -> TonksReport:
     """Pressure coefficients of the gauge-fixed pair-difference arrangements
     at d = 1 against the known hard-rod values, for m = 2..m_max."""
     if not 2 <= m_max <= 4:
         raise ValueError("m_max must be between 2 and 4 (cost guard)")
-    if d != 1:
-        raise ValueError("the hard-rod reference values are for d = 1")
     start = time.perf_counter()
     rows = []
     for m in range(2, m_max + 1):
         view = MatroidView(braid(m))
-        est = pressure_coefficient(view, d, n_samples, seed + m, workers)
+        est = pressure_coefficient(view, 1, n_samples, seed + m, workers)
         expected = hard_rod_coefficient(m)
         z = z_score(est, MCEstimate(float(expected), 0.0, 0, seed, workers))
         rows.append(TonksRow(m, est, expected, z, abs(z) < Z_LIMIT))

@@ -287,18 +287,21 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
     real dimensions per point (|det_C B| for cyclotomic arrangements).
     Picking B with probability vol_B / V, V the sum of the vol_B, and x
     uniform in tube_B gives x the density nb[G(x) & within] / V, so each
-    sample contributes V * w * g(x) / nb.  weight maps an int64 mask array
-    to (w, nb): the per-sample weights w, which must vanish on masks holding
+    sample contributes V * w * g(x) / nb.  weight(view) compiles what the
+    weight reads and returns a function mapping an int64 mask array to
+    (w, nb): the per-sample weights w, which must vanish on masks holding
     no base inside `within`, and nb[G & within], an array, or a scalar where
     it is constant on the support of w (as for `_contains`).  The drawn
     base's bits are ORed into the mask, so float rounding at |h_e| = R_e
-    cannot drop x out of its own tube: nb >= 1 on every sample.
+    cannot drop x out of its own tube: nb >= 1 on every sample.  d and the
+    field are refused before weight(view) compiles anything.
     """
     arr = view.arrangement
     if d < 1:
         raise ValueError("d must be >= 1 for Monte Carlo estimation")
     if not arr.complexified and d % 2:
         raise ValueError("cyclotomic arrangements need even d")
+    weight = weight(view)
     table = view.base_table
     if within is not None:
         table = table.inside(within)
@@ -346,14 +349,18 @@ def _chi_weight(view: MatroidView):
     return lambda masks: (chi[masks], nb[masks])
 
 
-def _contains(view: MatroidView, subset_mask: int):
+def _contains(subset_mask: int):
     """Weight of a single coefficient, whose x is drawn from the tubes of
     the bases inside the spanning subset_mask: 1 where the mask contains
     subset_mask, else 0.  Wherever it is 1, G & subset_mask is subset_mask,
     so nb is the constant number of bases inside subset_mask, and no table
-    is needed."""
-    nb = len(view.bases_of(subset_mask))
-    return lambda masks: ((masks & subset_mask) == subset_mask, nb)
+    is needed.  A subset that does not span is refused by a rank call."""
+    def weight(view: MatroidView):
+        if not view.is_spanning(subset_mask):
+            raise SpanningError("subset does not span")
+        nb = len(view.bases_of(subset_mask))
+        return lambda masks: ((masks & subset_mask) == subset_mask, nb)
+    return weight
 
 
 def _parity(subset_mask: int) -> float:
@@ -375,9 +382,7 @@ def mmc_mc(view: MatroidView, subset_mask: int, d: int, n_samples: int,
            seed: int, workers: int = 1) -> MCEstimate:
     """Unbiased estimate of (-1)^|H| * vol{x : ||h_e(x)|| <= R_e for e in H},
     sampling the tubes of the bases inside H."""
-    if not view.is_spanning(subset_mask):
-        raise SpanningError("subset does not span")
-    return _region_estimate(view, d, _contains(view, subset_mask), n_samples,
+    return _region_estimate(view, d, _contains(subset_mask), n_samples,
                             seed, workers, within=subset_mask
                             ).scaled(_parity(subset_mask))
 
@@ -396,8 +401,7 @@ def pressure_coefficient(view: MatroidView, d: int, n_samples: int, seed: int,
     rank)."""
     if d == 0:
         return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
-    return _region_estimate(view, d, _chi_weight(view), n_samples,
-                            seed, workers)
+    return _region_estimate(view, d, _chi_weight, n_samples, seed, workers)
 
 
 # --------------------------------------------------------------------------
@@ -422,10 +426,8 @@ def _check_shapes(arr: Arrangement, shapes, d: int):
 def mmc_asa(view: MatroidView, subset_mask: int, shapes, d: int,
             n_samples: int, seed: int, workers: int = 1) -> MCEstimate:
     """(-1)^|H| * vol{x : h_e(x) in bottom_e for e in H}."""
-    if not view.is_spanning(subset_mask):
-        raise SpanningError("subset does not span")
     shapes = _check_shapes(view.arrangement, shapes, d)
-    return _region_estimate(view, d, _contains(view, subset_mask), n_samples,
+    return _region_estimate(view, d, _contains(subset_mask), n_samples,
                             seed, workers, within=subset_mask, shapes=shapes
                             ).scaled(_parity(subset_mask))
 
@@ -435,5 +437,5 @@ def asa_pressure_coefficient(view: MatroidView, shapes, d: int, n_samples: int,
     """Region-decomposition estimator with ball membership replaced by bottom
     membership of each hyperplane's shape."""
     shapes = _check_shapes(view.arrangement, shapes, d)
-    return _region_estimate(view, d, _chi_weight(view), n_samples,
+    return _region_estimate(view, d, _chi_weight, n_samples,
                             seed, workers, shapes=shapes)

@@ -44,13 +44,15 @@ import csv
 import math
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .arrangement import Arrangement, _checked_radii, _norms_sq
 from .geometry import (RNGStream, sample_unit_sphere, sphere_area,
                        surface_measure_total)
-from .matroid import BaseTable, LinearOrder, MatroidView, view_of
+from .matroid import (BaseTable, LinearOrder, MatroidError, MatroidView,
+                      view_of)
 from .mayer import (BLOCK, Z_LIMIT, MCEstimate, _check_shapes, _chi_weight,
                     _merge_stats, _region_estimate, _shape_draw, map_chunks,
                     z_score)
@@ -178,15 +180,20 @@ def _accept_block(runs: _Runs, rng, sides: _Sides, work: _Work,
     return accepted, x_rows
 
 
-def _ball_sides(arr: Arrangement, table: BaseTable, dim: int, radii) -> _Sides:
-    """Sides for balls of the given radii on the rows of `table`: base value
-    R_e * u_e per element e, u_e a uniform direction in R^dim (cyclotomic
-    arrangements need an even dim and pair it into complex coordinates),
-    and a non-base value outside when its norm exceeds R_e."""
+def _ball_sides(view: MatroidView, dim: int, radii,
+                live: bool = True) -> _Sides:
+    """Sides for balls of the given radii on the rows of the view's base
+    table whose strata can accept (`live_base_table`), or on every row when
+    not `live`: base value R_e * u_e per element e, u_e a uniform direction
+    in R^dim (cyclotomic arrangements need an even dim and pair it into
+    complex coordinates), and a non-base value outside when its norm
+    exceeds R_e.  The dimension is refused before any base table is read."""
+    arr = view.arrangement
     if dim < 2:
         raise ValueError("polymer dimension must be >= 2")
     if not arr.complexified and dim % 2:
         raise ValueError("cyclotomic arrangements need an even polymer dimension")
+    table = live_base_table(view, radii) if live else view.base_table
     radii = np.asarray(radii, dtype=float)
     # per-base radii with the bases on axis 1: (n, bases) and (m, bases)
     base_radii = radii[table.elems].T
@@ -349,20 +356,21 @@ def _one_base_block(row: int, rows: int, rng, sides: _Sides):
 
 
 def sample_for_base(arr, base_mask: int, dim: int,
-                    rng: np.random.Generator, radii=None) -> PolymerSample:
+                    rng: np.random.Generator) -> PolymerSample:
     """One polymer draw for a base: the configuration solving
     h_e(x) = R_e * u_e for e in the base, accepted iff every other
     hyperplane's value strictly exceeds its radius.  `arr` is an
-    Arrangement or a MatroidView of one."""
+    Arrangement or a MatroidView of one; other radii are
+    `arr.with_radii(radii)`."""
     view = view_of(arr)
     arr = view.arrangement
-    radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
+    if not view.is_base(base_mask):         # a rank call, no compile
+        raise MatroidError(f"mask {base_mask!r} is not a base")
+    sides = _ball_sides(view, dim, arr.radii, live=False)
     row = view._base_row(base_mask)
-    table = view.base_table
-    accepted, x = _one_base_block(row, 1, rng,
-                                  _ball_sides(arr, table, dim, radii))
-    base_idx = table.elems[row]
-    u = (arr.coeff[base_idx] @ x[0]) / np.asarray(radii)[base_idx][:, None]
+    accepted, x = _one_base_block(row, 1, rng, sides)
+    base_idx = sides.table.elems[row]
+    u = (arr.coeff[base_idx] @ x[0]) / np.asarray(arr.radii)[base_idx][:, None]
     return PolymerSample(base_mask, u, x[0], bool(accepted[0]))
 
 
@@ -378,11 +386,9 @@ def volume_mc(arr, dim: int, n_samples: int, seed: int,
     view = view_of(arr)
     arr = view.arrangement
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
-    weight = sphere_area(dim) ** arr.ambient_dim
     return _polymer_estimate(view, n_samples, seed, workers,
-                             _ball_sides(arr, live_base_table(view, radii),
-                                         dim, radii),
-                             weight)
+                             _ball_sides(view, dim, radii),
+                             sphere_area(dim) ** arr.ambient_dim)
 
 
 # --------------------------------------------------------------------------
@@ -420,18 +426,16 @@ def planar_invariance_check(arr, radii_list, n_samples: int,
     view = view_of(arr)
     arr = view.arrangement
     radii_list = [_checked_radii(radii, arr.size) for radii in radii_list]
+    if not radii_list:
+        raise ValueError("need at least one radii assignment")
     n = arr.ambient_dim
     target = (2.0 * math.pi) ** n * abs(view.chi_at_zero())
     target_est = MCEstimate(target, 0.0, 0, seed, workers)
-    estimates = []
-    for i, radii in enumerate(radii_list):
-        est = volume_mc(view, 2, n_samples, seed + i, workers, radii=radii)
-        estimates.append(est)
+    estimates = [volume_mc(view, 2, n_samples, seed + i, workers, radii=radii)
+                 for i, radii in enumerate(radii_list)]
     z_target = tuple(z_score(e, target_est) for e in estimates)
-    pair = 0.0
-    for i in range(len(estimates)):
-        for j in range(i + 1, len(estimates)):
-            pair = max(pair, abs(z_score(estimates[i], estimates[j])))
+    pair = max((abs(z_score(a, b)) for a, b in combinations(estimates, 2)),
+               default=0.0)
     passed = all(abs(z) < Z_LIMIT for z in z_target) and pair < Z_LIMIT
     return InvarianceReport(tuple(radii_list), tuple(estimates), target,
                             z_target, pair, passed,
@@ -449,13 +453,23 @@ G_FUNCTIONS = {
 }
 
 
-def _checked(g):
-    def wrapped(y):
+def _projection_g(arr: Arrangement, g):
+    """g, or the G_FUNCTIONS entry it names, wrapped to refuse non-finite
+    values; an unknown name, then a cyclotomic arrangement, is refused."""
+    if isinstance(g, str):
+        if g not in G_FUNCTIONS:
+            raise ValueError(
+                f"unknown g {g!r}; choose from {sorted(G_FUNCTIONS)}")
+        g = G_FUNCTIONS[g]
+    if not arr.complexified:
+        raise ValueError("projection laws are stated for real arrangements")
+
+    def checked(y):
         values = np.asarray(g(y), dtype=float)
         if not np.all(np.isfinite(values)):
             raise ValueError("g produced non-finite values on samples")
         return values
-    return wrapped
+    return checked
 
 
 @dataclass(frozen=True)
@@ -476,26 +490,20 @@ def project_expectation(arr, d: int, g, n_samples: int, seed: int,
     """Expectation of a function of the last d coordinates, two ways: over
     accepted polymer samples at dimension d + 2 (weighted by surface totals),
     and as (-2 pi)^n times the region-decomposition integral of
-    g * chi_G(0).  `arr` is an Arrangement or a MatroidView of one."""
+    g * chi_G(0).  `arr` is an Arrangement or a MatroidView of one.  The
+    region side runs first, so its checks of d and of the subset tables
+    come before any polymer draw."""
     view = view_of(arr)
     arr = view.arrangement
-    if not arr.complexified:
-        raise ValueError("projection laws are stated for real arrangements")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if isinstance(g, str):
-        g = G_FUNCTIONS[g]
-    g = _checked(g)
-    dim = d + 2
-    chi_weight = _chi_weight(view)
+    g = _projection_g(arr, g)
     n = arr.ambient_dim
-    weight = sphere_area(dim) ** n
-    sides = _ball_sides(arr, live_base_table(view, arr.radii), dim, arr.radii)
-    polymer_side = _polymer_estimate(view, n_samples, seed, workers, sides,
-                                     weight, g=lambda x: g(x[:, :, 2:]))
     # separate seed so the two sides are statistically independent
-    mmc_side = _region_estimate(view, d, chi_weight, n_samples, seed + 1,
+    mmc_side = _region_estimate(view, d, _chi_weight, n_samples, seed + 1,
                                 workers, g=g).scaled((-2.0 * math.pi) ** n)
+    polymer_side = _polymer_estimate(view, n_samples, seed, workers,
+                                     _ball_sides(view, d + 2, arr.radii),
+                                     sphere_area(d + 2) ** n,
+                                     g=lambda x: g(x[:, :, 2:]))
     z = z_score(polymer_side, mmc_side)
     return ProjectionReport(polymer_side, mmc_side, z, abs(z) < Z_LIMIT)
 
@@ -509,15 +517,13 @@ def safe_projection_expectation(arr, d: int, g, order: LinearOrder,
     an Arrangement or a MatroidView of one."""
     view = view_of(arr)
     arr = view.arrangement
-    if not arr.complexified:
-        raise ValueError("projection laws are stated for real arrangements")
-    if isinstance(g, str):
-        g = G_FUNCTIONS[g]
-    g = _checked(g)
+    g = _projection_g(arr, g)
 
-    est = _region_estimate(view, d,
-                           lambda masks: view.safe_base_counts(masks, order),
-                           n_samples, seed, workers, g=g)
+    def safe_count(view):
+        view._minimal_externals_of(order)   # a bad order compiles nothing
+        return lambda masks: view.safe_base_counts(masks, order)
+
+    est = _region_estimate(view, d, safe_count, n_samples, seed, workers, g=g)
     return est.scaled((2.0 * math.pi) ** arr.ambient_dim)
 
 
@@ -600,8 +606,7 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
 # diagnostics output
 # --------------------------------------------------------------------------
 
-def dump_samples_csv(path, arr, dim: int, n_samples: int, seed: int,
-                     radii=None):
+def dump_samples_csv(path, arr, dim: int, n_samples: int, seed: int):
     """Write (base mask, accepted, flattened coordinates) rows for a small
     number of draws from every base.  `arr` is an Arrangement or a
     MatroidView of one."""
@@ -609,15 +614,13 @@ def dump_samples_csv(path, arr, dim: int, n_samples: int, seed: int,
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     view = view_of(arr)
     arr = view.arrangement
-    table = view.base_table
-    radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
-    sides = _ball_sides(arr, table, dim, radii)
+    sides = _ball_sides(view, dim, arr.radii, live=False)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["base_mask", "accepted"]
                         + [f"x{i}_{j}" for i in range(arr.ambient_dim)
                            for j in range(dim)])
-        for b_index, base_mask in enumerate(table.masks.tolist()):
+        for b_index, base_mask in enumerate(sides.table.masks.tolist()):
             rng = RNGStream(seed, b_index).generator()
             accepted, x = _one_base_block(b_index, n_samples, rng, sides)
             coords = x.reshape(n_samples, -1)
@@ -629,7 +632,7 @@ def dump_samples_csv(path, arr, dim: int, n_samples: int, seed: int,
                                 + [f"{v:.9g}" for v in coords[row]])
 
 
-def polymer_svg(path, arr, seed: int = 0, tries: int = 1000):
+def polymer_svg(path, arr, seed: int = 0):
     """Draw one accepted planar sample as an SVG of disks (documentation aid;
     meaningful for difference-functional arrangements).  `arr` is an
     Arrangement or a MatroidView of one."""
@@ -637,14 +640,12 @@ def polymer_svg(path, arr, seed: int = 0, tries: int = 1000):
     arr = view.arrangement
     bases = list(view.bases())
     rng = RNGStream(seed, 0).generator()
-    sample = None
-    for _ in range(tries):
+    for _ in range(1000):       # draws before giving up
         base_mask = bases[int(rng.integers(len(bases)))]
-        cand = sample_for_base(view, base_mask, 2, rng)
-        if cand.accepted:
-            sample = cand
+        sample = sample_for_base(view, base_mask, 2, rng)
+        if sample.accepted:
             break
-    if sample is None:
+    else:
         raise RuntimeError("no accepted sample found")
     pts = sample.x.real if np.iscomplexobj(sample.x) else sample.x
     rmin = min(arr.radii)

@@ -510,7 +510,7 @@ def pressure_coefficient_enumerated(view, d: int, n_samples: int, seed: int,
     in the ground set; desk scale only."""
     if d == 0:
         return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
-    parts = [_region_estimate(view, d, _contains(view, mask), n_samples, seed,
+    parts = [_region_estimate(view, d, _contains(mask), n_samples, seed,
                               workers, within=mask, stream_base=h_index << 32
                               ).scaled(_parity(mask))
              for h_index, mask in enumerate(spanning_subsets(view))]

@@ -237,6 +237,19 @@ def test_project_law_command():
     assert "safe_side" in data
 
 
+def test_project_law_unknown_g_in_config_exit_one(tmp_path, capsys):
+    # argparse limits --g to G_FUNCTIONS; a config file can name any g, and
+    # the library refuses it
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"g": "nope"}))
+    code, out = run_cli(["project-law", "--family", "braid", "--n", "3",
+                         "--samples", "3000", "--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "polygas: error: unknown g 'nope'; choose from "
+        "['const1', 'indicator_halfspace', 'norm_sq']\n")
+
+
 def test_console_entry_point():
     # the subprocess imports the same polygas as this process, also when it
     # comes from a source tree on pytest's path rather than an install

@@ -90,14 +90,12 @@ def test_hard_rod_coefficients():
 
 
 def test_tonks_series():
-    rep = tonks_series_check(3, 1, 200_000, 8)
+    rep = tonks_series_check(3, 200_000, 8)
     assert rep.passed
     assert [r.m for r in rep.rows] == [2, 3]
     assert [r.expected for r in rep.rows] == [-2, 9]
     with pytest.raises(ValueError):
         tonks_series_check(5)
-    with pytest.raises(ValueError):
-        tonks_series_check(3, d=2)
 
 
 def test_typed_spanning_cross_check():

@@ -253,8 +253,8 @@ def test_dump_samples_csv_interleaves_complex_coordinates(tmp_path):
         header, *body = list(csv.reader(fh))
     assert header == ["base_mask", "accepted"] + [
         f"x{i}_{j}" for i in range(arr.ambient_dim) for j in range(dim)]
-    table = MatroidView(arr).base_table
-    sides = _ball_sides(arr, table, dim, arr.radii)
+    sides = _ball_sides(MatroidView(arr), dim, arr.radii, live=False)
+    table = sides.table
     expected = []
     for b_index, base_mask in enumerate(table.masks.tolist()):
         rng = RNGStream(0, b_index).generator()
@@ -293,11 +293,3 @@ def test_planar_invariance_refuses_negative_radii():
 def test_volume_refuses_extra_radii():
     with pytest.raises(ArrangementError):
         volume_mc(braid(3), 2, 3_000, 0, radii=(1, 1, 1, 7, 9))
-
-
-def test_sampler_radii_overrides_checked(tmp_path):
-    arr = braid(3)
-    with pytest.raises(ArrangementError):
-        sample_for_base(arr, 0b011, 2, rng_for(5), radii=(1, 1, 1, 2))
-    with pytest.raises(ArrangementError):
-        dump_samples_csv(tmp_path / "s.csv", arr, 2, 5, 0, radii=(1, 1, 1, 2))

@@ -11,25 +11,17 @@ of surface measures), so each base contributes
 
 Every polymer volume (`volume_mc`, `asa_volume_mc`, the polymer side of
 `project_expectation`) is one call of the stratified kernel
-`_polymer_estimate`, which differs between them only in how the base
-values are drawn, how a non-base value is tested, and the base weight.
-The kernel splits the budget evenly across the bases its sides sample and
-runs all their rows as one list: one random stream per CHUNK rows, the
-chunks on the worker pool, and BLOCK rows at a time drawn, mapped to the
-non-base values by each base's float map S_B = C_out(B) B^-1 (a row of the
-view's base table), and tested.  A block's values are shaped (element, row,
-value coordinate), its squared norms and comparisons (element, row), in
-buffers allocated once per chunk.  The rows are sorted by base, so a block
-is at most three parts, each k runs of one base's rows (`_Runs`): a part of
-a block array is an (element, k, run rows, ...) view, S_B and B^-1 reach it
-as one stacked matrix product over k consecutive rows of the base table,
-whose columns are a run's (row, value coordinate) pairs, and per-base radii
-as an (element, k, 1) slice of a transposed per-base table.  Per-base
-(n, mean, m2) are merged in chunk order, so results are bit-identical for
-any worker count.
+`mayer._polymer_estimate`, the kernel every region estimator runs too.
+They differ only in their sides (`_Sides`): which bases are sampled, how
+the base values are drawn (sphere or surface points), how a non-base value
+is tested, and the base weights; a polymer row's value is its acceptance
+flag.  The budget is split evenly across the sampled bases, and a row's
+non-base values come from its base's float map S_B = C_out(B) B^-1 (a row
+of the view's base table), as one stacked matrix product per run part of a
+block (see the mayer module docstring).
 `sample_for_base` and `dump_samples_csv` use the same block function on one
-base.  The region sides of the projection laws are calls of the mayer tube
-kernel.
+base.  The region sides of the projection laws are tube-kernel calls
+(`mayer._region_estimate`).
 
 The ball volumes sample only the bases whose strata can accept at the
 call's radii (`live_base_table`): base B's stratum is empty when some
@@ -37,7 +29,6 @@ non-base f has sum_{e in B} |S_B[f, e]| R_e <= R_f, by the triangle
 inequality, so its acceptance is exactly 0 and its share of the budget
 goes to the other bases.
 """
-
 from __future__ import annotations
 
 import csv
@@ -53,9 +44,10 @@ from .geometry import (RNGStream, sample_unit_sphere, sphere_area,
                        surface_measure_total)
 from .matroid import (BaseTable, LinearOrder, MatroidError, MatroidView,
                       view_of)
-from .mayer import (BLOCK, Z_LIMIT, MCEstimate, _check_shapes, _chi_weight,
-                    _merge_stats, _region_estimate, _shape_draw, map_chunks,
-                    z_score)
+from .mayer import (Z_LIMIT, MCEstimate, _accept_block, _beyond_radii,
+                    _check_shapes, _chi_weight, _polymer_estimate,
+                    _region_estimate, _Runs, _scale_rows, _shape_draw,
+                    _shape_test, _Sides, _Work, z_score)
 
 
 @dataclass(frozen=True)
@@ -69,115 +61,14 @@ class PolymerSample:
     accepted: bool
 
 
-class _Runs:
-    """Rows [row0, row0 + rows) of a stratified list whose row r is drawn
-    for base r // per_base, as parts that each hold whole or partial runs
-    of one base's rows: a partial head run, the whole runs, a partial tail
-    run, empty parts left out.  Part (lo, hi, base, k) is block rows
-    [lo, hi): k runs of (hi - lo) // k rows, for bases base .. base + k - 1.
-
-    A block array with its rows on axis 1 splits into one view per part
-    (`split`), so per-base data reach each part as one slice
-    [base:base + k] of a per-base table, never as per-row gathers, and a
-    block makes the same numpy calls whatever per_base is."""
-
-    def __init__(self, row0: int, rows: int, per_base: int):
-        end = row0 + rows
-        whole_lo = -(-row0 // per_base)     # first run starting in the block
-        whole_hi = end // per_base          # first run ending past the block
-        if whole_lo > whole_hi:             # inside one run
-            parts = [(0, rows, row0 // per_base, 1)]
-        else:
-            lo, hi = whole_lo * per_base - row0, whole_hi * per_base - row0
-            parts = [(0, lo, whole_lo - 1, 1),
-                     (lo, hi, whole_lo, whole_hi - whole_lo),
-                     (hi, rows, whole_hi, 1)]
-        self.parts = [part for part in parts if part[1] > part[0]]
-        self.size = rows
-
-    def split(self, *arrays):
-        """Per part, (base, k) and each array's view of the part's rows, for
-        arrays with the block's rows on axis 1: that axis cut into
-        (k, run rows)."""
-        for lo, hi, base, k in self.parts:
-            yield (base, k) + tuple(
-                a[:, lo:hi].reshape((a.shape[0], k, (hi - lo) // k) + a.shape[2:])
-                for a in arrays)
-
-
-@dataclass(frozen=True)
-class _Sides:
-    """Which bases are sampled, how their base values are drawn and how
-    non-base values are tested: `table` holds the sampled rows of the
-    view's base table, and each value has `width` entries of `dtype`.
-    draw(rng, runs, work) returns the rows' base values, shaped
-    (n, runs.size, width), in a buffer of work; outside(runs, work, vals)
-    returns the rows' acceptance flags given their non-base values vals,
-    shaped (m, runs.size, width)."""
-
-    table: BaseTable
-    width: int
-    dtype: type
-    draw: object
-    outside: object
-
-
-class _Work:
-    """Buffers for the blocks of one chunk: one flat array per name, made
-    at the name's first request, which comes from the chunk's first and
-    largest block, and viewed by each block as a C-contiguous array of the
-    shape it asks for."""
-
-    def __init__(self):
-        self._flat = {}
-
-    def buffer(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None:
-            flat = self._flat[name] = np.empty(size, dtype)
-        assert flat.dtype == dtype and flat.size >= size, (name, shape, dtype)
-        return flat[:size].reshape(shape)
-
-
-def _matmul_runs(runs: _Runs, maps: np.ndarray, h: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """out[:, i] = maps[b] @ h[:, i] for each row i of the block (axis 1 of
-    h, shaped (n, rows, width), and of out), b its base: one stacked matrix
-    product per part of `runs`, over k rows of maps, each run's (row, value
-    coordinate) pairs as the columns.  A one-row run's product is the
-    per-row product maps[b] @ h[:, i] itself; a longer run's gives its bits
-    for real maps and may differ in the last bits for complex ones
-    (test_run_views_equal_gathered_products)."""
-    def columns(part):      # (elements, k, L, width) -> (k, elements, L * width)
-        return part.reshape(part.shape[:2] + (math.prod(part.shape[2:]),)
-                            ).swapaxes(0, 1)
-
-    for b, k, part_h, part_out in runs.split(h, out):
-        np.matmul(maps[b:b + k], columns(part_h), out=columns(part_out))
-    return out
-
-
-def _accept_block(runs: _Runs, rng, sides: _Sides, work: _Work,
-                  need_x: bool):
-    """One block of polymer draws, the rows of `runs` (rows of sides.table):
-    base values h from sides.draw, mapped to the non-base values by each
-    row's S_B and tested by sides.outside.  Returns (accepted, x), x the
-    configurations B^-1 h row by row, (rows, n, width), when need_x, else
-    None."""
-    table = sides.table
-    shape = (table.out.shape[1], runs.size, sides.width)
-    h = sides.draw(rng, runs, work)
-    vals = _matmul_runs(runs, table.to_out, h,
-                        work.buffer("vals", shape, sides.dtype))
-    accepted = sides.outside(runs, work, vals)
-    if not need_x:
-        return accepted, None
-    x = _matmul_runs(runs, table.inv, h,
-                     work.buffer("x", h.shape, sides.dtype))
-    x_rows = work.buffer("x_rows", (runs.size,) + h.shape[::2], sides.dtype)
-    np.copyto(x_rows, x.swapaxes(0, 1))
-    return accepted, x_rows
+def _accepted(outside):
+    """value(runs, work, vals) of the polymer sides: accepted where
+    outside(runs, work, vals) flags every non-base value."""
+    def value(runs, work, vals):
+        accepted = work.buffer("accepted", (runs.size,), bool)
+        return np.logical_and.reduce(outside(runs, work, vals), axis=0,
+                                     out=accepted)
+    return value
 
 
 def _ball_sides(view: MatroidView, dim: int, radii,
@@ -195,37 +86,24 @@ def _ball_sides(view: MatroidView, dim: int, radii,
         raise ValueError("cyclotomic arrangements need an even polymer dimension")
     table = live_base_table(view, radii) if live else view.base_table
     radii = np.asarray(radii, dtype=float)
-    # per-base radii with the bases on axis 1: (n, bases) and (m, bases)
+    # per-base radii with the bases on axis 1: (n, bases)
     base_radii = radii[table.elems].T
-    out_radii_sq = (radii ** 2)[table.out].T
-    n, m = base_radii.shape[0], out_radii_sq.shape[0]
+    n, m = table.elems.shape[1], table.out.shape[1]
     width, dtype = (dim, float) if arr.complexified else (dim // 2, complex)
 
     def draw(rng, runs, work):
         # the directions in the sphere draw's order, (rows, n, dim), drawn
         # into the block's non-base value buffer (free until the S_B
-        # product) and written times R_e into h, (n, rows, dim) as floats;
-        # a complex h holds coordinates (2i, 2i + 1) as the real and
-        # imaginary part of entry i, as u[..., 0::2] + 1j * u[..., 1::2] does
+        # product) and written times R_e into h, (n, rows, dim) as floats
         rows = runs.size
         free = work.buffer("vals", (max(n, m) * rows * width,), dtype)
         u = free.view(float)[:rows * n * dim].reshape(rows * n, dim)
         sample_unit_sphere(dim, rng, rows * n, out=u)
-        h = work.buffer("h", (n, rows, width), dtype)
-        u_rows = u.reshape(rows, n, dim).swapaxes(0, 1)
-        for b, k, part_u, part_h in runs.split(u_rows, h.view(float)):
-            np.multiply(part_u, base_radii[:, b:b + k, None, None], out=part_h)
-        return h
+        return _scale_rows(runs, u, base_radii,
+                           work.buffer("h", (n, rows, width), dtype))
 
-    def outside(runs, work, vals):
-        norms_sq = _norms_sq(vals)
-        compared = work.buffer("compared", norms_sq.shape, bool)
-        for b, k, part, cmp in runs.split(norms_sq, compared):
-            np.greater(part, out_radii_sq[:, b:b + k, None], out=cmp)
-        accepted = work.buffer("accepted", (runs.size,), bool)
-        return np.logical_and.reduce(compared, axis=0, out=accepted)
-
-    return _Sides(table, width, dtype, draw, outside)
+    return _Sides(table, width, dtype, draw,
+                  _accepted(_beyond_radii(table, radii)))
 
 
 # float bounds within this relative distance of R_f are settled exactly
@@ -277,75 +155,6 @@ def _exact_empty(view: MatroidView, radii: np.ndarray,
     empty = np.zeros_like(ties)
     empty[rows] = ties[rows] & (bound <= whole[table.out[rows]] * den).astype(bool)
     return empty
-
-
-def _stratum_stats(values: np.ndarray, start: int, per_base: int):
-    """(first base, n, mean, m2) per base of the rows [start, start +
-    values.size) of the stratified list, row r drawn for base
-    r // per_base: every base from the first to the last has rows, so
-    n > 0 throughout.  The sums run over each base's rows in order."""
-    first = start // per_base
-    edges = np.arange(first, (start + values.size - 1) // per_base + 2) * per_base
-    n = np.diff(np.clip(edges, start, start + values.size))
-    local = np.repeat(np.arange(n.size), n)
-    mean = np.bincount(local, values) / n
-    m2 = np.bincount(local, (values - np.repeat(mean, n)) ** 2)
-    return first, n, mean, m2
-
-
-def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
-                      workers: int, sides: _Sides, weights,
-                      g=None) -> MCEstimate:
-    """Sum over the bases of sides.table of the base's weight times the mean
-    over that base's draws of accepted (times g(x)): the stratified
-    estimator with the budget split evenly across those bases.  The other
-    bases of the view must accept nothing; n_samples must still be at least
-    the view's base count.  `weights` holds one weight per row of
-    sides.table, or one for all bases.
-
-    The per_base * |bases| rows are one stratified list, row r drawn for
-    base r // per_base, cut into CHUNK-row chunks with one random stream
-    each and run on the worker pool, BLOCK rows at a time, in buffers
-    allocated once per chunk; g, when given, takes the block's
-    configurations row by row, (rows, n, width).  Per-base (n, mean, m2)
-    come from bincounts over each chunk and are merged per base in chunk
-    order, so the estimate is bit-identical for any worker count.
-    """
-    total = view.base_table.masks.size
-    if n_samples < total:
-        raise ValueError(f"n_samples = {n_samples} is smaller than the "
-                         f"{total} bases it is split across")
-    count = sides.table.masks.size
-    if count == 0:      # every stratum is empty: the volume is exactly 0
-        return MCEstimate(0.0, 0.0, 0, seed, workers)
-    per_base = n_samples // count
-    weights = np.full(count, weights, dtype=float)
-
-    def chunk_stats(rng, start, count):
-        work = _Work()
-        values = np.empty(count)
-        for lo in range(0, count, BLOCK):
-            runs = _Runs(start + lo, min(BLOCK, count - lo), per_base)
-            accepted, x = _accept_block(runs, rng, sides, work, g is not None)
-            block = values[lo:lo + runs.size]
-            if g is None:
-                block[:] = accepted
-            else:
-                np.multiply(accepted, g(x), out=block)
-        return _stratum_stats(values, start, per_base)
-
-    n = np.zeros(count, dtype=np.int64)
-    mean = np.zeros(count)
-    m2 = np.zeros(count)
-    for first, cn, cmean, cm2 in map_chunks(per_base * count, seed,
-                                            workers, chunk_stats):
-        part = slice(first, first + cn.size)
-        n[part], mean[part], m2[part] = _merge_stats(
-            (n[part], mean[part], m2[part]), (cn, cmean, cm2))
-    # the variance of each stratum's mean, 0 for a single row as in run_chunked
-    var = m2 / np.maximum(n - 1, 1) / n * (n > 1)
-    return MCEstimate(float(weights @ mean), math.sqrt(float(weights ** 2 @ var)),
-                      int(n.sum()), seed, workers)
 
 
 def _one_base_block(row: int, rows: int, rng, sides: _Sides):
@@ -542,63 +351,22 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
     base count."""
     view = view_of(arr)
     arr = view.arrangement
-    dims = {s.dim for s in shapes}
-    if len(dims) != 1:
-        raise ValueError("all shapes must share one ambient dimension")
-    dim = dims.pop()
-    d = dim - 2
-    shapes = _check_shapes(arr, shapes, d)
-
+    shapes = _check_shapes(arr, shapes)
+    dim = shapes[0].dim
     table = view.base_table
-    n, m = table.elems.shape[1], table.out.shape[1]
-    draw_shapes = _shape_draw(shapes, dim,
-                              lambda s, rng, count: s.sample_surface(rng, count))
-    distinct = list(dict.fromkeys(shapes))
-    # the smallest integer type, so that the stable sort of a part's
-    # shape indices is a radix sort
-    shape_of = np.array([distinct.index(s) for s in shapes],
-                        dtype=np.min_scalar_type(len(distinct) - 1))
-    # per-base tables with the bases on axis 1: elements (n, bases) and the
-    # shapes of the non-base values (m, bases)
-    base_elems = table.elems.T
-    out_shapes = shape_of[table.out].T
 
-    def draw(rng, runs, work):
-        # the surface draws in row order, (rows, n, dim), written to h as
-        # (n, rows, dim)
-        rows = runs.size
-        elems = work.buffer("elems", (n, rows), np.intp)
-        for b, k, part in runs.split(elems):
-            part[...] = base_elems[:, b:b + k, None]
-        h = work.buffer("h", (n, rows, dim))
-        np.copyto(h, draw_shapes(rng, elems.T).swapaxes(0, 1))
-        return h
+    def outside_solid(s, v):
+        # outside the closed solid body: not both in the bottom and within
+        # the warp radius
+        w, y = v[:, :2], v[:, 2:]
+        return ~(s.bottom_contains(y) & (_norms_sq(w) <= s.warp(y) ** 2))
 
-    def outside(runs, work, vals):
-        # per part, each distinct shape's solid test on the runs of the
-        # values that have it only: the part's (non-base element, run)
-        # pairs grouped by a stable sort of their shape indices, their runs
-        # of values gathered, tested and scattered back
-        rows = runs.size
-        inside = work.buffer("inside", (m, rows), bool)
-        for b, k, part_vals, part_inside in runs.split(vals, inside):
-            which = out_shapes[:, b:b + k].reshape(-1)
-            order = np.argsort(which, kind="stable")
-            counts = np.bincount(which, minlength=len(distinct))
-            for s, own in zip(distinct, np.split(order, np.cumsum(counts)[:-1])):
-                own = np.divmod(own, k)
-                v = part_vals[own]          # (pairs, run rows, dim)
-                y = v[..., 2:].reshape(-1, d)
-                w_sq = _norms_sq(v[..., :2]).reshape(-1)
-                inside_s = s.bottom_contains(y) & (w_sq <= s.warp(y) ** 2)
-                part_inside[own] = inside_s.reshape(v.shape[:2])
-        accepted = work.buffer("accepted", (rows,), bool)
-        np.logical_or.reduce(inside, axis=0, out=accepted)
-        return np.logical_not(accepted, out=accepted)
-
+    draw = _shape_draw(table, shapes, dim,
+                       lambda s, rng, count: s.sample_surface(rng, count))
+    sides = _Sides(table, dim, float, draw,
+                   _accepted(_shape_test(table, shapes, outside_solid)))
     totals = np.array([surface_measure_total(s) for s in shapes])
-    return _polymer_estimate(view, n_samples, seed, workers,
-                             _Sides(table, dim, float, draw, outside),
+    return _polymer_estimate(view, n_samples, seed, workers, sides,
                              np.prod(totals[table.elems], axis=1))
 
 

@@ -17,7 +17,7 @@ library's `integer_inverses`.
 
 And the slow paths the region estimators are checked against:
 `box_estimate`, which draws configurations uniformly in the bounding box of
-the base tubes instead of from their mixture, and
+the base tubes instead of tube by tube, and
 `pressure_coefficient_enumerated`, one tube-kernel run per spanning subset
 (`spanning_subsets`), added by `mc_sum`.
 
@@ -505,8 +505,9 @@ def spanning_subsets(view):
 def pressure_coefficient_enumerated(view, d: int, n_samples: int, seed: int,
                                     workers: int = 1) -> MCEstimate:
     """The pressure coefficient as the sum over spanning subsets H of each
-    subset's coefficient, estimated separately (n_samples each, stream
-    block h_index << 32) by the tube kernel restricted to H.  Exponential
+    subset's coefficient, estimated separately (n_samples each, split over
+    the bases inside H, stream block h_index << 32) by the tube kernel
+    restricted to H.  Exponential
     in the ground set; desk scale only."""
     if d == 0:
         return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)

@@ -1,7 +1,7 @@
 """The batched kernels against the per-row and per-matrix paths they
 replaced, compared with ==: functional values as one GEMM per block and the
-masks from them, the guide-table base pick of the tube kernel, the batched
-fraction-free base inverses, and the base table that holds them."""
+masks from them, the batched fraction-free base inverses, and the base table
+that holds them."""
 
 import random
 import sys
@@ -10,10 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from oracles import fraction_inverse
-from polygas import matroid, mayer
+from polygas import matroid
 from polygas.arrangement import (braid, coxeter_b, coxeter_d, custom, dowling,
                                  threshold, widom_rowlinson)
 from polygas.exact_linalg import (Cyclotomic, SingularSystemError, _ring_rows,
@@ -67,45 +66,6 @@ def test_cyclotomic_masks_equal_on_a_fixed_batch(d):
     np.testing.assert_allclose(arr.values(x), arr.coeff @ x, rtol=1e-14,
                                atol=1e-14)
     assert np.array_equal(arr.gamma_masks(x), old_masks(arr, x))
-
-
-# --------------------------------------------------------------------------
-# guide-table base pick
-# --------------------------------------------------------------------------
-
-COXETER_B3_DETS = MatroidView(coxeter_b(3)).base_table.abs_det
-
-
-@st.composite
-def cdfs(draw):
-    kind = draw(st.sampled_from(["one", "equal", "coxeterB3", "dominant"]))
-    if kind == "one":
-        vol = np.ones(1)
-    elif kind == "equal":
-        vol = np.ones(1296)
-    elif kind == "coxeterB3":
-        vol = COXETER_B3_DETS ** -float(draw(st.integers(1, 6)))
-    else:
-        vol = np.full(1001, 1e-9)
-        vol[draw(st.integers(0, 1000))] = 1.0
-    cdf = np.cumsum(vol) / vol.sum()
-    # a last entry below 1, as float rounding can leave it
-    return cdf * draw(st.sampled_from([1.0, 1.0 - 2.0 ** -40, 0.75]))
-
-
-@settings(max_examples=80, deadline=None)
-@given(cdfs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
-       st.integers(0, 2 ** 32))
-def test_guide_pick_equals_binary_search(cdf, floats, seed):
-    # u on every cdf value and its neighbours, at and past cdf[-1], and
-    # uniform draws
-    u = np.concatenate([
-        floats, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
-        np.linspace(cdf[-1], 1.0, 64, endpoint=False),
-        np.random.default_rng(seed).random(4096)])
-    u = u[u < 1.0]
-    expected = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
-    assert np.array_equal(mayer._base_picker(cdf)(u), expected)
 
 
 # --------------------------------------------------------------------------

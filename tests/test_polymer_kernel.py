@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import polygas.polymer as polymer
+import polygas.mayer as mayer
 from oracles import ball_sides, per_base_polymer_estimate, surface_sides
 from polygas import (MatroidView, asa_volume_mc, braid, capped_cylinder_shape,
                      coxeter_b, coxeter_d, custom, cylinder_shape, dowling,
@@ -194,13 +194,13 @@ def test_one_sample_per_base_has_finite_stderr():
 
 def test_one_scheduled_run_per_volume(monkeypatch):
     calls = []
-    original = polymer.map_chunks
+    original = mayer.map_chunks
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(polymer, "map_chunks", counting)
+    monkeypatch.setattr(mayer, "map_chunks", counting)
     volume_mc(braid(5), 3, 2 ** 14, 0)
     asa_volume_mc(braid(4), [cylinder_shape(3, 1.0)] * 6, 2 ** 14, 0)
     # one run over all rows, not one per base (braid 5: 125, braid 4: 16)
@@ -241,7 +241,7 @@ def test_run_views_equal_gathered_products(arr):
     rng = np.random.default_rng(8)
     dtype = table.inv.dtype
     for row0, per_base, rows in _run_split_cases(count):
-        runs = polymer._Runs(row0, rows, per_base)
+        runs = mayer._Runs(row0, rows, per_base)
         b = np.arange(row0, row0 + rows) // per_base
         edges = [edge for lo, hi, _, _ in runs.parts for edge in (lo, hi)]
         assert edges[0] == 0 and edges[-1] == rows and len(runs.parts) <= 3
@@ -255,7 +255,7 @@ def test_run_views_equal_gathered_products(arr):
         h_rows = np.ascontiguousarray(h.swapaxes(0, 1))
         for maps in (table.to_out, table.inv):
             out = np.empty((maps.shape[1], rows, 2), dtype)
-            got = polymer._matmul_runs(runs, maps, h, out)
+            got = mayer._matmul_runs(runs, maps, h, out)
             assert got is out
             got = got.swapaxes(0, 1)
             want = maps[b] @ h_rows

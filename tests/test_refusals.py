@@ -52,6 +52,12 @@ REFUSALS = {
         braid(3), lambda v, p: asa_volume_mc(
             v, [CYL3, CYL3, cylinder_shape(4, 1.0)], 100, 0),
         ValueError, "all shapes must share one ambient dimension"),
+    "asa_volume-shape-type": (
+        braid(3), lambda v, p: asa_volume_mc(v, ["x"] * 3, 100, 0),
+        TypeError, "shapes must be ASAShape instances"),
+    "asa_volume-no-shapes": (
+        braid(3), lambda v, p: asa_volume_mc(v, [], 100, 0),
+        ValueError, "need one shape per hyperplane"),
     "volume-dim1": (
         braid(3), lambda v, p: volume_mc(v, 1, 100, 0),
         ValueError, "polymer dimension must be >= 2"),

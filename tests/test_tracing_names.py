@@ -24,7 +24,7 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert (polygas.MatroidView.bases, polygas.bounding_halfwidth) == originals
     names = {span.name for span in tracer.spans}
-    assert {"check_dr", "volume_mc", "pressure_coefficient", "run_chunked",
+    assert {"check_dr", "volume_mc", "pressure_coefficient",
             "bounding_halfwidth"} <= names
 
 

@@ -1,8 +1,9 @@
 """The base-tube estimators against the bounding-box oracle
 (`oracles.box_estimate`): every region estimator, at |z| < 4, on
 unimodular and mixed-determinant arrangements, the cyclotomic Jacobian and
-the warped shapes; and the tube kernel's guard against float rounding on
-the boundary of a tube."""
+the warped shapes; the tube kernel's guard against float rounding on the
+boundary of a tube; and the determinism contract of every region
+estimator across worker counts."""
 
 import itertools
 import math
@@ -152,7 +153,9 @@ def test_mixed_shapes_match_box():
 def test_tube_boundary_draws_give_finite_weights(monkeypatch):
     # braid(5) with unequal radii: solving for x and evaluating h_e(x) again
     # puts many tube corners (|h_e| = R_e for every e in the base) just
-    # outside a ball of their own base
+    # outside a ball of their own base.  The kernel draws such corners here
+    # (every unit-ball draw at +-1) and must still count each row's own
+    # base, nb >= 1, however its non-base values round
     arr = braid(5).with_radii([1.0 + 0.3 * e for e in range(10)])
     view = MatroidView(arr)
     radii = np.asarray(arr.radii)
@@ -164,13 +167,10 @@ def test_tube_boundary_draws_give_finite_weights(monkeypatch):
             dropped += int(arr.gamma_masks(x[None])[0]) & base != base
     assert dropped > 0
 
-    def corner_draw(arr, d):
-        def draw(rng, elems):
-            signs = rng.choice((-1.0, 1.0), size=elems.shape)
-            return (signs * radii[elems])[..., None]
-        return draw
+    def corner_draw(d, rng, count):
+        return rng.choice((-1.0, 1.0), size=(count, d))
 
-    monkeypatch.setattr(mayer, "_ball_draw", corner_draw)
+    monkeypatch.setattr(mayer, "_unit_ball", corner_draw)
     est = pressure_coefficient(view, 1, 4096, 0)
     assert math.isfinite(est.mean) and math.isfinite(est.stderr)
     est = mmc_mc(view, view.ground_mask, 1, 4096, 0)
@@ -205,3 +205,35 @@ def test_single_coefficients_need_no_tables():
     est = safe_projection_expectation(arr, 1, norm_sq,
                                       LinearOrder.default(arr.size), 1 << 10, 0)
     assert est.mean > 0 and math.isfinite(est.stderr)
+
+
+def test_region_estimators_bit_identical_across_workers():
+    # braid(5)'s 125 tubes at 140,000 samples: 1120 rows per base, so a
+    # block holds 7 to 9 base runs, and 3 chunks
+    arr = braid(5)
+    view = MatroidView(arr)
+    n = 140_000
+    bases = view.base_table.masks.size
+    per_base = n // bases
+    assert per_base * bases > 2 * mayer.CHUNK
+    assert 2 * per_base < mayer.BLOCK
+    shapes = [capped_cylinder_shape(3, 1.0)] * arr.size
+    subset = proper_spanning_subset(view)
+    order = LinearOrder(reversed(range(arr.size)))
+    calls = {
+        "pressure_coefficient": lambda w: pressure_coefficient(view, 1, n, 40, w),
+        "mmc_mc-within": lambda w: mmc_mc(view, subset, 1, n, 41, w),
+        "mmc_asa": lambda w: mmc_asa(view, view.ground_mask, shapes, 1, n, 42, w),
+        "asa_pressure_coefficient":
+            lambda w: asa_pressure_coefficient(view, shapes, 1, n, 43, w),
+        "project_expectation":
+            lambda w: project_expectation(view, 1, norm_sq, n, 44, w).mmc_side,
+        "safe_projection_expectation":
+            lambda w: safe_projection_expectation(view, 1, norm_sq, order, n,
+                                                  45, w),
+    }
+    for name, call in calls.items():
+        one, two = call(1), call(2)
+        assert ((one.mean, one.stderr, one.n_samples)
+                == (two.mean, two.stderr, two.n_samples)), name
+        assert one.n_samples > 2 * mayer.CHUNK, name

@@ -29,6 +29,7 @@ non-base f has sum_{e in B} |S_B[f, e]| R_e <= R_f, by the triangle
 inequality, so its acceptance is exactly 0 and its share of the budget
 goes to the other bases.
 """
+
 from __future__ import annotations
 
 import csv

@@ -4,31 +4,34 @@ coefficient and the warped-surface (bottom membership) variants; and the
 estimation machinery every Monte Carlo estimate runs on, the chunk
 scheduler and the stratified kernel `_polymer_estimate`.
 
-Estimation contract: the scheduler `map_chunks` cuts work into fixed-size
-chunks, one deterministic random stream per chunk, and returns the chunks'
-results in chunk order.  `run_chunked` merges them into one (n, mean, m2);
-the stratified kernel merges them per base.  Worker count only decides
-which thread runs which chunk, so results are bit-identical across worker
-counts for a fixed (seed, n_samples).
+Estimation contract: the scheduler `map_chunks` runs a list of chunks,
+one deterministic random stream per chunk, and returns the chunks' results
+in chunk order.  `run_chunked` cuts its samples into CHUNK-row chunks and
+merges their results into one (n, mean, m2); the stratified kernel plans
+its own chunks and merges their results per base.  Worker count only
+decides which thread runs which chunk, so results are bit-identical across
+worker counts for a fixed (seed, n_samples).
 
 The stratified kernel estimates a sum over bases of a base weight times
 the mean of a per-row value over that base's draws.  It splits the budget
 evenly across the bases its sides sample (`_Sides`: `volume_mc` and the
 region estimators refuse n_samples below the view's base count and report
-per_base times the sampled bases as their n_samples) and runs all their
-rows as one list: one random stream per CHUNK rows, the chunks on the
-worker pool, and BLOCK rows at a time drawn, mapped to the non-base values
-by each base's float map S_B = C_out(B) B^-1 (a row of the view's base
-table), and valued.  A block's values are shaped (element, row, value
-coordinate), its squared norms and comparisons (element, row), in buffers
-allocated once per chunk.  The rows are sorted by base, so a block is at
-most three parts, each k runs of one base's rows (`_Runs`): a part of a
-block array is an (element, k, run rows, ...) view, S_B and B^-1 reach it
-as one stacked matrix product over k consecutive rows of the base table,
-whose columns are a run's (row, value coordinate) pairs, and per-base
-radii as an (element, k, 1) slice of a transposed per-base table.  The
-polymer volumes (polymer.py) value a row by its acceptance, the region
-estimators here by a weight of its within-radius mask.
+per_base times the sampled bases as their n_samples).  A base's per_base
+rows are one run, and the runs are planned into blocks of at most BLOCK
+rows (`_blocks`): k whole runs of consecutive bases, or, for a run longer
+than BLOCK, one near-equal piece of it.  CHUNK // BLOCK blocks make a
+chunk, with one random stream, and the chunks run on the worker pool.  A
+block is drawn, mapped to the non-base values by each base's float map
+S_B = C_out(B) B^-1 (a row of the view's base table), and valued, in
+buffers that live as long as the chunk.  Its arrays are shaped (element,
+k, run rows, value coordinate), its squared norms and comparisons
+(element, k, run rows): S_B and B^-1 reach it as one stacked matrix
+product over k consecutive rows of the base table, whose columns are a
+run's (row, value coordinate) pairs, per-base radii as an (element, k, 1)
+slice of a transposed per-base table, and its values, shaped (k, run
+rows), give each run's (n, mean, m2) directly.  The polymer volumes
+(polymer.py) value a row by its acceptance, the region estimators here by
+a weight of its within-radius mask.
 
 Every region estimator is one call of `_region_estimate`, the kernel run
 on the tubes of the bases.  For a base B inside `within` (the ground set by
@@ -141,42 +144,41 @@ def z_score(a: MCEstimate, b: MCEstimate) -> float:
 # chunked runner
 # --------------------------------------------------------------------------
 
-def _chunk_specs(n_rows: int, stream_base: int):
-    """(stream, start, count) of each CHUNK-row chunk of n_rows rows."""
-    return [(stream_base + index, start, min(CHUNK, n_rows - start))
-            for index, start in enumerate(range(0, n_rows, CHUNK))]
-
-
-def map_chunks(n_rows: int, seed: int, workers: int, chunk_fn,
-               stream_base: int = 0) -> list:
-    """chunk_fn(rng, start, count) for each CHUNK-row chunk of rows
-    [0, n_rows), with one deterministic random stream per chunk, run on a
-    pool of `workers` threads; the results come back in chunk order.
-
-    Chunk boundaries and streams depend only on n_rows and stream_base,
-    never on workers, so anything reduced from the results in that order is
-    bit-identical for any worker count.
-    """
+def _chunk_sizes(n_rows: int) -> list:
+    """The row counts of the CHUNK-row chunks of n_rows rows."""
     if n_rows < 1:
         raise ValueError("n_samples must be >= 1")
+    return [min(CHUNK, n_rows - start) for start in range(0, n_rows, CHUNK)]
+
+
+def map_chunks(chunks: list, seed: int, workers: int, chunk_fn,
+               stream_base: int = 0) -> list:
+    """chunk_fn(rng, chunk) for each chunk of `chunks`, chunk i with the
+    deterministic random stream stream_base + i, run on a pool of `workers`
+    threads; the results come back in chunk order.
+
+    The chunks and their streams never depend on workers, so anything
+    reduced from the results in that order is bit-identical for any worker
+    count.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    specs = _chunk_specs(n_rows, stream_base)
 
-    def work(spec):
-        stream, start, count = spec
-        return chunk_fn(RNGStream(seed, stream).generator(), start, count)
+    def work(index):
+        rng = RNGStream(seed, stream_base + index).generator()
+        return chunk_fn(rng, chunks[index])
 
-    if workers == 1 or len(specs) == 1:
-        return [work(s) for s in specs]
+    if workers == 1 or len(chunks) == 1:
+        return [work(i) for i in range(len(chunks))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, specs))
+        return list(pool.map(work, range(len(chunks))))
 
 
 def _stats_of(values: np.ndarray):
-    n = values.size
-    mean = float(values.mean())
-    m2 = float(np.sum((values - mean) ** 2))
+    """(n, mean, m2) over the last axis of values."""
+    n = values.shape[-1]
+    mean = values.mean(axis=-1)
+    m2 = np.sum((values - np.expand_dims(mean, -1)) ** 2, axis=-1)
     return (n, mean, m2)
 
 
@@ -195,7 +197,7 @@ def _estimate(stats, seed: int, workers: int) -> MCEstimate:
     """The MCEstimate of pooled (n, mean, m2) stats."""
     n, mean, m2 = stats
     stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return MCEstimate(mean, stderr, n, seed, workers)
+    return MCEstimate(float(mean), stderr, n, seed, workers)
 
 
 def run_chunked(n_samples: int, seed: int, workers: int, values_fn,
@@ -207,8 +209,8 @@ def run_chunked(n_samples: int, seed: int, workers: int, values_fn,
     on n_samples, never on workers.
     """
     results = map_chunks(
-        n_samples, seed, workers,
-        lambda rng, start, count: _stats_of(
+        _chunk_sizes(n_samples), seed, workers,
+        lambda rng, count: _stats_of(
             np.asarray(values_fn(rng, count), dtype=float)),
         stream_base=stream_base)
     return _estimate(reduce(_merge_stats, results), seed, workers)
@@ -223,51 +225,33 @@ def run_chunked(n_samples: int, seed: int, workers: int, values_fn,
 BLOCK = 8192
 
 
-class _Runs:
-    """Rows [row0, row0 + rows) of a stratified list whose row r is drawn
-    for base r // per_base, as parts that each hold whole or partial runs
-    of one base's rows: a partial head run, the whole runs, a partial tail
-    run, empty parts left out.  Part (lo, hi, base, k) is block rows
-    [lo, hi): k runs of (hi - lo) // k rows, for bases base .. base + k - 1.
-
-    A block array with its rows on axis 1 splits into one view per part
-    (`split`), so per-base data reach each part as one slice
-    [base:base + k] of a per-base table, never as per-row gathers, and a
-    block makes the same numpy calls whatever per_base is."""
-
-    def __init__(self, row0: int, rows: int, per_base: int):
-        end = row0 + rows
-        whole_lo = -(-row0 // per_base)     # first run starting in the block
-        whole_hi = end // per_base          # first run ending past the block
-        if whole_lo > whole_hi:             # inside one run
-            parts = [(0, rows, row0 // per_base, 1)]
-        else:
-            lo, hi = whole_lo * per_base - row0, whole_hi * per_base - row0
-            parts = [(0, lo, whole_lo - 1, 1),
-                     (lo, hi, whole_lo, whole_hi - whole_lo),
-                     (hi, rows, whole_hi, 1)]
-        self.parts = [part for part in parts if part[1] > part[0]]
-        self.size = rows
-
-    def split(self, *arrays):
-        """Per part, (base, k) and each array's view of the part's rows, for
-        arrays with the block's rows on axis 1: that axis cut into
-        (k, run rows)."""
-        for lo, hi, base, k in self.parts:
-            yield (base, k) + tuple(
-                a[:, lo:hi].reshape((a.shape[0], k, (hi - lo) // k) + a.shape[2:])
-                for a in arrays)
+def _blocks(bases: int, per_base: int) -> list:
+    """The blocks of a stratified list of per_base rows for each of `bases`
+    bases, in row order, as (base, k, rows): k runs of `rows` rows, one for
+    each of the bases base .. base + k - 1.  Runs of at most BLOCK rows are
+    grouped BLOCK // per_base to a block (the last block may hold fewer);
+    a longer run is cut into ceil(per_base / BLOCK) near-equal pieces, one
+    block each.  So a block holds at most BLOCK rows, and every block but
+    the last of a list of grouped runs holds at least BLOCK / 2."""
+    if per_base <= BLOCK:
+        k = BLOCK // per_base
+        return [(base, min(k, bases - base), per_base)
+                for base in range(0, bases, k)]
+    pieces = -(-per_base // BLOCK)
+    return [(base, 1, (per_base + i) // pieces)
+            for base in range(bases) for i in range(pieces)]
 
 
 @dataclass(frozen=True)
 class _Sides:
     """Which bases are sampled, how their base values are drawn and how a
     row is valued: `table` holds the sampled rows of the view's base table,
-    and each value has `width` entries of `dtype`.  draw(rng, runs, work)
-    returns the rows' base values, shaped (n, runs.size, width), in a
-    buffer of work; value(runs, work, vals) returns the rows' values (a
-    polymer's acceptance flags, a tube's mask weight) given their non-base
-    values vals, shaped (m, runs.size, width)."""
+    and each value has `width` entries of `dtype`.  For a block (base, k,
+    rows), draw(rng, block, work) returns the rows' base values, shaped
+    (n, k, rows, width), in a buffer of work; value(block, work, vals)
+    returns the rows' values (a polymer's acceptance flags, a tube's mask
+    weight), shaped (k, rows), given their non-base values vals, shaped
+    (m, k, rows, width)."""
 
     table: BaseTable
     width: int
@@ -278,9 +262,9 @@ class _Sides:
 
 class _Work:
     """Buffers for the blocks of one chunk: one flat array per name, made
-    at the name's first request, which comes from the chunk's first and
-    largest block, and viewed by each block as a C-contiguous array of the
-    shape it asks for."""
+    at the name's first request and grown when a later block asks for
+    more, and viewed by each block as a C-contiguous array of the shape it
+    asks for."""
 
     def __init__(self):
         self._flat = {}
@@ -288,69 +272,55 @@ class _Work:
     def buffer(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         size = math.prod(shape)
         flat = self._flat.get(name)
-        if flat is None:
+        if flat is None or flat.size < size:
             flat = self._flat[name] = np.empty(size, dtype)
-        assert flat.dtype == dtype and flat.size >= size, (name, shape, dtype)
+        assert flat.dtype == dtype, (name, shape, dtype)
         return flat[:size].reshape(shape)
 
 
-def _matmul_runs(runs: _Runs, maps: np.ndarray, h: np.ndarray,
+def _matmul_runs(block, maps: np.ndarray, h: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
-    """out[:, i] = maps[b] @ h[:, i] for each row i of the block (axis 1 of
-    h, shaped (n, rows, width), and of out), b its base: one stacked matrix
-    product per part of `runs`, over k rows of maps, each run's (row, value
-    coordinate) pairs as the columns.  A one-row run's product is the
-    per-row product maps[b] @ h[:, i] itself; a longer run's gives its bits
-    for real maps and may differ in the last bits for complex ones
+    """out[:, j, i] = maps[base + j] @ h[:, j, i] for each row i of each run
+    j of the block (base, k, rows), h shaped (n, k, rows, width) and out
+    (m, k, rows, width): one stacked matrix product over k rows of maps,
+    each run's (row, value coordinate) pairs as the columns.  A one-row run's
+    product is the per-row product itself; a longer run's gives its bits for
+    real maps and may differ in the last bits for complex ones
     (test_run_views_equal_gathered_products)."""
-    def columns(part):      # (elements, k, L, width) -> (k, elements, L * width)
-        return part.reshape(part.shape[:2] + (math.prod(part.shape[2:]),)
-                            ).swapaxes(0, 1)
+    def columns(a):     # (elements, k, rows, width) -> (k, elements, rows * width)
+        return a.reshape(a.shape[:2] + (math.prod(a.shape[2:]),)
+                         ).swapaxes(0, 1)
 
-    for b, k, part_h, part_out in runs.split(h, out):
-        np.matmul(maps[b:b + k], columns(part_h), out=columns(part_out))
+    base, k, _ = block
+    np.matmul(maps[base:base + k], columns(h), out=columns(out))
     return out
 
 
-def _accept_block(runs: _Runs, rng, sides: _Sides, work: _Work,
-                  need_x: bool):
-    """One block of draws, the rows of `runs` (rows of sides.table): base
-    values h from sides.draw, mapped to the non-base values by each row's
-    S_B and valued by sides.value.  Returns (values, x), x the
-    configurations B^-1 h row by row, (rows, n, width), when need_x, else
-    None."""
+def _accept_block(block, rng, sides: _Sides, work: _Work, need_x: bool):
+    """One block (base, k, rows) of draws for rows of sides.table: base
+    values h from sides.draw, mapped to the non-base values by each run's
+    S_B and valued by sides.value.  Returns (values, x): the values shaped
+    (k, rows), and x the configurations B^-1 h row by row, (k * rows, n,
+    width), when need_x, else None."""
     table = sides.table
-    shape = (table.out.shape[1], runs.size, sides.width)
-    h = sides.draw(rng, runs, work)
-    vals = _matmul_runs(runs, table.to_out, h,
-                        work.buffer("vals", shape, sides.dtype))
-    values = sides.value(runs, work, vals)
+    h = sides.draw(rng, block, work)
+    vals = _matmul_runs(block, table.to_out, h,
+                        work.buffer("vals", (table.out.shape[1],) + h.shape[1:],
+                                    sides.dtype))
+    values = sides.value(block, work, vals)
     if not need_x:
         return values, None
-    x = _matmul_runs(runs, table.inv, h,
+    x = _matmul_runs(block, table.inv, h,
                      work.buffer("x", h.shape, sides.dtype))
-    x_rows = work.buffer("x_rows", (runs.size,) + h.shape[::2], sides.dtype)
-    np.copyto(x_rows, x.swapaxes(0, 1))
+    n, k, rows, width = h.shape
+    x_rows = work.buffer("x_rows", (k * rows, n, width), sides.dtype)
+    np.copyto(x_rows.reshape(k, rows, n, width), x.transpose(1, 2, 0, 3))
     return values, x_rows
 
 
-def _stratum_stats(values: np.ndarray, start: int, per_base: int):
-    """(first base, n, mean, m2) per base of the rows [start, start +
-    values.size) of the stratified list, row r drawn for base
-    r // per_base: every base from the first to the last has rows, so
-    n > 0 throughout.  The sums run over each base's rows in order."""
-    first = start // per_base
-    edges = np.arange(first, (start + values.size - 1) // per_base + 2) * per_base
-    n = np.diff(np.clip(edges, start, start + values.size))
-    local = np.repeat(np.arange(n.size), n)
-    mean = np.bincount(local, values) / n
-    m2 = np.bincount(local, (values - np.repeat(mean, n)) ** 2)
-    return first, n, mean, m2
-
-
 def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
-                      workers: int, sides: _Sides, weights, g=None,
-                      stream_base: int = 0) -> MCEstimate:
+                      workers: int, sides: _Sides, weights,
+                      g=None) -> MCEstimate:
     """Sum over the bases of sides.table of the base's weight times the mean
     over that base's draws of sides.value (times g(x)): the stratified
     estimator with the budget split evenly across those bases, which every
@@ -359,14 +329,14 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
     view's base count.  `weights` holds one weight per row of sides.table,
     or one for all bases.
 
-    The per_base * |bases| rows are one stratified list, row r drawn for
-    base r // per_base, cut into CHUNK-row chunks with one random stream
-    each (from stream_base on) and run on the worker pool, BLOCK rows at a
-    time, in buffers allocated once per chunk; g, when given, takes the
-    block's configurations row by row, (rows, n, width).  Per-base
-    (n, mean, m2) come from bincounts over each chunk and are merged per
-    base in chunk order, so the estimate is bit-identical for any worker
-    count.
+    The per_base rows of each base are one run, and the runs are planned
+    into blocks of whole runs or of pieces of one run (`_blocks`), CHUNK //
+    BLOCK blocks to a chunk, with one random stream per chunk.  The chunks
+    run on the worker pool, a block at a time, in buffers that live as
+    long as the chunk; g, when given, takes the block's configurations row
+    by row, (k * rows, n, width).  Each block's values, shaped (k, rows), give
+    its runs' (n, mean, m2), merged per base in chunk order, so the
+    estimate is bit-identical for any worker count.
     """
     total = view.base_table.masks.size
     if n_samples < total:
@@ -375,31 +345,30 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
     count = sides.table.masks.size
     if count == 0:      # every stratum is empty: the volume is exactly 0
         return MCEstimate(0.0, 0.0, 0, seed, workers)
-    per_base = n_samples // count
     weights = np.full(count, weights, dtype=float)
+    blocks = _blocks(count, n_samples // count)
+    step = CHUNK // BLOCK
+    chunks = [blocks[i:i + step] for i in range(0, len(blocks), step)]
 
-    def chunk_stats(rng, start, count):
+    def chunk_stats(rng, chunk):
         work = _Work()
-        values = np.empty(count)
-        for lo in range(0, count, BLOCK):
-            runs = _Runs(start + lo, min(BLOCK, count - lo), per_base)
-            row_values, x = _accept_block(runs, rng, sides, work,
-                                          g is not None)
-            block = values[lo:lo + runs.size]
-            if g is None:
-                block[:] = row_values
-            else:
-                np.multiply(row_values, g(x), out=block)
-        return _stratum_stats(values, start, per_base)
+        stats = []
+        for block in chunk:
+            values, x = _accept_block(block, rng, sides, work, g is not None)
+            if g is not None:
+                values = values * g(x).reshape(values.shape)
+            stats.append(_stats_of(values))
+        return stats
 
     n = np.zeros(count, dtype=np.int64)
     mean = np.zeros(count)
     m2 = np.zeros(count)
-    for first, cn, cmean, cm2 in map_chunks(per_base * count, seed, workers,
-                                            chunk_stats, stream_base):
-        part = slice(first, first + cn.size)
-        n[part], mean[part], m2[part] = _merge_stats(
-            (n[part], mean[part], m2[part]), (cn, cmean, cm2))
+    for chunk, stats in zip(chunks, map_chunks(chunks, seed, workers,
+                                               chunk_stats)):
+        for (base, k, _), block_stats in zip(chunk, stats):
+            part = slice(base, base + k)
+            n[part], mean[part], m2[part] = _merge_stats(
+                (n[part], mean[part], m2[part]), block_stats)
     # the variance of each stratum's mean, 0 for a single row as in run_chunked
     var = m2 / np.maximum(n - 1, 1) / n * (n > 1)
     return MCEstimate(float(weights @ mean), math.sqrt(float(weights ** 2 @ var)),
@@ -410,31 +379,32 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
 # sides shared by the polymer and tube estimators
 # --------------------------------------------------------------------------
 
-def _scale_rows(runs: _Runs, u: np.ndarray, base_radii: np.ndarray,
+def _scale_rows(block, u: np.ndarray, base_radii: np.ndarray,
                 h: np.ndarray) -> np.ndarray:
-    """h[e, i] = R_e * u[i, e] for each row i of the block and each element
-    e of its base, written into h and returned: u shaped (rows, n, real
-    coordinates), h (n, rows, width), base_radii (n, bases).  A complex h
-    holds coordinates (2j, 2j + 1) as the real and imaginary part of entry
-    j, as u[..., 0::2] + 1j * u[..., 1::2] does."""
-    u_rows = u.reshape(runs.size, h.shape[0], -1).swapaxes(0, 1)
-    for b, k, part_u, part_h in runs.split(u_rows, h.view(float)):
-        np.multiply(part_u, base_radii[:, b:b + k, None, None], out=part_h)
+    """h[e, j, i] = R_e * u[j, i, e] for each row i of each run j of the
+    block (base, k, rows) and each element e of the run's base, written into
+    h and returned: u shaped (k * rows * n, real coordinates) in (run, row,
+    element) order, h (n, k, rows, width), base_radii (n, bases).  A
+    complex h holds coordinates (2j, 2j + 1) as the real and imaginary part
+    of entry j, as u[..., 0::2] + 1j * u[..., 1::2] does."""
+    base, k, rows = block
+    u_runs = u.reshape(k, rows, h.shape[0], -1).transpose(2, 0, 1, 3)
+    np.multiply(u_runs, base_radii[:, base:base + k, None, None],
+                out=h.view(float))
     return h
 
 
 def _beyond_radii(table: BaseTable, radii: np.ndarray):
-    """outside(runs, work, vals) for balls: whether each non-base value's
-    norm exceeds its hyperplane's radius, (m, rows) bool."""
+    """outside(block, work, vals) for balls: whether each non-base value's
+    norm exceeds its hyperplane's radius, (m, k, rows) bool."""
     # per-base squared radii with the bases on axis 1: (m, bases)
     out_radii_sq = (radii ** 2)[table.out].T
 
-    def outside(runs, work, vals):
+    def outside(block, work, vals):
+        base, k, _ = block
         norms_sq = _norms_sq(vals)
-        compared = work.buffer("compared", norms_sq.shape, bool)
-        for b, k, part, cmp in runs.split(norms_sq, compared):
-            np.greater(part, out_radii_sq[:, b:b + k, None], out=cmp)
-        return compared
+        return np.greater(norms_sq, out_radii_sq[:, base:base + k, None],
+                          out=work.buffer("compared", norms_sq.shape, bool))
 
     return outside
 
@@ -449,60 +419,61 @@ def _shape_indices(shapes):
 
 
 def _shape_draw(table: BaseTable, shapes, width: int, sample):
-    """draw(rng, runs, work) for warped shapes: each row's base values
-    sample(shapes[e], rng, count) with `width` coordinates, (n, rows,
-    width), from one sample call per distinct shape over the rows' (row,
+    """draw(rng, block, work) for warped shapes: each row's base values
+    sample(shapes[e], rng, count) with `width` coordinates, (n, k, rows,
+    width), from one sample call per distinct shape over the block's (row,
     element) pairs in row order."""
     distinct, shape_of = _shape_indices(shapes)
     # the shapes of the base elements with the bases on axis 1: (n, bases)
     base_shapes = shape_of[table.elems].T
     n = base_shapes.shape[0]
 
-    def draw(rng, runs, work):
-        rows = runs.size
-        h = work.buffer("h", (n, rows, width))
+    def draw(rng, block, work):
+        base, k, rows = block
+        count = k * rows * n
         if len(distinct) == 1:
             # the loop's draws for one shape, without its gather and
-            # scatter: perfbench warped_projection wall_s 0.96 -> 0.91 s, 5
-            # of 6 pairs (2-vCPU VM)
-            points = sample(distinct[0], rng, rows * n)
+            # scatter: without this fork, perfbench warped_projection passes
+            # ran 7-19% slower in 6 of 6 alternations (medians of 7 passes,
+            # 0.396-0.458 s against 0.360-0.404 s, 2-vCPU VM)
+            points = sample(distinct[0], rng, count)
         else:
-            which = work.buffer("which", (n, rows), shape_of.dtype)
-            for b, k, part in runs.split(which):
-                part[...] = base_shapes[:, b:b + k, None]
-            which = which.T.reshape(-1)
-            points = np.empty((rows * n, width))
+            # each (row, element) pair's shape, in row order
+            which = np.repeat(base_shapes[:, base:base + k].T, rows,
+                              axis=0).reshape(-1)
+            points = np.empty((count, width))
             for i, shape in enumerate(distinct):
                 pick = which == i
                 points[pick] = sample(shape, rng, int(np.count_nonzero(pick)))
-        np.copyto(h, points.reshape(rows, n, width).swapaxes(0, 1))
+        h = work.buffer("h", (n, k, rows, width))
+        np.copyto(h, points.reshape(k, rows, n, width).transpose(2, 0, 1, 3))
         return h
 
     return draw
 
 
 def _shape_test(table: BaseTable, shapes, test):
-    """outside(runs, work, vals) for warped shapes: test(shapes[e], v) of
-    each non-base value v, rows of `width` coordinates, as (m, rows) bool.
-    Per part, each distinct shape is tested on the runs of the values that
-    have it only: the part's (non-base element, run) pairs grouped by a
+    """outside(block, work, vals) for warped shapes: test(shapes[e], v) of
+    each non-base value v, rows of `width` coordinates, as (m, k, rows)
+    bool.  Each distinct shape is tested on the runs of the values that
+    have it only: the block's (non-base element, run) pairs grouped by a
     stable sort of their shape indices, their runs of values gathered,
     tested and scattered back."""
     distinct, shape_of = _shape_indices(shapes)
     # the shapes of the non-base values with the bases on axis 1: (m, bases)
     out_shapes = shape_of[table.out].T
 
-    def outside(runs, work, vals):
-        flags = work.buffer("flags", vals.shape[:2], bool)
-        for b, k, part_vals, part_flags in runs.split(vals, flags):
-            which = out_shapes[:, b:b + k].reshape(-1)
-            order = np.argsort(which, kind="stable")
-            counts = np.bincount(which, minlength=len(distinct))
-            for s, own in zip(distinct, np.split(order, np.cumsum(counts)[:-1])):
-                own = np.divmod(own, k)
-                v = part_vals[own]          # (pairs, run rows, width)
-                part_flags[own] = test(s, v.reshape(-1, v.shape[-1])
-                                       ).reshape(v.shape[:2])
+    def outside(block, work, vals):
+        base, k, _ = block
+        flags = work.buffer("flags", vals.shape[:3], bool)
+        which = out_shapes[:, base:base + k].reshape(-1)
+        order = np.argsort(which, kind="stable")
+        counts = np.bincount(which, minlength=len(distinct))
+        for s, own in zip(distinct, np.split(order, np.cumsum(counts)[:-1])):
+            own = np.divmod(own, k)
+            v = vals[own]               # (pairs, rows, width)
+            flags[own] = test(s, v.reshape(-1, v.shape[-1])
+                              ).reshape(v.shape[:2])
         return flags
 
     return outside
@@ -521,32 +492,34 @@ def _unit_ball(d: int, rng, count: int) -> np.ndarray:
 
 
 def _tube_value(view: MatroidView, table: BaseTable, weight, outside):
-    """value(runs, work, vals) of the tube sides: w / nb of each row's
+    """value(block, work, vals) of the tube sides: w / nb of each row's
     within-radius mask G, every element but the non-base ones flagged by
-    outside(runs, work, vals).  A base's own elements are always in G, so
+    outside(block, work, vals).  A base's own elements are always in G, so
     float rounding at |h_e| = R_e cannot drop x out of its own tube: nb >= 1
     on every row."""
     # the bits of the non-base elements with the bases on axis 1: (m, bases)
     out_bits = _mask_bits(view.size)[table.out].T
     ground = np.int64(view.ground_mask)
 
-    def value(runs, work, vals):
-        flags = outside(runs, work, vals)
-        bits = work.buffer("bits", flags.shape, np.int64)
-        for b, k, part_flags, part_bits in runs.split(flags, bits):
-            np.multiply(part_flags, out_bits[:, b:b + k, None], out=part_bits)
+    def value(block, work, vals):
+        base, k, rows = block
+        flags = outside(block, work, vals)
+        bits = np.multiply(flags, out_bits[:, base:base + k, None],
+                           out=work.buffer("bits", flags.shape, np.int64))
         masks = np.add.reduce(bits, axis=0,
-                              out=work.buffer("masks", (runs.size,), np.int64))
+                              out=work.buffer("masks", (k, rows), np.int64))
         np.bitwise_xor(masks, ground, out=masks)
-        w, nb = weight(masks)
-        return np.divide(w, nb, out=work.buffer("weights", (runs.size,)))
+        w, nb = weight(masks.reshape(-1))
+        weights = work.buffer("weights", (k, rows))
+        np.divide(w, nb, out=weights.reshape(-1))
+        return weights
 
     return value
 
 
 def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
                      seed: int, workers: int, *, within: int | None = None,
-                     shapes=None, g=None, stream_base: int = 0) -> MCEstimate:
+                     shapes=None, g=None) -> MCEstimate:
     """Estimate of the integral over configurations x of
     weight(G(x)) * g(x), G(x) the within-radius mask: ball membership, or
     bottom membership of each hyperplane's shape when shapes are given.
@@ -576,10 +549,11 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
         n = base_radii.shape[0]
         width, dtype = (d, float) if arr.complexified else (d // 2, complex)
 
-        def draw(rng, runs, work):
-            return _scale_rows(runs, _unit_ball(d, rng, runs.size * n),
+        def draw(rng, block, work):
+            _, k, rows = block
+            return _scale_rows(block, _unit_ball(d, rng, k * rows * n),
                                base_radii,
-                               work.buffer("h", (n, runs.size, width), dtype))
+                               work.buffer("h", (n, k, rows, width), dtype))
 
         outside = _beyond_radii(table, radii)
         body = ball_volume(d) * radii ** d
@@ -592,8 +566,7 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
     vol = table.abs_det ** -d * np.prod(body[table.elems], axis=1)
     sides = _Sides(table, width, dtype, draw,
                    _tube_value(view, table, weight, outside))
-    return _polymer_estimate(view, n_samples, seed, workers, sides, vol, g=g,
-                             stream_base=stream_base)
+    return _polymer_estimate(view, n_samples, seed, workers, sides, vol, g=g)
 
 
 def _chi_weight(view: MatroidView):

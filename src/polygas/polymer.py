@@ -17,10 +17,10 @@ the base values are drawn (sphere or surface points), how a non-base value
 is tested, and the base weights; a polymer row's value is its acceptance
 flag.  The budget is split evenly across the sampled bases, and a row's
 non-base values come from its base's float map S_B = C_out(B) B^-1 (a row
-of the view's base table), as one stacked matrix product per run part of a
-block (see the mayer module docstring).
-`sample_for_base` and `dump_samples_csv` use the same block function on one
-base.  The region sides of the projection laws are tube-kernel calls
+of the view's base table), as one stacked matrix product per block of
+whole runs (see the mayer module docstring).  `sample_for_base` and
+`dump_samples_csv` use the same block function on a block of one run.
+The region sides of the projection laws are tube-kernel calls
 (`mayer._region_estimate`).
 
 The ball volumes sample only the bases whose strata can accept at the
@@ -47,8 +47,8 @@ from .matroid import (BaseTable, LinearOrder, MatroidError, MatroidView,
                       view_of)
 from .mayer import (Z_LIMIT, MCEstimate, _accept_block, _beyond_radii,
                     _check_shapes, _chi_weight, _polymer_estimate,
-                    _region_estimate, _Runs, _scale_rows, _shape_draw,
-                    _shape_test, _Sides, _Work, z_score)
+                    _region_estimate, _scale_rows, _shape_draw, _shape_test,
+                    _Sides, _Work, z_score)
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,12 @@ class PolymerSample:
 
 
 def _accepted(outside):
-    """value(runs, work, vals) of the polymer sides: accepted where
-    outside(runs, work, vals) flags every non-base value."""
-    def value(runs, work, vals):
-        accepted = work.buffer("accepted", (runs.size,), bool)
-        return np.logical_and.reduce(outside(runs, work, vals), axis=0,
-                                     out=accepted)
+    """value(block, work, vals) of the polymer sides: accepted where
+    outside(block, work, vals) flags every non-base value."""
+    def value(block, work, vals):
+        flags = outside(block, work, vals)
+        return np.logical_and.reduce(
+            flags, axis=0, out=work.buffer("accepted", flags.shape[1:], bool))
     return value
 
 
@@ -92,16 +92,17 @@ def _ball_sides(view: MatroidView, dim: int, radii,
     n, m = table.elems.shape[1], table.out.shape[1]
     width, dtype = (dim, float) if arr.complexified else (dim // 2, complex)
 
-    def draw(rng, runs, work):
-        # the directions in the sphere draw's order, (rows, n, dim), drawn
-        # into the block's non-base value buffer (free until the S_B
-        # product) and written times R_e into h, (n, rows, dim) as floats
-        rows = runs.size
-        free = work.buffer("vals", (max(n, m) * rows * width,), dtype)
-        u = free.view(float)[:rows * n * dim].reshape(rows * n, dim)
-        sample_unit_sphere(dim, rng, rows * n, out=u)
-        return _scale_rows(runs, u, base_radii,
-                           work.buffer("h", (n, rows, width), dtype))
+    def draw(rng, block, work):
+        # the directions in the sphere draw's order, (k * rows * n, dim),
+        # drawn into the block's non-base value buffer (free until the S_B
+        # product) and written times R_e into h, (n, k, rows, dim) as floats
+        _, k, rows = block
+        count = k * rows * n
+        free = work.buffer("vals", (max(n, m) * k * rows * width,), dtype)
+        u = free.view(float)[:count * dim].reshape(count, dim)
+        sample_unit_sphere(dim, rng, count, out=u)
+        return _scale_rows(block, u, base_radii,
+                           work.buffer("h", (n, k, rows, width), dtype))
 
     return _Sides(table, width, dtype, draw,
                   _accepted(_beyond_radii(table, radii)))
@@ -160,9 +161,10 @@ def _exact_empty(view: MatroidView, radii: np.ndarray,
 
 def _one_base_block(row: int, rows: int, rng, sides: _Sides):
     """(accepted, x) of `rows` draws for the base in row `row` of
-    sides.table, as one block."""
-    return _accept_block(_Runs(row * rows, rows, rows), rng, sides, _Work(),
-                         need_x=True)
+    sides.table, as the one block (row, 1, rows)."""
+    accepted, x = _accept_block((row, 1, rows), rng, sides, _Work(),
+                                need_x=True)
+    return accepted[0], x
 
 
 def sample_for_base(arr, base_mask: int, dim: int,

@@ -506,13 +506,13 @@ def pressure_coefficient_enumerated(view, d: int, n_samples: int, seed: int,
                                     workers: int = 1) -> MCEstimate:
     """The pressure coefficient as the sum over spanning subsets H of each
     subset's coefficient, estimated separately (n_samples each, split over
-    the bases inside H, stream block h_index << 32) by the tube kernel
-    restricted to H.  Exponential
-    in the ground set; desk scale only."""
+    the bases inside H, seed + (h_index << 32) for the h_index-th subset)
+    by the tube kernel restricted to H.  Exponential in the ground set;
+    desk scale only."""
     if d == 0:
         return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
-    parts = [_region_estimate(view, d, _contains(mask), n_samples, seed,
-                              workers, within=mask, stream_base=h_index << 32
+    parts = [_region_estimate(view, d, _contains(mask), n_samples,
+                              seed + (h_index << 32), workers, within=mask
                               ).scaled(_parity(mask))
              for h_index, mask in enumerate(spanning_subsets(view))]
     return mc_sum(parts, seed, workers)

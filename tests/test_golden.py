@@ -21,7 +21,7 @@ def _triple(est):
 
 def test_pressure_coefficient_braid4():
     est = pressure_coefficient(MatroidView(braid(4)), 1, 2 ** 17, 5)
-    assert _triple(est) == (-63.984334309894486, 0.05972399711580659, 131072)
+    assert _triple(est) == (-63.984334309895836, 0.05972399711580605, 131072)
 
 
 def test_volume_braid4():
@@ -31,9 +31,10 @@ def test_volume_braid4():
 
 def test_check_dr_dowling_2_3():
     report = check_dr(dowling(2, 3), 2, 2 ** 16, 7)
-    # both sides split 65536 samples over 3 bases: 21845 each
-    assert _triple(report.lhs) == (313.7602783939499, 0.25005096432077184, 65535)
-    assert _triple(report.rhs) == (937.6065348380693, 1.8191649947931432, 65535)
+    # both sides split 65536 samples over 3 bases: 21845 each, cut into
+    # blocks of 7281 and 7282 rows, nine blocks in two chunks
+    assert _triple(report.lhs) == (313.5244414247691, 0.24989235334864723, 65535)
+    assert _triple(report.rhs) == (937.6065348380693, 1.819164994793044, 65535)
 
 
 def test_bounding_halfwidth_braid5():
@@ -50,41 +51,41 @@ def test_mmc_asa_braid3_capped():
     view = MatroidView(braid(3))
     est = mmc_asa(view, view.ground_mask, [capped_cylinder_shape(3, 1.0)] * 3,
                   1, 2 ** 17, 22)
-    assert _triple(est) == (-6.769604028382399, 0.010733051571422481, 131070)
+    assert _triple(est) == (-6.752986953536278, 0.01075964966650476, 131070)
 
 
 def test_asa_pressure_coefficient_braid3_cylinder():
     est = asa_pressure_coefficient(MatroidView(braid(3)),
                                    [cylinder_shape(3, 1.0)] * 3, 1, 2 ** 17, 23)
-    assert _triple(est) == (2.2500267032888672, 0.0011961010655374038, 131070)
+    assert _triple(est) == (2.250751506828412, 0.001197257898072668, 131070)
 
 
 def test_asa_volume_braid3_capped():
     est = asa_volume_mc(braid(3), [capped_cylinder_shape(3, 1.0)] * 3, 2 ** 17, 24)
-    # 2^17 samples split over 3 bases: 43690 each
-    assert _triple(est) == (799.7673198028818, 1.2743451347220223, 131070)
+    # 2^17 samples split over 3 bases: 43690 each, six blocks per base
+    assert _triple(est) == (798.6938393699686, 1.276086455998401, 131070)
 
 
 def test_pressure_coefficient_enumerated_coxeter_b2():
     est = pressure_coefficient_enumerated(MatroidView(coxeter_b(2)), 1, 2 ** 13, 25)
     # 11 spanning subsets, 2^13 samples each split over their bases
-    assert _triple(est) == (14.023687423687365, 0.04230166975955014, 90102)
+    assert _triple(est) == (14.055921855921856, 0.04242223858387806, 90102)
 
 
 def test_project_expectation_coxeter_b2():
     report = project_expectation(coxeter_b(2), 1, "norm_sq", 2 ** 17, 26)
     # 5 of the 6 bases can accept at unit radii: 26214 rows each; the
     # region side samples all 6 tubes, 21845 rows each
-    assert _triple(report.polymer_side) == (604.9678395038414, 2.024811012490355,
+    assert _triple(report.polymer_side) == (603.8522479012047, 2.0254874550383057,
                                             131070)
-    assert _triple(report.mmc_side) == (605.5195430023251, 2.1421681556877767,
+    assert _triple(report.mmc_side) == (605.1623011630892, 2.1395296422977714,
                                         131070)
 
 
 def test_safe_projection_expectation_braid3():
     est = safe_projection_expectation(braid(3), 1, "norm_sq", LinearOrder([2, 0, 1]),
                                       2 ** 17, 27)
-    assert _triple(est) == (354.2353780178016, 1.078262861362479, 131070)
+    assert _triple(est) == (354.92544829935895, 1.0801636359512312, 131070)
 
 
 def test_sample_for_base_braid3():
@@ -106,7 +107,7 @@ def test_mmc_mc_braid4_five_of_six_hyperplanes():
 def test_volume_braid4_unequal_radii():
     est = volume_mc(braid(4), 2, 2 ** 17, 30, radii=(1, 1.5, 2, 2.5, 3, 3.5))
     # 9 of the 16 bases can accept at these radii: 14563 rows each
-    assert _triple(est) == (1487.5177669677641, 2.867540639505814, 131067)
+    assert _triple(est) == (1486.3935951565165, 2.8694499522977903, 131067)
 
 
 def test_dump_samples_csv_braid3(tmp_path):
@@ -117,44 +118,45 @@ def test_dump_samples_csv_braid3(tmp_path):
 
 
 
-# polymer blocks made of many base runs, with runs cut at block and chunk
-# edges: the kernel's per-base data must reach every row bit for bit
+# polymer blocks made of many whole base runs, or of pieces of one long run:
+# the kernel's per-base data must reach every row bit for bit
 
 def test_volume_braid6_runs_across_blocks_and_chunks():
-    # 1296 bases, 101 rows each: ~81 runs per block, two chunks
+    # 1296 bases, 101 rows each: 81 runs per block, 16 blocks in two chunks
     est = volume_mc(braid(6), 3, 2 ** 17, 31)
-    assert _triple(est) == (76947964.98234059, 435838.51352961286, 130896)
+    assert _triple(est) == (76687345.28722681, 435177.62094834395, 130896)
 
 
 def test_volume_braid5_short_runs():
-    # 125 bases, 7 rows each
+    # 125 bases, 7 rows each: one block
     est = volume_mc(braid(5), 3, 7 * 125, 32)
     assert _triple(est) == (865660.6764347461, 47305.17187254695, 875)
 
 
 def test_volume_dowling_2_3_unequal_radii():
-    # complex coordinates at dim 4; 3 bases of 43690 rows
+    # complex coordinates at dim 4; 3 bases of 43690 rows, six blocks each
     est = volume_mc(dowling(2, 3), 4, 2 ** 17, 33, radii=(1, 1.5, 0.7))
-    assert _triple(est) == (825.2728282082414, 0.8270459546370965, 131070)
+    assert _triple(est) == (824.6931449015616, 0.8289219985017738, 131070)
 
 
 def test_asa_volume_braid4_mixed_shapes():
-    # capped and plain cylinders of three lengths; 16 bases of 6250 rows
+    # capped and plain cylinders of three lengths; 16 bases of 6250 rows,
+    # one run per block
     shapes = [capped_cylinder_shape(3, 1.0), cylinder_shape(3, 1.0),
               capped_cylinder_shape(3, 1.5), cylinder_shape(3, 1.0),
               capped_cylinder_shape(3, 1.0), cylinder_shape(3, 2.0)]
     est = asa_volume_mc(braid(4), shapes, 100_000, 34)
-    assert _triple(est) == (22471.18634002009, 67.95058261357664, 100000)
+    assert _triple(est) == (22331.22648758735, 68.10518234374038, 100000)
 
 
 def test_project_expectation_coxeter_b3():
     # the polymer side solves for x: 53 of the 68 bases can accept at unit
-    # radii, 2473 rows each; the region side samples all 68 tubes, 1927 rows
-    # each
+    # radii, 2473 rows each, 3 runs per block; the region side samples all
+    # 68 tubes, 1927 rows each, 4 runs per block
     report = project_expectation(coxeter_b(3), 1, "norm_sq", 2 ** 17, 35)
-    assert _triple(report.polymer_side) == (96763.96814318855, 470.4554202706515,
+    assert _triple(report.polymer_side) == (96704.0871604177, 473.0828165372124,
                                             131069)
-    assert _triple(report.mmc_side) == (97805.17916280408, 464.23997179803746,
+    assert _triple(report.mmc_side) == (97739.83157931628, 463.8611601474875,
                                         131036)
 
 def _digest(arrays):

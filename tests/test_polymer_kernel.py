@@ -14,8 +14,8 @@ import polygas.mayer as mayer
 from oracles import ball_sides, per_base_polymer_estimate, surface_sides
 from polygas import (MatroidView, asa_volume_mc, braid, capped_cylinder_shape,
                      coxeter_b, coxeter_d, custom, cylinder_shape, dowling,
-                     project_expectation, sphere_area, surface_measure_total,
-                     volume_mc, z_score)
+                     pressure_coefficient, project_expectation, sphere_area,
+                     surface_measure_total, volume_mc, z_score)
 from polygas.matroid import mask_elements
 from polygas.mayer import BLOCK, CHUNK
 from polygas.polymer import live_base_table
@@ -192,13 +192,44 @@ def test_one_sample_per_base_has_finite_stderr():
     assert math.isfinite(est.mean) and math.isfinite(est.stderr)
 
 
+def test_workers_bit_identical_when_blocks_grow():
+    # per_base = BLOCK + 1: each run is cut into pieces of 4096 and 4097
+    # rows, so a chunk's second block is larger than its first and the
+    # chunk's buffers must grow; 16 bases give 32 blocks in four chunks
+    view = MatroidView(braid(4))
+    per_base = BLOCK + 1
+    assert mayer._blocks(16, per_base)[:2] == [(0, 1, 4096), (0, 1, 4097)]
+    n = 16 * per_base
+    for call in (lambda w: volume_mc(view, 3, n, 62, workers=w),
+                 lambda w: pressure_coefficient(view, 1, n, 63, workers=w)):
+        a, b = call(1), call(2)
+        assert a.n_samples == n
+        assert (a.mean, a.stderr, a.n_samples) == (b.mean, b.stderr, b.n_samples)
+
+
+def test_chunk_runners_refuse_before_any_chunk_runs():
+    calls = []
+
+    def values(rng, count):
+        calls.append(count)
+        return np.zeros(count)
+
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        mayer.run_chunked(0, 0, 1, values)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        mayer.run_chunked(10, 0, 0, values)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        volume_mc(braid(3), 3, 100, 0, workers=0)
+    assert calls == []
+
+
 def test_one_scheduled_run_per_volume(monkeypatch):
     calls = []
     original = mayer.map_chunks
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting(chunks, *args, **kwargs):
+        calls.append(sum(k * rows for chunk in chunks for _, k, rows in chunk))
+        return original(chunks, *args, **kwargs)
 
     monkeypatch.setattr(mayer, "map_chunks", counting)
     volume_mc(braid(5), 3, 2 ** 14, 0)
@@ -207,25 +238,45 @@ def test_one_scheduled_run_per_volume(monkeypatch):
     assert calls == [2 ** 14 // 125 * 125, 2 ** 14]
 
 
-def _run_split_cases(count):
-    """(row0, per_base, rows) blocks of a stratified list of `count` bases:
-    per_base = 1, per_base > BLOCK, a block inside one run, the short last
-    block of a chunk, and random blocks."""
-    per_base = CHUNK // count + 7           # the list ends inside chunk 2
-    last = CHUNK + (per_base * count - CHUNK - 1) // BLOCK * BLOCK
-    cases = [(0, 1, min(BLOCK, count)),
-             (BLOCK, BLOCK + 3, BLOCK),              # two partial runs
-             (5, BLOCK + 3, 100),                    # inside one run
-             (7, 10, 3),                             # inside one short run
-             (last, per_base, per_base * count - last)]
+# per_base on both sides of BLOCK, and past a chunk
+PLAN_GRID = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, CHUNK + 7]
+
+
+@pytest.mark.parametrize("per_base", PLAN_GRID)
+@pytest.mark.parametrize("bases", [1, 3, 125])
+def test_blocks_hold_whole_runs_or_pieces_of_one(bases, per_base):
+    blocks = mayer._blocks(bases, per_base)
+    # the blocks' runs, consecutive pieces of one base joined, are per_base
+    # rows of base 0, then of base 1, ...
+    runs = []
+    for base, k, rows in blocks:
+        for b in range(base, base + k):
+            if runs and runs[-1][0] == b:
+                runs[-1][1] += rows
+            else:
+                runs.append([b, rows])
+    assert runs == [[b, per_base] for b in range(bases)]
+    sizes = [k * rows for _, k, rows in blocks]
+    assert max(sizes) <= BLOCK
+    # every block but the last of grouped whole runs is at least half full
+    full = sizes[:-1] if per_base <= BLOCK else sizes
+    assert all(size >= BLOCK // 2 for size in full)
+    if per_base > BLOCK:
+        assert all(k == 1 for _, k, _ in blocks)
+    if per_base == BLOCK + 1:
+        assert [rows for _, _, rows in blocks[:2]] == [4096, 4097]
+
+
+def _plan_blocks(count):
+    """Blocks planned for a list of `count` bases: for each per_base of the
+    grid and 20 random ones below 200, the plan's first two blocks and its
+    last."""
     rng = np.random.default_rng(7)
-    for _ in range(40):
-        per_base = int(rng.integers(1, 200))
-        total = per_base * count
-        row0 = int(rng.integers(0, total))
-        cases.append((row0, per_base,
-                      int(rng.integers(1, min(BLOCK, total - row0) + 1))))
-    return cases
+    blocks = []
+    for per_base in PLAN_GRID + rng.integers(1, 200, 20).tolist():
+        plan = mayer._blocks(count, per_base)
+        blocks += plan[:2] + plan[2:][-1:]
+    return blocks
 
 
 @pytest.mark.parametrize("arr", [braid(3), braid(5), coxeter_b(3), dowling(2, 3)],
@@ -240,30 +291,21 @@ def test_run_views_equal_gathered_products(arr):
     count = table.masks.size
     rng = np.random.default_rng(8)
     dtype = table.inv.dtype
-    for row0, per_base, rows in _run_split_cases(count):
-        runs = mayer._Runs(row0, rows, per_base)
-        b = np.arange(row0, row0 + rows) // per_base
-        edges = [edge for lo, hi, _, _ in runs.parts for edge in (lo, hi)]
-        assert edges[0] == 0 and edges[-1] == rows and len(runs.parts) <= 3
-        assert edges[1:-1:2] == edges[2:-1:2]     # the parts tile the block
-        assert np.array_equal(
-            np.concatenate([np.repeat(np.arange(base, base + k), (hi - lo) // k)
-                            for lo, hi, base, k in runs.parts]), b)
-        h = rng.standard_normal((table.inv.shape[1], rows, 2))
+    for block in _plan_blocks(count):
+        base, k, rows = block
+        b = np.repeat(np.arange(base, base + k), rows)
+        h = rng.standard_normal((table.inv.shape[1], k, rows, 2))
         if dtype == complex:
             h = h + 1j * rng.standard_normal(h.shape)
-        h_rows = np.ascontiguousarray(h.swapaxes(0, 1))
+        h_rows = h.reshape(h.shape[0], k * rows, 2).swapaxes(0, 1)
         for maps in (table.to_out, table.inv):
-            out = np.empty((maps.shape[1], rows, 2), dtype)
-            got = mayer._matmul_runs(runs, maps, h, out)
+            out = np.empty((maps.shape[1], k, rows, 2), dtype)
+            got = mayer._matmul_runs(block, maps, h, out)
             assert got is out
-            got = got.swapaxes(0, 1)
-            want = maps[b] @ h_rows
+            got = got.reshape(maps.shape[1], k * rows, 2).swapaxes(0, 1)
+            want = maps[b] @ np.ascontiguousarray(h_rows)
             if dtype == complex:
                 scale = np.abs(maps[b]) @ np.abs(h_rows)
                 assert np.all(np.abs(got - want) <= ULPS * np.spacing(scale))
             else:
                 assert np.array_equal(got, want)
-        # each part's view is a view of the block's rows, k runs of them
-        for _, k, part in runs.split(h):
-            assert np.shares_memory(part, h) and part.shape[1] == k

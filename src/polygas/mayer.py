@@ -272,9 +272,9 @@ class _Work:
     def buffer(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         size = math.prod(shape)
         flat = self._flat.get(name)
+        assert flat is None or flat.dtype == dtype, (name, shape, dtype)
         if flat is None or flat.size < size:
             flat = self._flat[name] = np.empty(size, dtype)
-        assert flat.dtype == dtype, (name, shape, dtype)
         return flat[:size].reshape(shape)
 
 

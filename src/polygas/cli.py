@@ -70,6 +70,10 @@ class ExperimentConfig:
             raise CliError("workers must be >= 1")
         if self.d < 0:
             raise CliError("d must be >= 0")
+        if self.orders < 0:
+            raise CliError("orders must be >= 0")
+        if self.seed < 0:
+            raise CliError("seed must be >= 0")
 
     def descriptor(self) -> dict:
         desc = {"family": self.family}

@@ -161,7 +161,9 @@ class MatroidView:
         self.arrangement = arrangement
         self.size = arrangement.size
         self.full_rank = arrangement.ambient_dim
-        # no untraced workload hits it; perfbench/tracing.py re-ranks masks
+        # mask -> rank: no benchmark pass hits it (each runs on a fresh
+        # view), but the test suite re-ranks masks on shared views and runs
+        # markedly faster with it (ROADMAP, measured trades)
         self._rank_cache: dict[int, int] = {0: 0}
         # while bases() searches: the independent sets on its path -> their
         # echelon rows

@@ -29,7 +29,11 @@ k, run rows, value coordinate), its squared norms and comparisons
 product over k consecutive rows of the base table, whose columns are a
 run's (row, value coordinate) pairs, per-base radii as an (element, k, 1)
 slice of a transposed per-base table, and its values, shaped (k, run
-rows), give each run's (n, mean, m2) directly.  The polymer volumes
+rows), give each run's (n, mean, m2) directly.  Every draw is written
+straight into that layout, in (element, run, row) order: a ball draw
+scales its unit points in place by each base's radii (`_ball_draw`), and
+a warped draw samples each shape's (element, run) pairs in turn
+(`_shape_groups`, the grouping the warped tests use too).  The polymer volumes
 (polymer.py) value a row by its acceptance, the region estimators here by
 a weight of its within-radius mask.
 
@@ -72,7 +76,7 @@ from functools import reduce
 import numpy as np
 
 from .arrangement import Arrangement, _mask_bits, _norms_sq
-from .geometry import ASAShape, RNGStream, ball_volume, uniform_ball
+from .geometry import ASAShape, RNGStream, ball_volume, sample_unit_sphere
 from .matroid import BaseTable, MatroidView, popcount
 
 CHUNK = 1 << 16
@@ -245,17 +249,15 @@ def _blocks(bases: int, per_base: int) -> list:
 @dataclass(frozen=True)
 class _Sides:
     """Which bases are sampled, how their base values are drawn and how a
-    row is valued: `table` holds the sampled rows of the view's base table,
-    and each value has `width` entries of `dtype`.  For a block (base, k,
-    rows), draw(rng, block, work) returns the rows' base values, shaped
-    (n, k, rows, width), in a buffer of work; value(block, work, vals)
-    returns the rows' values (a polymer's acceptance flags, a tube's mask
-    weight), shaped (k, rows), given their non-base values vals, shaped
-    (m, k, rows, width)."""
+    row is valued: `table` holds the sampled rows of the view's base table.
+    For a block (base, k, rows), draw(rng, block, work) returns the rows'
+    base values, shaped (n, k, rows, width), in a buffer of work, drawn in
+    that (element, run, row) order; value(block, work, vals) returns the
+    rows' values (a polymer's acceptance flags, a tube's mask weight),
+    shaped (k, rows), given their non-base values vals, shaped (m, k, rows,
+    width) and of the base values' dtype."""
 
     table: BaseTable
-    width: int
-    dtype: type
     draw: object
     value: object
 
@@ -301,19 +303,19 @@ def _accept_block(block, rng, sides: _Sides, work: _Work, need_x: bool):
     values h from sides.draw, mapped to the non-base values by each run's
     S_B and valued by sides.value.  Returns (values, x): the values shaped
     (k, rows), and x the configurations B^-1 h row by row, (k * rows, n,
-    width), when need_x, else None."""
+    width), when need_x, else None.  The buffers take their shape and
+    dtype from h."""
     table = sides.table
     h = sides.draw(rng, block, work)
+    n, k, rows, width = h.shape
+    m = table.out.shape[1]
     vals = _matmul_runs(block, table.to_out, h,
-                        work.buffer("vals", (table.out.shape[1],) + h.shape[1:],
-                                    sides.dtype))
+                        work.buffer("vals", (m, k, rows, width), h.dtype))
     values = sides.value(block, work, vals)
     if not need_x:
         return values, None
-    x = _matmul_runs(block, table.inv, h,
-                     work.buffer("x", h.shape, sides.dtype))
-    n, k, rows, width = h.shape
-    x_rows = work.buffer("x_rows", (k * rows, n, width), sides.dtype)
+    x = _matmul_runs(block, table.inv, h, work.buffer("x", h.shape, h.dtype))
+    x_rows = work.buffer("x_rows", (k * rows, n, width), h.dtype)
     np.copyto(x_rows.reshape(k, rows, n, width), x.transpose(1, 2, 0, 3))
     return values, x_rows
 
@@ -379,19 +381,27 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
 # sides shared by the polymer and tube estimators
 # --------------------------------------------------------------------------
 
-def _scale_rows(block, u: np.ndarray, base_radii: np.ndarray,
-                h: np.ndarray) -> np.ndarray:
-    """h[e, j, i] = R_e * u[j, i, e] for each row i of each run j of the
-    block (base, k, rows) and each element e of the run's base, written into
-    h and returned: u shaped (k * rows * n, real coordinates) in (run, row,
-    element) order, h (n, k, rows, width), base_radii (n, bases).  A
-    complex h holds coordinates (2j, 2j + 1) as the real and imaginary part
-    of entry j, as u[..., 0::2] + 1j * u[..., 1::2] does."""
-    base, k, rows = block
-    u_runs = u.reshape(k, rows, h.shape[0], -1).transpose(2, 0, 1, 3)
-    np.multiply(u_runs, base_radii[:, base:base + k, None, None],
-                out=h.view(float))
-    return h
+def _ball_draw(table: BaseTable, radii: np.ndarray, dim: int, unit):
+    """draw(rng, block, work) for balls: base value R_e * u_e for each
+    element e of a run's base.  unit(dim, rng, count, out) writes the u_e of
+    the block's count = n * k * rows base values, count points of R^dim,
+    into out, the real coordinates of the base values, (count, dim) in
+    (element, run, row) order; they are then scaled in place by the radii.
+    The base values have the base table's dtype: a complex value holds
+    coordinates (2j, 2j + 1) as the real and imaginary part of entry j."""
+    # per-base radii with the bases on axis 1: (n, bases)
+    base_radii = radii[table.elems].T
+    n = base_radii.shape[0]
+    dtype = table.inv.dtype
+
+    def draw(rng, block, work):
+        base, k, rows = block
+        h = work.buffer("h", (n, k, rows, dim))
+        unit(dim, rng, n * k * rows, h.reshape(-1, dim))
+        h *= base_radii[:, base:base + k, None, None]
+        return h.view(dtype)
+
+    return draw
 
 
 def _beyond_radii(table: BaseTable, radii: np.ndarray):
@@ -409,44 +419,47 @@ def _beyond_radii(table: BaseTable, radii: np.ndarray):
     return outside
 
 
-def _shape_indices(shapes):
-    """The distinct shapes in order of first use, and each hyperplane's
-    index among them in the smallest integer type, so that a stable sort
-    of shape indices is a radix sort."""
+def _shape_groups(shapes, elements: np.ndarray):
+    """groups(block) for warped shapes, on the elements of each base given
+    by `elements` (bases, count): the block's (element, run) pairs,
+    numbered element * k + run, grouped by shape, as (shape, pairs, size)
+    for each distinct shape in order of first use.  One shape is the single
+    group slice(None) of every pair; more are grouped by a stable sort of
+    their shape indices, a radix sort in the smallest integer type."""
     distinct = list(dict.fromkeys(shapes))
-    return distinct, np.array([distinct.index(s) for s in shapes],
-                              dtype=np.min_scalar_type(len(distinct) - 1))
+    count = elements.shape[1]
+    if len(distinct) == 1:
+        return lambda block: [(distinct[0], slice(None), count * block[1])]
+    shape_of = np.array([distinct.index(s) for s in shapes],
+                        dtype=np.min_scalar_type(len(distinct) - 1))
+    # the shapes of the elements with the bases on axis 1: (count, bases)
+    by_base = shape_of[elements].T
+
+    def groups(block):
+        base, k, _ = block
+        which = by_base[:, base:base + k].reshape(-1)
+        order = np.argsort(which, kind="stable")
+        counts = np.bincount(which, minlength=len(distinct))
+        return zip(distinct, np.split(order, np.cumsum(counts)[:-1]), counts)
+
+    return groups
 
 
 def _shape_draw(table: BaseTable, shapes, width: int, sample):
-    """draw(rng, block, work) for warped shapes: each row's base values
-    sample(shapes[e], rng, count) with `width` coordinates, (n, k, rows,
-    width), from one sample call per distinct shape over the block's (row,
-    element) pairs in row order."""
-    distinct, shape_of = _shape_indices(shapes)
-    # the shapes of the base elements with the bases on axis 1: (n, bases)
-    base_shapes = shape_of[table.elems].T
-    n = base_shapes.shape[0]
+    """draw(rng, block, work) for warped shapes: each base value e of a row
+    sample(shapes[e], rng, count), `width` coordinates, (n, k, rows,
+    width), from one sample call per distinct shape over its (element,
+    run) pairs' rows (`_shape_groups`)."""
+    groups = _shape_groups(shapes, table.elems)
+    n = table.elems.shape[1]
 
     def draw(rng, block, work):
-        base, k, rows = block
-        count = k * rows * n
-        if len(distinct) == 1:
-            # the loop's draws for one shape, without its gather and
-            # scatter: without this fork, perfbench warped_projection passes
-            # ran 7-19% slower in 6 of 6 alternations (medians of 7 passes,
-            # 0.396-0.458 s against 0.360-0.404 s, 2-vCPU VM)
-            points = sample(distinct[0], rng, count)
-        else:
-            # each (row, element) pair's shape, in row order
-            which = np.repeat(base_shapes[:, base:base + k].T, rows,
-                              axis=0).reshape(-1)
-            points = np.empty((count, width))
-            for i, shape in enumerate(distinct):
-                pick = which == i
-                points[pick] = sample(shape, rng, int(np.count_nonzero(pick)))
+        _, k, rows = block
         h = work.buffer("h", (n, k, rows, width))
-        np.copyto(h, points.reshape(k, rows, n, width).transpose(2, 0, 1, 3))
+        pairs = h.reshape(n * k, rows, width)
+        for shape, own, size in groups(block):
+            pairs[own] = sample(shape, rng, int(size) * rows
+                                ).reshape(-1, rows, width)
         return h
 
     return draw
@@ -456,24 +469,19 @@ def _shape_test(table: BaseTable, shapes, test):
     """outside(block, work, vals) for warped shapes: test(shapes[e], v) of
     each non-base value v, rows of `width` coordinates, as (m, k, rows)
     bool.  Each distinct shape is tested on the runs of the values that
-    have it only: the block's (non-base element, run) pairs grouped by a
-    stable sort of their shape indices, their runs of values gathered,
-    tested and scattered back."""
-    distinct, shape_of = _shape_indices(shapes)
-    # the shapes of the non-base values with the bases on axis 1: (m, bases)
-    out_shapes = shape_of[table.out].T
+    have it only (`_shape_groups`): their runs of values gathered, tested
+    and scattered back."""
+    groups = _shape_groups(shapes, table.out)
 
     def outside(block, work, vals):
-        base, k, _ = block
+        _, _, rows = block
         flags = work.buffer("flags", vals.shape[:3], bool)
-        which = out_shapes[:, base:base + k].reshape(-1)
-        order = np.argsort(which, kind="stable")
-        counts = np.bincount(which, minlength=len(distinct))
-        for s, own in zip(distinct, np.split(order, np.cumsum(counts)[:-1])):
-            own = np.divmod(own, k)
-            v = vals[own]               # (pairs, rows, width)
-            flags[own] = test(s, v.reshape(-1, v.shape[-1])
-                              ).reshape(v.shape[:2])
+        pair_flags = flags.reshape(-1, rows)
+        pair_vals = vals.reshape(-1, rows, vals.shape[-1])
+        for shape, own, _ in groups(block):
+            v = pair_vals[own]          # (pairs, rows, width)
+            pair_flags[own] = test(shape, v.reshape(-1, v.shape[-1])
+                                   ).reshape(v.shape[:2])
         return flags
 
     return outside
@@ -483,12 +491,16 @@ def _shape_test(table: BaseTable, shapes, test):
 # the tube estimators
 # --------------------------------------------------------------------------
 
-def _unit_ball(d: int, rng, count: int) -> np.ndarray:
-    """count points uniform in the unit ball of R^d, (count, d): each tube
-    row's ball draws, before they are scaled by the radii."""
+def _unit_ball(d: int, rng, count: int, out: np.ndarray) -> np.ndarray:
+    """count points uniform in the unit ball of R^d, written into out,
+    (count, d), and returned: each tube row's ball draws, before they are
+    scaled by the radii."""
     if d == 1:
-        return rng.uniform(-1.0, 1.0, (count, 1))
-    return uniform_ball(d, rng, count)
+        out[:] = rng.uniform(-1.0, 1.0, (count, 1))
+        return out
+    sample_unit_sphere(d, rng, count, out=out)
+    out *= (rng.random(count) ** (1.0 / d))[:, None]
+    return out
 
 
 def _tube_value(view: MatroidView, table: BaseTable, weight, outside):
@@ -544,28 +556,16 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
         table = table.inside(within)
     if shapes is None:
         radii = np.asarray(arr.radii, dtype=float)
-        # per-base radii with the bases on axis 1: (n, bases)
-        base_radii = radii[table.elems].T
-        n = base_radii.shape[0]
-        width, dtype = (d, float) if arr.complexified else (d // 2, complex)
-
-        def draw(rng, block, work):
-            _, k, rows = block
-            return _scale_rows(block, _unit_ball(d, rng, k * rows * n),
-                               base_radii,
-                               work.buffer("h", (n, k, rows, width), dtype))
-
+        draw = _ball_draw(table, radii, d, _unit_ball)
         outside = _beyond_radii(table, radii)
         body = ball_volume(d) * radii ** d
     else:
-        width, dtype = d, float
         draw = _shape_draw(table, shapes, d,
                            lambda s, rng, count: s.sample_bottom(rng, count))
         outside = _shape_test(table, shapes, lambda s, v: ~s.bottom_contains(v))
         body = np.array([s.bottom_volume for s in shapes])
     vol = table.abs_det ** -d * np.prod(body[table.elems], axis=1)
-    sides = _Sides(table, width, dtype, draw,
-                   _tube_value(view, table, weight, outside))
+    sides = _Sides(table, draw, _tube_value(view, table, weight, outside))
     return _polymer_estimate(view, n_samples, seed, workers, sides, vol, g=g)
 
 

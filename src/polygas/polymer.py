@@ -13,9 +13,10 @@ Every polymer volume (`volume_mc`, `asa_volume_mc`, the polymer side of
 `project_expectation`) is one call of the stratified kernel
 `mayer._polymer_estimate`, the kernel every region estimator runs too.
 They differ only in their sides (`_Sides`): which bases are sampled, how
-the base values are drawn (sphere or surface points), how a non-base value
-is tested, and the base weights; a polymer row's value is its acceptance
-flag.  The budget is split evenly across the sampled bases, and a row's
+the base values are drawn (sphere points times the radii, or surface
+points, written straight into the block's (element, run, row) layout),
+how a non-base value is tested, and the base weights; a polymer row's
+value is its acceptance flag.  The budget is split evenly across the sampled bases, and a row's
 non-base values come from its base's float map S_B = C_out(B) B^-1 (a row
 of the view's base table), as one stacked matrix product per block of
 whole runs (see the mayer module docstring).  `sample_for_base` and
@@ -46,9 +47,9 @@ from .geometry import (RNGStream, sample_unit_sphere, sphere_area,
 from .matroid import (BaseTable, LinearOrder, MatroidError, MatroidView,
                       view_of)
 from .mayer import (Z_LIMIT, MCEstimate, _accept_block, _beyond_radii,
-                    _check_shapes, _chi_weight, _polymer_estimate,
-                    _region_estimate, _scale_rows, _shape_draw, _shape_test,
-                    _Sides, _Work, z_score)
+                    _ball_draw, _check_shapes, _chi_weight,
+                    _polymer_estimate, _region_estimate, _shape_draw,
+                    _shape_test, _Sides, _Work, z_score)
 
 
 @dataclass(frozen=True)
@@ -87,24 +88,7 @@ def _ball_sides(view: MatroidView, dim: int, radii,
         raise ValueError("cyclotomic arrangements need an even polymer dimension")
     table = live_base_table(view, radii) if live else view.base_table
     radii = np.asarray(radii, dtype=float)
-    # per-base radii with the bases on axis 1: (n, bases)
-    base_radii = radii[table.elems].T
-    n, m = table.elems.shape[1], table.out.shape[1]
-    width, dtype = (dim, float) if arr.complexified else (dim // 2, complex)
-
-    def draw(rng, block, work):
-        # the directions in the sphere draw's order, (k * rows * n, dim),
-        # drawn into the block's non-base value buffer (free until the S_B
-        # product) and written times R_e into h, (n, k, rows, dim) as floats
-        _, k, rows = block
-        count = k * rows * n
-        free = work.buffer("vals", (max(n, m) * k * rows * width,), dtype)
-        u = free.view(float)[:count * dim].reshape(count, dim)
-        sample_unit_sphere(dim, rng, count, out=u)
-        return _scale_rows(block, u, base_radii,
-                           work.buffer("h", (n, k, rows, width), dtype))
-
-    return _Sides(table, width, dtype, draw,
+    return _Sides(table, _ball_draw(table, radii, dim, sample_unit_sphere),
                   _accepted(_beyond_radii(table, radii)))
 
 
@@ -366,7 +350,7 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
 
     draw = _shape_draw(table, shapes, dim,
                        lambda s, rng, count: s.sample_surface(rng, count))
-    sides = _Sides(table, dim, float, draw,
+    sides = _Sides(table, draw,
                    _accepted(_shape_test(table, shapes, outside_solid)))
     totals = np.array([surface_measure_total(s) for s in shapes])
     return _polymer_estimate(view, n_samples, seed, workers, sides,

@@ -103,6 +103,20 @@ def test_invalid_samples_exit_one():
     assert code == 1
 
 
+def test_negative_orders_and_seed_exit_one(capsys):
+    # the config refuses them before any command runs: a negative order
+    # count is not "no orders", and numpy would refuse a negative seed only
+    # once it seeds a stream
+    for args, message in [(["chi", "--orders", "-2"], "orders must be >= 0"),
+                          (["chi", "--seed", "-1"], "seed must be >= 0"),
+                          (["pressure-coeff", "--family", "braid", "--n", "2",
+                            "--samples", "100", "--seed", "-1"],
+                           "seed must be >= 0")]:
+        code, out = run_cli(args)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"polygas: error: {message}\n"
+
+
 def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "braid", "n": 3, "d": 0,

@@ -6,35 +6,42 @@ leave these bits alone too."""
 import hashlib
 
 from oracles import pressure_coefficient_enumerated
-from polygas import (LinearOrder, MatroidView, RNGStream, asa_volume_mc, braid,
-                     bounding_halfwidth, capped_cylinder_shape, check_dr,
-                     coxeter_b, cylinder_shape, dowling, mmc_asa, mmc_mc,
+from polygas import (LinearOrder, MatroidView, MCEstimate, RNGStream,
+                     asa_volume_mc, braid, bounding_halfwidth,
+                     capped_cylinder_shape, check_dr, coxeter_b,
+                     cylinder_shape, dowling, mmc_asa, mmc_mc,
                      pressure_coefficient, project_expectation,
-                     safe_projection_expectation, sample_for_base, volume_mc)
+                     safe_projection_expectation, sample_for_base, volume_mc,
+                     z_score)
 from polygas.mayer import asa_pressure_coefficient
 from polygas.polymer import dump_samples_csv
 
 
-def _triple(est):
-    return (est.mean, est.stderr, est.n_samples)
+def assert_golden(est, pinned):
+    """est's (mean, stderr, n_samples) == pinned, exactly.  A failure also
+    prints the z between the two, so a change that moves a random stream
+    reads off how far each estimate moved."""
+    got = (est.mean, est.stderr, est.n_samples)
+    z = z_score(est, MCEstimate(*pinned, est.seed, est.workers))
+    assert got == pinned, f"got {got}, pinned {pinned}, z = {z:.2f}"
 
 
 def test_pressure_coefficient_braid4():
     est = pressure_coefficient(MatroidView(braid(4)), 1, 2 ** 17, 5)
-    assert _triple(est) == (-63.984334309895836, 0.05972399711580605, 131072)
+    assert_golden(est, (-64.0126953125, 0.059852338277655084, 131072))
 
 
 def test_volume_braid4():
     est = volume_mc(braid(4), 3, 2 ** 17, 6)
-    assert _triple(est) == (15928.747934894336, 43.529573169354705, 131072)
+    assert_golden(est, (15825.797406854279, 43.55871723126197, 131072))
 
 
 def test_check_dr_dowling_2_3():
     report = check_dr(dowling(2, 3), 2, 2 ** 16, 7)
     # both sides split 65536 samples over 3 bases: 21845 each, cut into
     # blocks of 7281 and 7282 rows, nine blocks in two chunks
-    assert _triple(report.lhs) == (313.5244414247691, 0.24989235334864723, 65535)
-    assert _triple(report.rhs) == (937.6065348380693, 1.819164994793044, 65535)
+    assert_golden(report.lhs, (313.8474786178932, 0.25011004304805945, 65535))
+    assert_golden(report.rhs, (939.4258486005721, 1.8137588581861612, 65535))
 
 
 def test_bounding_halfwidth_braid5():
@@ -44,48 +51,48 @@ def test_bounding_halfwidth_braid5():
 def test_mmc_mc_braid4():
     view = MatroidView(braid(4))
     est = mmc_mc(view, view.ground_mask, 1, 2 ** 17, 21)
-    assert _triple(est) == (3.98541259765625, 0.011048708460928782, 131072)
+    assert_golden(est, (4.00030517578125, 0.011048552162234358, 131072))
 
 
 def test_mmc_asa_braid3_capped():
     view = MatroidView(braid(3))
     est = mmc_asa(view, view.ground_mask, [capped_cylinder_shape(3, 1.0)] * 3,
                   1, 2 ** 17, 22)
-    assert _triple(est) == (-6.752986953536278, 0.01075964966650476, 131070)
+    assert_golden(est, (-6.755184252689403, 0.01075610498312196, 131070))
 
 
 def test_asa_pressure_coefficient_braid3_cylinder():
     est = asa_pressure_coefficient(MatroidView(braid(3)),
                                    [cylinder_shape(3, 1.0)] * 3, 1, 2 ** 17, 23)
-    assert _triple(est) == (2.250751506828412, 0.001197257898072668, 131070)
+    assert_golden(est, (2.2499885557335775, 0.0011960387396161365, 131070))
 
 
 def test_asa_volume_braid3_capped():
     est = asa_volume_mc(braid(3), [capped_cylinder_shape(3, 1.0)] * 3, 2 ** 17, 24)
     # 2^17 samples split over 3 bases: 43690 each, six blocks per base
-    assert _triple(est) == (798.6938393699686, 1.276086455998401, 131070)
+    assert_golden(est, (798.8076933552777, 1.275899885168535, 131070))
 
 
 def test_pressure_coefficient_enumerated_coxeter_b2():
     est = pressure_coefficient_enumerated(MatroidView(coxeter_b(2)), 1, 2 ** 13, 25)
     # 11 spanning subsets, 2^13 samples each split over their bases
-    assert _triple(est) == (14.055921855921856, 0.04242223858387806, 90102)
+    assert_golden(est, (13.972893772893773, 0.042258125924799494, 90102))
 
 
 def test_project_expectation_coxeter_b2():
     report = project_expectation(coxeter_b(2), 1, "norm_sq", 2 ** 17, 26)
     # 5 of the 6 bases can accept at unit radii: 26214 rows each; the
     # region side samples all 6 tubes, 21845 rows each
-    assert _triple(report.polymer_side) == (603.8522479012047, 2.0254874550383057,
-                                            131070)
-    assert _triple(report.mmc_side) == (605.1623011630892, 2.1395296422977714,
-                                        131070)
+    assert_golden(report.polymer_side,
+                  (603.3952895522546, 2.0174999505105555, 131070))
+    assert_golden(report.mmc_side,
+                  (602.4199346367996, 2.1352507429953844, 131070))
 
 
 def test_safe_projection_expectation_braid3():
     est = safe_projection_expectation(braid(3), 1, "norm_sq", LinearOrder([2, 0, 1]),
                                       2 ** 17, 27)
-    assert _triple(est) == (354.92544829935895, 1.0801636359512312, 131070)
+    assert_golden(est, (354.43292625651, 1.0798620008925388, 131070))
 
 
 def test_sample_for_base_braid3():
@@ -101,20 +108,20 @@ def test_mmc_mc_braid4_five_of_six_hyperplanes():
     # a proper spanning subset: the tubes of the 8 bases inside it only
     view = MatroidView(braid(4))
     est = mmc_mc(view, 0b111011, 1, 2 ** 17, 29)
-    assert _triple(est) == (-4.67431640625, 0.010890364008973002, 131072)
+    assert_golden(est, (-4.6806640625, 0.010887535318947714, 131072))
 
 
 def test_volume_braid4_unequal_radii():
     est = volume_mc(braid(4), 2, 2 ** 17, 30, radii=(1, 1.5, 2, 2.5, 3, 3.5))
     # 9 of the 16 bases can accept at these radii: 14563 rows each
-    assert _triple(est) == (1486.3935951565165, 2.8694499522977903, 131067)
+    assert_golden(est, (1485.2012917203447, 2.870451135571358, 131067))
 
 
 def test_dump_samples_csv_braid3(tmp_path):
     path = tmp_path / "samples.csv"
     dump_samples_csv(path, braid(3), 2, 20, 0)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "409af64b85f7a690ecbbc1951e9bd93fd49ebdfd98dc6afd9df9698e346cb3fa")
+        "b6350455435c3cad4defeab2f47be921634e2ae83fa9ccf48e8c49b59ae9643f")
 
 
 
@@ -124,19 +131,19 @@ def test_dump_samples_csv_braid3(tmp_path):
 def test_volume_braid6_runs_across_blocks_and_chunks():
     # 1296 bases, 101 rows each: 81 runs per block, 16 blocks in two chunks
     est = volume_mc(braid(6), 3, 2 ** 17, 31)
-    assert _triple(est) == (76687345.28722681, 435177.62094834395, 130896)
+    assert_golden(est, (76674934.82555471, 435454.69903126545, 130896))
 
 
 def test_volume_braid5_short_runs():
     # 125 bases, 7 rows each: one block
     est = volume_mc(braid(5), 3, 7 * 125, 32)
-    assert _triple(est) == (865660.6764347461, 47305.17187254695, 875)
+    assert_golden(est, (1015281.0402629739, 48278.81347819257, 875))
 
 
 def test_volume_dowling_2_3_unequal_radii():
     # complex coordinates at dim 4; 3 bases of 43690 rows, six blocks each
     est = volume_mc(dowling(2, 3), 4, 2 ** 17, 33, radii=(1, 1.5, 0.7))
-    assert _triple(est) == (824.6931449015616, 0.8289219985017738, 131070)
+    assert_golden(est, (826.0843848375931, 0.8297001197043781, 131070))
 
 
 def test_asa_volume_braid4_mixed_shapes():
@@ -146,7 +153,7 @@ def test_asa_volume_braid4_mixed_shapes():
               capped_cylinder_shape(3, 1.5), cylinder_shape(3, 1.0),
               capped_cylinder_shape(3, 1.0), cylinder_shape(3, 2.0)]
     est = asa_volume_mc(braid(4), shapes, 100_000, 34)
-    assert _triple(est) == (22331.22648758735, 68.10518234374038, 100000)
+    assert_golden(est, (22342.101008944664, 68.11097100161723, 100000))
 
 
 def test_project_expectation_coxeter_b3():
@@ -154,10 +161,10 @@ def test_project_expectation_coxeter_b3():
     # radii, 2473 rows each, 3 runs per block; the region side samples all
     # 68 tubes, 1927 rows each, 4 runs per block
     report = project_expectation(coxeter_b(3), 1, "norm_sq", 2 ** 17, 35)
-    assert _triple(report.polymer_side) == (96704.0871604177, 473.0828165372124,
-                                            131069)
-    assert _triple(report.mmc_side) == (97739.83157931628, 463.8611601474875,
-                                        131036)
+    assert_golden(report.polymer_side,
+                  (96899.18654992266, 473.66547232567973, 131069))
+    assert_golden(report.mmc_side,
+                  (96734.22881780726, 457.69373716589564, 131036))
 
 def _digest(arrays):
     h = hashlib.sha256()

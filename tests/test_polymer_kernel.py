@@ -18,7 +18,7 @@ from polygas import (MatroidView, asa_volume_mc, braid, capped_cylinder_shape,
                      surface_measure_total, volume_mc, z_score)
 from polygas.matroid import mask_elements
 from polygas.mayer import BLOCK, CHUNK
-from polygas.polymer import live_base_table
+from polygas.polymer import _ball_sides, live_base_table
 
 # see test_run_views_equal_gathered_products
 ULPS = 4
@@ -309,3 +309,36 @@ def test_run_views_equal_gathered_products(arr):
                 assert np.all(np.abs(got - want) <= ULPS * np.spacing(scale))
             else:
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "arr, dim", [(braid(4).with_radii([1.0 + 0.5 * e for e in range(6)]), 3),
+                 (dowling(2, 3).with_radii([1.0, 1.5, 0.7]), 4)],
+    ids=["braid4", "dowling2_3"])
+def test_block_draws_put_base_values_on_their_radii(arr, dim):
+    # one block of three runs of five rows, drawn in the kernel's (element,
+    # run, row) layout: every row's configuration puts each value h_e(x) of
+    # its run's base on the sphere of radius R_e (polymer sides) or in the
+    # ball (tube sides), so each element's radius reaches each of its rows
+    view = MatroidView(arr)
+    radii = np.asarray(arr.radii)
+    table = view.base_table
+    tube = mayer._Sides(
+        table, mayer._ball_draw(table, radii, dim, mayer._unit_ball),
+        mayer._tube_value(view, table, mayer._chi_weight(view),
+                          mayer._beyond_radii(table, radii)))
+    rng = np.random.default_rng(9)
+    k, rows = 3, 5
+    for sides in (_ball_sides(view, dim, radii, live=False), tube):
+        _, x = mayer._accept_block((0, k, rows), rng, sides, mayer._Work(),
+                                   need_x=True)
+        assert x.shape[0] == k * rows
+        for j in range(k):
+            elems = table.elems[j]
+            h = np.einsum("en,inw->iew", arr.coeff[elems],
+                          x[j * rows:(j + 1) * rows])
+            norms = np.sqrt(np.sum(np.abs(h) ** 2, axis=-1))   # (rows, n)
+            if sides is tube:
+                assert np.all(norms <= radii[elems] + 1e-12)
+            else:
+                assert np.all(np.abs(norms - radii[elems]) <= 1e-12)

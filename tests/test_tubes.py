@@ -167,8 +167,9 @@ def test_tube_boundary_draws_give_finite_weights(monkeypatch):
             dropped += int(arr.gamma_masks(x[None])[0]) & base != base
     assert dropped > 0
 
-    def corner_draw(d, rng, count):
-        return rng.choice((-1.0, 1.0), size=(count, d))
+    def corner_draw(d, rng, count, out):
+        out[:] = rng.choice((-1.0, 1.0), size=(count, d))
+        return out
 
     monkeypatch.setattr(mayer, "_unit_ball", corner_draw)
     est = pressure_coefficient(view, 1, 4096, 0)

@@ -58,9 +58,11 @@ def _norms_sq(x: np.ndarray) -> np.ndarray:
     of complex entries), the squares added column by column: numpy's
     reduction over a trailing axis of a few entries is ~4x slower.  For real
     x with fewer than 8 columns this equals np.linalg.norm(x, axis=-1) ** 2
-    bit for bit, since numpy then adds in order too."""
+    bit for bit, since numpy then adds in order too.  No columns give 0."""
     parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
     columns = [part[..., i] for part in parts for i in range(part.shape[-1])]
+    if not columns:
+        return np.zeros(x.shape[:-1])
     total = np.square(columns[0])
     for column in columns[1:]:
         total += np.square(column)

@@ -18,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, compress, product
 
-from .arrangement import Arrangement, braid, coxeter_d
-from .matroid import MatroidView
+from .arrangement import braid, coxeter_d
+from .matroid import MatroidView, view_of
 from .mayer import (Z_LIMIT, MCEstimate, asa_pressure_coefficient,
                     pressure_coefficient, z_score)
 from .polymer import asa_volume_mc, volume_mc
@@ -49,11 +49,13 @@ class DRReport:
         }
 
 
-def _dr_report(arr: Arrangement, d: int, pressure, volume) -> DRReport:
-    """The reduction identity on one view of arr: lhs = (-2 pi)^n *
-    pressure(view), then rhs = volume(view), and their z score."""
+def _dr_report(arr, d: int, pressure, volume) -> DRReport:
+    """The reduction identity on one view of arr, an Arrangement or a
+    MatroidView of one: lhs = (-2 pi)^n * pressure(view), then rhs =
+    volume(view), and their z score."""
     start = time.perf_counter()
-    view = MatroidView(arr)
+    view = view_of(arr)
+    arr = view.arrangement
     lhs = pressure(view).scaled((-2.0 * math.pi) ** arr.ambient_dim)
     rhs = volume(view)
     z = z_score(lhs, rhs)
@@ -61,10 +63,11 @@ def _dr_report(arr: Arrangement, d: int, pressure, volume) -> DRReport:
                     time.perf_counter() - start)
 
 
-def check_dr(arr: Arrangement, d: int, n_samples: int, seed: int,
+def check_dr(arr, d: int, n_samples: int, seed: int,
              workers: int = 1) -> DRReport:
     """Estimate both sides of the reduction identity with n_samples each and
-    report the z score.  d = 0 makes the left side exact."""
+    report the z score.  d = 0 makes the left side exact.  `arr` is an
+    Arrangement or a MatroidView of one."""
     return _dr_report(
         arr, d,
         lambda view: pressure_coefficient(view, d, n_samples, seed, workers),
@@ -196,10 +199,11 @@ def balanced_weight_check(n: int) -> bool:
 # warped-surface reduction
 # --------------------------------------------------------------------------
 
-def check_asa_dr(arr: Arrangement, shapes, d: int, n_samples: int, seed: int,
+def check_asa_dr(arr, shapes, d: int, n_samples: int, seed: int,
                  workers: int = 1) -> DRReport:
     """Reduction identity with per-hyperplane surfaces: bottom-membership
-    pressure coefficient against the surface-sampled polymer volume."""
+    pressure coefficient against the surface-sampled polymer volume.  `arr`
+    is an Arrangement or a MatroidView of one."""
     return _dr_report(
         arr, d,
         lambda view: asa_pressure_coefficient(view, shapes, d, n_samples, seed,

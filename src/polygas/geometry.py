@@ -3,9 +3,11 @@ cylinder) with their bottoms, and bounding boxes for the Monte Carlo
 integration domains.
 
 All surfaces here factor as S^1 x_rho bottom: the surface measure pushes
-forward to 2*pi times Lebesgue measure on the bottom, so uniform surface
-points are sampled as (bottom-uniform y, uniform angle) with the circle
-radius rho(y).
+forward to 2*pi times Lebesgue measure on the bottom, so a uniform surface
+point is a bottom-uniform y and a uniform point of the unit circle
+(`sample_unit_sphere(2, ...)`) scaled by the circle radius rho(y).  The
+sphere and ball draws here are the only ones: the ball polymers draw
+`sample_unit_sphere` points, the ball tubes `uniform_ball` points.
 """
 
 from __future__ import annotations
@@ -74,13 +76,20 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int,
     return g
 
 
-def uniform_ball(dim: int, rng: np.random.Generator, size: int):
-    """Uniform points in the unit ball of R^dim (empty columns for dim = 0)."""
-    if dim == 0:
-        return np.zeros((size, 0))
-    direction = sample_unit_sphere(dim, rng, size)
-    radius = rng.random(size) ** (1.0 / dim)
-    return direction * radius[:, None]
+def uniform_ball(dim: int, rng: np.random.Generator, size: int,
+                 out: np.ndarray | None = None):
+    """Uniform points in the unit ball of R^dim (empty columns for dim = 0):
+    uniform on [-1, 1] for dim = 1, else a sphere point scaled by a radius
+    u^(1/dim).  With `out`, a C-contiguous (size, dim) float array, the
+    points are written there (the same draws) and out is returned."""
+    if out is None:
+        out = np.empty((size, dim))
+    if dim == 1:
+        out[:] = rng.uniform(-1.0, 1.0, (size, 1))
+    elif dim > 1:
+        sample_unit_sphere(dim, rng, size, out=out)
+        out *= (rng.random(size) ** (1.0 / dim))[:, None]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -119,18 +128,13 @@ class ASAShape:
     def bottom_dim(self) -> int:
         return self.dim - 2
 
-    def _axis_split(self, y):
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        return y[:, :-1], y[:, -1]
-
     def warp(self, y) -> np.ndarray:
         """rho on the bottom; clamped at zero outside it."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if self.kind == "sphere":
-            r2 = np.sum(y * y, axis=1)
-            return np.sqrt(np.maximum(1.0 - r2, 0.0))
-        u, t = self._axis_split(y)
-        u2 = np.sum(u * u, axis=1)
+            return np.sqrt(np.maximum(1.0 - _norms_sq(y), 0.0))
+        u, t = y[:, :-1], y[:, -1]
+        u2 = _norms_sq(u)
         if self.kind == "cylinder":
             inside_axis = np.abs(t) <= self.length / 2.0
             return np.where(inside_axis, np.sqrt(np.maximum(1.0 - u2, 0.0)), 0.0)
@@ -140,9 +144,9 @@ class ASAShape:
     def bottom_contains(self, y) -> np.ndarray:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if self.kind == "sphere":
-            return np.sum(y * y, axis=1) <= 1.0
-        u, t = self._axis_split(y)
-        u2 = np.sum(u * u, axis=1)
+            return _norms_sq(y) <= 1.0
+        u, t = y[:, :-1], y[:, -1]
+        u2 = _norms_sq(u)
         if self.kind == "cylinder":
             return (u2 <= 1.0) & (np.abs(t) <= self.length / 2.0)
         overhang = np.maximum(np.abs(t) - self.length / 2.0, 0.0)
@@ -192,12 +196,12 @@ class ASAShape:
 
     def sample_surface(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Uniform surface points via the hat-box factorization: y uniform on
-        the bottom, the first two coordinates uniform on the circle of radius
-        rho(y).  Total measure = surface_measure_total(self)."""
+        the bottom, the first two coordinates a unit-circle point
+        (`sample_unit_sphere(2, ...)`) scaled by rho(y).  Total measure =
+        surface_measure_total(self)."""
         y = self.sample_bottom(rng, size)
-        rho = self.warp(y)
-        theta = rng.uniform(0.0, 2.0 * math.pi, size)
-        w = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1)
+        w = sample_unit_sphere(2, rng, size)
+        w *= self.warp(y)[:, None]
         return np.concatenate([w, y], axis=1)
 
 

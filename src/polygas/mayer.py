@@ -2,7 +2,8 @@
 plus the region-decomposition estimator for the pressure-series
 coefficient and the warped-surface (bottom membership) variants; and the
 estimation machinery every Monte Carlo estimate runs on, the chunk
-scheduler and the stratified kernel `_polymer_estimate`.
+scheduler and the stratified kernel `_polymer_estimate`.  Every public
+estimator takes an Arrangement or a MatroidView of one (`view_of`).
 
 Estimation contract: the scheduler `map_chunks` runs a list of chunks,
 one deterministic random stream per chunk, and returns the chunks' results
@@ -76,8 +77,8 @@ from functools import reduce
 import numpy as np
 
 from .arrangement import Arrangement, _mask_bits, _norms_sq
-from .geometry import ASAShape, RNGStream, ball_volume, sample_unit_sphere
-from .matroid import BaseTable, MatroidView, popcount
+from .geometry import ASAShape, RNGStream, ball_volume, uniform_ball
+from .matroid import BaseTable, MatroidView, popcount, view_of
 
 CHUNK = 1 << 16
 
@@ -248,18 +249,20 @@ def _blocks(bases: int, per_base: int) -> list:
 
 @dataclass(frozen=True)
 class _Sides:
-    """Which bases are sampled, how their base values are drawn and how a
-    row is valued: `table` holds the sampled rows of the view's base table.
-    For a block (base, k, rows), draw(rng, block, work) returns the rows'
-    base values, shaped (n, k, rows, width), in a buffer of work, drawn in
-    that (element, run, row) order; value(block, work, vals) returns the
-    rows' values (a polymer's acceptance flags, a tube's mask weight),
-    shaped (k, rows), given their non-base values vals, shaped (m, k, rows,
-    width) and of the base values' dtype."""
+    """Which bases are sampled, how their base values are drawn, how a row
+    is valued and how each base is weighted: `table` holds the sampled rows
+    of the view's base table.  For a block (base, k, rows), draw(rng,
+    block, work) returns the rows' base values, shaped (n, k, rows, width),
+    in a buffer of work, drawn in that (element, run, row) order;
+    value(block, work, vals) returns the rows' values (a polymer's
+    acceptance flags, a tube's w / nb), shaped (k, rows), given their
+    non-base values vals, shaped (m, k, rows, width) and of the base
+    values' dtype.  `weights` holds one base weight per row of table."""
 
     table: BaseTable
     draw: object
     value: object
+    weights: np.ndarray
 
 
 class _Work:
@@ -303,8 +306,8 @@ def _accept_block(block, rng, sides: _Sides, work: _Work, need_x: bool):
     values h from sides.draw, mapped to the non-base values by each run's
     S_B and valued by sides.value.  Returns (values, x): the values shaped
     (k, rows), and x the configurations B^-1 h row by row, (k * rows, n,
-    width), when need_x, else None.  The buffers take their shape and
-    dtype from h."""
+    width), a view of the (n, k, rows, width) solve, when need_x, else
+    None.  The buffers take their shape and dtype from h."""
     table = sides.table
     h = sides.draw(rng, block, work)
     n, k, rows, width = h.shape
@@ -315,21 +318,17 @@ def _accept_block(block, rng, sides: _Sides, work: _Work, need_x: bool):
     if not need_x:
         return values, None
     x = _matmul_runs(block, table.inv, h, work.buffer("x", h.shape, h.dtype))
-    x_rows = work.buffer("x_rows", (k * rows, n, width), h.dtype)
-    np.copyto(x_rows.reshape(k, rows, n, width), x.transpose(1, 2, 0, 3))
-    return values, x_rows
+    return values, x.transpose(1, 2, 0, 3).reshape(k * rows, n, width)
 
 
 def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
-                      workers: int, sides: _Sides, weights,
-                      g=None) -> MCEstimate:
-    """Sum over the bases of sides.table of the base's weight times the mean
-    over that base's draws of sides.value (times g(x)): the stratified
-    estimator with the budget split evenly across those bases, which every
-    polymer volume and every region estimator runs.  The other bases of
-    the view must contribute nothing; n_samples must still be at least the
-    view's base count.  `weights` holds one weight per row of sides.table,
-    or one for all bases.
+                      workers: int, sides: _Sides, g=None) -> MCEstimate:
+    """Sum over the bases of sides.table of the base's weight (from
+    sides.weights) times the mean over that base's draws of sides.value
+    (times g(x)): the stratified estimator with the budget split evenly
+    across those bases, which every polymer volume and every region
+    estimator runs.  The other bases of the view must contribute nothing;
+    n_samples must still be at least the view's base count.
 
     The per_base rows of each base are one run, and the runs are planned
     into blocks of whole runs or of pieces of one run (`_blocks`), CHUNK //
@@ -347,7 +346,6 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
     count = sides.table.masks.size
     if count == 0:      # every stratum is empty: the volume is exactly 0
         return MCEstimate(0.0, 0.0, 0, seed, workers)
-    weights = np.full(count, weights, dtype=float)
     blocks = _blocks(count, n_samples // count)
     step = CHUNK // BLOCK
     chunks = [blocks[i:i + step] for i in range(0, len(blocks), step)]
@@ -373,6 +371,7 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
                 (n[part], mean[part], m2[part]), block_stats)
     # the variance of each stratum's mean, 0 for a single row as in run_chunked
     var = m2 / np.maximum(n - 1, 1) / n * (n > 1)
+    weights = sides.weights
     return MCEstimate(float(weights @ mean), math.sqrt(float(weights ** 2 @ var)),
                       int(n.sum()), seed, workers)
 
@@ -491,24 +490,12 @@ def _shape_test(table: BaseTable, shapes, test):
 # the tube estimators
 # --------------------------------------------------------------------------
 
-def _unit_ball(d: int, rng, count: int, out: np.ndarray) -> np.ndarray:
-    """count points uniform in the unit ball of R^d, written into out,
-    (count, d), and returned: each tube row's ball draws, before they are
-    scaled by the radii."""
-    if d == 1:
-        out[:] = rng.uniform(-1.0, 1.0, (count, 1))
-        return out
-    sample_unit_sphere(d, rng, count, out=out)
-    out *= (rng.random(count) ** (1.0 / d))[:, None]
-    return out
-
-
 def _tube_value(view: MatroidView, table: BaseTable, weight, outside):
-    """value(block, work, vals) of the tube sides: w / nb of each row's
-    within-radius mask G, every element but the non-base ones flagged by
-    outside(block, work, vals).  A base's own elements are always in G, so
-    float rounding at |h_e| = R_e cannot drop x out of its own tube: nb >= 1
-    on every row."""
+    """value(block, work, vals) of the tube sides: weight(masks), the w / nb
+    of each row's within-radius mask G, every element but the non-base ones
+    flagged by outside(block, work, vals).  A base's own elements are
+    always in G, so float rounding at |h_e| = R_e cannot drop x out of its
+    own tube: nb >= 1 on every row."""
     # the bits of the non-base elements with the bases on axis 1: (m, bases)
     out_bits = _mask_bits(view.size)[table.out].T
     ground = np.int64(view.ground_mask)
@@ -521,10 +508,7 @@ def _tube_value(view: MatroidView, table: BaseTable, weight, outside):
         masks = np.add.reduce(bits, axis=0,
                               out=work.buffer("masks", (k, rows), np.int64))
         np.bitwise_xor(masks, ground, out=masks)
-        w, nb = weight(masks.reshape(-1))
-        weights = work.buffer("weights", (k, rows))
-        np.divide(w, nb, out=weights.reshape(-1))
-        return weights
+        return weight(masks.reshape(-1)).reshape(k, rows)
 
     return value
 
@@ -540,10 +524,9 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
     (the ground set by default), each of base weight vol_B, each row of
     value w / nb (times g(x)); see the module docstring.  weight(view)
     compiles what the weight reads and returns a function mapping an int64
-    mask array to (w, nb): the per-row weights w, which must vanish on
-    masks holding no base inside `within`, and nb[G & within], an array, or
-    a scalar where it is constant on the support of w (as for `_contains`).
-    d and the field are refused before weight(view) compiles anything.
+    mask array to the rows' float values w / nb: w, which must vanish on
+    masks holding no base inside `within`, over nb[G & within].  d and the
+    field are refused before weight(view) compiles anything.
     """
     arr = view.arrangement
     if d < 1:
@@ -556,7 +539,7 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
         table = table.inside(within)
     if shapes is None:
         radii = np.asarray(arr.radii, dtype=float)
-        draw = _ball_draw(table, radii, d, _unit_ball)
+        draw = _ball_draw(table, radii, d, uniform_ball)
         outside = _beyond_radii(table, radii)
         body = ball_volume(d) * radii ** d
     else:
@@ -565,15 +548,15 @@ def _region_estimate(view: MatroidView, d: int, weight, n_samples: int,
         outside = _shape_test(table, shapes, lambda s, v: ~s.bottom_contains(v))
         body = np.array([s.bottom_volume for s in shapes])
     vol = table.abs_det ** -d * np.prod(body[table.elems], axis=1)
-    sides = _Sides(table, draw, _tube_value(view, table, weight, outside))
-    return _polymer_estimate(view, n_samples, seed, workers, sides, vol, g=g)
+    sides = _Sides(table, draw, _tube_value(view, table, weight, outside), vol)
+    return _polymer_estimate(view, n_samples, seed, workers, sides, g=g)
 
 
 def _chi_weight(view: MatroidView):
     """Weight of the pressure estimators: chi_G(0) from the chi table, over
     the nb[G] bases inside G from the nb table."""
     chi, nb = view.chi_table, view.nb_table
-    return lambda masks: (chi[masks], nb[masks])
+    return lambda masks: chi[masks] / nb[masks]
 
 
 def _contains(subset_mask: int):
@@ -586,7 +569,7 @@ def _contains(subset_mask: int):
         if not view.is_spanning(subset_mask):
             raise SpanningError("subset does not span")
         nb = len(view.bases_of(subset_mask))
-        return lambda masks: ((masks & subset_mask) == subset_mask, nb)
+        return lambda masks: ((masks & subset_mask) == subset_mask) / nb
     return weight
 
 
@@ -598,37 +581,38 @@ def _parity(subset_mask: int) -> float:
 # matroidal Mayer coefficients
 # --------------------------------------------------------------------------
 
-def mmc_d0(view: MatroidView, subset_mask: int) -> int:
+def mmc_d0(arr, subset_mask: int) -> int:
     """The d = 0 coefficient of a spanning set: (-1)^|H| exactly."""
-    if not view.is_spanning(subset_mask):
+    if not view_of(arr).is_spanning(subset_mask):
         raise SpanningError("subset does not span")
     return -1 if popcount(subset_mask) & 1 else 1
 
 
-def mmc_mc(view: MatroidView, subset_mask: int, d: int, n_samples: int,
+def mmc_mc(arr, subset_mask: int, d: int, n_samples: int,
            seed: int, workers: int = 1) -> MCEstimate:
     """Unbiased estimate of (-1)^|H| * vol{x : ||h_e(x)|| <= R_e for e in H},
     sampling the tubes of the bases inside H."""
-    return _region_estimate(view, d, _contains(subset_mask), n_samples,
-                            seed, workers, within=subset_mask
+    return _region_estimate(view_of(arr), d, _contains(subset_mask),
+                            n_samples, seed, workers, within=subset_mask
                             ).scaled(_parity(subset_mask))
 
 
-def pressure_exact_d0(view: MatroidView) -> int:
+def pressure_exact_d0(arr) -> int:
     """d = 0 collapses the sum over spanning sets to the characteristic
     polynomial at zero."""
-    return view.chi_at_zero(view.ground_mask)
+    return view_of(arr).chi_at_zero()
 
 
-def pressure_coefficient(view: MatroidView, d: int, n_samples: int, seed: int,
+def pressure_coefficient(arr, d: int, n_samples: int, seed: int,
                          workers: int = 1) -> MCEstimate:
     """Sum over spanning subsets of the d-dimensional coefficients, via the
     one-pass region decomposition: sample x, find its within-radius subset G,
     and add chi_G(0), read from the view's chi table (0 unless G has full
     rank)."""
     if d == 0:
-        return MCEstimate(float(pressure_exact_d0(view)), 0.0, 0, seed, workers)
-    return _region_estimate(view, d, _chi_weight, n_samples, seed, workers)
+        return MCEstimate(float(pressure_exact_d0(arr)), 0.0, 0, seed, workers)
+    return _region_estimate(view_of(arr), d, _chi_weight, n_samples, seed,
+                            workers)
 
 
 # --------------------------------------------------------------------------
@@ -658,19 +642,21 @@ def _check_shapes(arr: Arrangement, shapes, d: int | None = None):
     return shapes
 
 
-def mmc_asa(view: MatroidView, subset_mask: int, shapes, d: int,
+def mmc_asa(arr, subset_mask: int, shapes, d: int,
             n_samples: int, seed: int, workers: int = 1) -> MCEstimate:
     """(-1)^|H| * vol{x : h_e(x) in bottom_e for e in H}."""
+    view = view_of(arr)
     shapes = _check_shapes(view.arrangement, shapes, d)
     return _region_estimate(view, d, _contains(subset_mask), n_samples,
                             seed, workers, within=subset_mask, shapes=shapes
                             ).scaled(_parity(subset_mask))
 
 
-def asa_pressure_coefficient(view: MatroidView, shapes, d: int, n_samples: int,
+def asa_pressure_coefficient(arr, shapes, d: int, n_samples: int,
                              seed: int, workers: int = 1) -> MCEstimate:
     """Region-decomposition estimator with ball membership replaced by bottom
     membership of each hyperplane's shape."""
+    view = view_of(arr)
     shapes = _check_shapes(view.arrangement, shapes, d)
     return _region_estimate(view, d, _chi_weight, n_samples,
                             seed, workers, shapes=shapes)

@@ -79,8 +79,9 @@ def _ball_sides(view: MatroidView, dim: int, radii,
     table whose strata can accept (`live_base_table`), or on every row when
     not `live`: base value R_e * u_e per element e, u_e a uniform direction
     in R^dim (cyclotomic arrangements need an even dim and pair it into
-    complex coordinates), and a non-base value outside when its norm
-    exceeds R_e.  The dimension is refused before any base table is read."""
+    complex coordinates), a non-base value outside when its norm exceeds
+    R_e, and base weight sphere_area(dim)^n.  The dimension is refused
+    before any base table is read."""
     arr = view.arrangement
     if dim < 2:
         raise ValueError("polymer dimension must be >= 2")
@@ -89,7 +90,8 @@ def _ball_sides(view: MatroidView, dim: int, radii,
     table = live_base_table(view, radii) if live else view.base_table
     radii = np.asarray(radii, dtype=float)
     return _Sides(table, _ball_draw(table, radii, dim, sample_unit_sphere),
-                  _accepted(_beyond_radii(table, radii)))
+                  _accepted(_beyond_radii(table, radii)),
+                  np.full(table.masks.size, sphere_area(dim) ** arr.ambient_dim))
 
 
 # float bounds within this relative distance of R_f are settled exactly
@@ -183,8 +185,7 @@ def volume_mc(arr, dim: int, n_samples: int, seed: int,
     arr = view.arrangement
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
     return _polymer_estimate(view, n_samples, seed, workers,
-                             _ball_sides(view, dim, radii),
-                             sphere_area(dim) ** arr.ambient_dim)
+                             _ball_sides(view, dim, radii))
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +299,6 @@ def project_expectation(arr, d: int, g, n_samples: int, seed: int,
                                 workers, g=g).scaled((-2.0 * math.pi) ** n)
     polymer_side = _polymer_estimate(view, n_samples, seed, workers,
                                      _ball_sides(view, d + 2, arr.radii),
-                                     sphere_area(d + 2) ** n,
                                      g=lambda x: g(x[:, :, 2:]))
     z = z_score(polymer_side, mmc_side)
     return ProjectionReport(polymer_side, mmc_side, z, abs(z) < Z_LIMIT)
@@ -317,7 +317,7 @@ def safe_projection_expectation(arr, d: int, g, order: LinearOrder,
 
     def safe_count(view):
         view._minimal_externals_of(order)   # a bad order compiles nothing
-        return lambda masks: view.safe_base_counts(masks, order)
+        return lambda masks: np.divide(*view.safe_base_counts(masks, order))
 
     est = _region_estimate(view, d, safe_count, n_samples, seed, workers, g=g)
     return est.scaled((2.0 * math.pi) ** arr.ambient_dim)
@@ -330,7 +330,7 @@ def safe_projection_expectation(arr, d: int, g, order: LinearOrder,
 def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
                   workers: int = 1) -> MCEstimate:
     """Polymer volume with per-hyperplane surfaces: base functional values
-    are drawn uniformly from each surface (bottom point + circle angle), the
+    are drawn uniformly from each surface (bottom point + circle point), the
     configuration solved, and a sample is accepted when every non-base value
     lies outside that hyperplane's closed solid body (bottom membership and
     circle part within the warp radius never both hold).  `arr` is an
@@ -350,16 +350,22 @@ def asa_volume_mc(arr, shapes, n_samples: int, seed: int,
 
     draw = _shape_draw(table, shapes, dim,
                        lambda s, rng, count: s.sample_surface(rng, count))
-    sides = _Sides(table, draw,
-                   _accepted(_shape_test(table, shapes, outside_solid)))
     totals = np.array([surface_measure_total(s) for s in shapes])
-    return _polymer_estimate(view, n_samples, seed, workers, sides,
-                             np.prod(totals[table.elems], axis=1))
+    sides = _Sides(table, draw,
+                   _accepted(_shape_test(table, shapes, outside_solid)),
+                   np.prod(totals[table.elems], axis=1))
+    return _polymer_estimate(view, n_samples, seed, workers, sides)
 
 
 # --------------------------------------------------------------------------
 # diagnostics output
 # --------------------------------------------------------------------------
+
+def _real_coordinates(x: np.ndarray) -> np.ndarray:
+    """x over its last axis as real coordinates: complex entry j holds the
+    coordinates (2j, 2j + 1)."""
+    return np.ascontiguousarray(x).view(float) if np.iscomplexobj(x) else x
+
 
 def dump_samples_csv(path, arr, dim: int, n_samples: int, seed: int):
     """Write (base mask, accepted, flattened coordinates) rows for a small
@@ -378,10 +384,7 @@ def dump_samples_csv(path, arr, dim: int, n_samples: int, seed: int):
         for b_index, base_mask in enumerate(sides.table.masks.tolist()):
             rng = RNGStream(seed, b_index).generator()
             accepted, x = _one_base_block(b_index, n_samples, rng, sides)
-            coords = x.reshape(n_samples, -1)
-            if np.iscomplexobj(coords):
-                # complex entry k holds the real coordinates (2k, 2k + 1)
-                coords = coords.view(float)
+            coords = _real_coordinates(x.reshape(n_samples, -1))
             for row in range(n_samples):
                 writer.writerow([base_mask, int(accepted[row])]
                                 + [f"{v:.9g}" for v in coords[row]])
@@ -402,7 +405,7 @@ def polymer_svg(path, arr, seed: int = 0):
             break
     else:
         raise RuntimeError("no accepted sample found")
-    pts = sample.x.real if np.iscomplexobj(sample.x) else sample.x
+    pts = _real_coordinates(sample.x)
     rmin = min(arr.radii)
     lo = pts.min() - rmin
     hi = pts.max() + rmin

@@ -151,6 +151,57 @@ def hard_rod_pressure_coefficient(m):
     return total
 
 
+def _unit_ball_volume(d):
+    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+
+
+def _lens_volume(d, b, c, t):
+    """Volume of B(0, b) & B(y, c) in R^d at |y| = t, for t strictly between
+    |b - c| and b + c: two caps, in closed form for d = 1, 2, 3."""
+    if d == 1:
+        return b + c - t
+    if d == 2:
+        return (b * b * np.arccos((t * t + b * b - c * c) / (2 * t * b))
+                + c * c * np.arccos((t * t + c * c - b * b) / (2 * t * c))
+                - 0.5 * np.sqrt((b + c - t) * (t + b - c) * (t - b + c)
+                                * (t + b + c)))
+    if d == 3:
+        return (math.pi * (b + c - t) ** 2
+                * (t * t + 2 * t * (b + c) - 3 * (b - c) ** 2) / (12 * t))
+    raise ValueError("lens volumes are implemented for d = 1, 2, 3")
+
+
+def three_body_coefficient(d, radii):
+    """Pressure coefficient of braid(3) at d with radii (a, b, c), one per
+    hyperplane in any order:
+
+        V_d^2 (a^d b^d + a^d c^d + b^d c^d) - int_{|y| < a} lens(b, c, |y|) dy,
+
+    the three two-edge trees less the triangle, whose lens volume
+    vol(B(0, b) & B(y, c)) is V_d min(b, c)^d up to |y| = |b - c|, closed
+    form (`_lens_volume`) up to b + c, and 0 beyond.  The radial integral
+    is split at |b - c| and b + c, and each piece inside [0, a] is
+    integrated by 64-node Gauss-Legendre in theta, t = mid - half
+    cos(theta), which smooths the square-root ends of the d = 2 lens."""
+    a, b, c = (float(r) for r in radii)
+    v = _unit_ball_volume(d)
+    x, w = np.polynomial.legendre.leggauss(64)
+    theta = math.pi * (x + 1) / 2
+    triangle = 0.0
+    cuts = [0.0, abs(b - c), b + c]
+    for lo, hi in zip(cuts, cuts[1:]):
+        lo, hi = min(lo, a), min(hi, a)
+        if hi <= lo:
+            continue
+        t = (lo + hi) / 2 - (hi - lo) / 2 * np.cos(theta)
+        dt = w * math.pi / 2 * (hi - lo) / 2 * np.sin(theta)
+        lens = (np.full_like(t, v * min(b, c) ** d) if hi <= abs(b - c)
+                else _lens_volume(d, b, c, t))
+        triangle += d * v * float(np.sum(t ** (d - 1) * lens * dt))
+    trees = v * v * ((a * b) ** d + (a * c) ** d + (b * c) ** d)
+    return trees - triangle
+
+
 def chi_by_expansion(view, mask):
     """Sum over subsets T of `mask` with full rank of (-1)^|T|, one rank call
     per subset: chi_mask(0) for a spanning mask, 0 for any other."""

@@ -192,6 +192,17 @@ def test_polymer_volume_and_artifacts(tmp_path):
     assert dump.read_text().startswith("base_mask")
 
 
+def test_polymer_svg_of_a_cyclotomic_arrangement(tmp_path):
+    # dowling(2, 3) has two points, each one complex coordinate, drawn as
+    # the real coordinates (0, 1) of the plane
+    svg = tmp_path / "p.svg"
+    code, _ = run_cli(["polymer-volume", "--family", "dowling", "--n", "2",
+                       "--k", "3", "--d", "2", "--samples", "3000",
+                       "--svg", str(svg)])
+    assert code == 0
+    assert svg.read_text().count("<circle") == 2
+
+
 def test_invariance_command():
     code, out = run_cli(["invariance", "--family", "braid", "--n", "3",
                          "--samples", "60000", "--seed", "2",

@@ -114,6 +114,16 @@ def test_uniform_ball_radial_law():
     assert uniform_ball(0, rng_for(9), 5).shape == (5, 0)
 
 
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_uniform_ball_fills_out_with_the_same_draws(dim):
+    out = np.empty((1000, dim))
+    assert uniform_ball(dim, rng_for(10), 1000, out=out) is out
+    assert np.array_equal(out, uniform_ball(dim, rng_for(10), 1000))
+    assert np.all(np.sum(out * out, axis=1) <= 1.0)
+    if dim == 1:    # uniform on [-1, 1]: radius |u| uniform on [0, 1]
+        assert stats.kstest(np.abs(out[:, 0]), "uniform").pvalue > 1e-3
+
+
 def test_surface_measure_closed_forms():
     assert surface_measure_total(sphere_shape(3)) == pytest.approx(4 * math.pi)
     assert surface_measure_total(sphere_shape(2)) == pytest.approx(2 * math.pi)

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (hard_rod_pressure_coefficient, mc_sum,
-                     pressure_coefficient_enumerated, slab_region_area)
+                     pressure_coefficient_enumerated, slab_region_area,
+                     three_body_coefficient)
 from polygas.arrangement import braid, coxeter_d, dowling
+from polygas.dimred import check_asa_dr, check_dr
 from polygas.geometry import capped_cylinder_shape, cylinder_shape, sphere_shape
 from polygas.matroid import MatroidView
-from polygas.mayer import (MCEstimate, SpanningError, mmc_asa, mmc_d0, mmc_mc,
+from polygas.mayer import (Z_LIMIT, MCEstimate, SpanningError,
+                           asa_pressure_coefficient, mmc_asa, mmc_d0, mmc_mc,
                            pressure_coefficient, pressure_exact_d0, z_score)
 
 
@@ -82,6 +85,36 @@ def test_pressure_braid3_d1_hard_rod_value():
     v = MatroidView(braid(3))
     est = pressure_coefficient(v, 1, 400_000, 4)
     assert within_sigma(est, 9.0)
+
+
+@pytest.mark.parametrize("d, radii, value", [
+    (1, (1, 1, 1), 9),                                          # hard rods
+    (2, (1, 1, 1), 2 * math.pi ** 2 + 3 * math.sqrt(3) * math.pi / 4),
+    (3, (1, 1, 1), 9 * math.pi ** 2 / 2),
+    (2, (1, 2, 0.5), 5 * math.pi ** 2),
+])
+def test_three_body_oracle(d, radii, value):
+    # unit radii: the hard-disk and hard-sphere B_3; at (1, 2, 0.5) every
+    # |y| < 0.5 puts B(0, 1) inside B(y, 2), so the triangle is
+    # V_2(0.5) V_2(1) = pi^2 / 4, off the trees' 21 pi^2 / 4
+    assert three_body_coefficient(d, radii) == pytest.approx(value, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_three_body_oracle_is_symmetric(d):
+    radii = (1.0, 1.5, 0.7)
+    values = [three_body_coefficient(d, p) for p in
+              [radii, radii[::-1], radii[1:] + radii[:1], radii[2:] + radii[:2]]]
+    assert values == pytest.approx([values[0]] * 4, rel=1e-13)
+
+
+@pytest.mark.parametrize("d, radii, seed", [
+    (1, (1, 2, 0.5), 41), (2, (1, 2, 0.5), 42), (3, (1, 1.5, 0.7), 43)])
+def test_pressure_braid3_matches_the_three_body_oracle(d, radii, seed):
+    # the exact anchor of the tube estimators at unequal radii, d >= 2 too
+    est = pressure_coefficient(braid(3).with_radii(radii), d, 2 ** 18, seed)
+    exact = MCEstimate(three_body_coefficient(d, radii), 0.0, 0, seed, 1)
+    assert abs(z_score(est, exact)) < Z_LIMIT
 
 
 def test_pressure_coxeter_d2_d1_exact_area():
@@ -205,3 +238,28 @@ def test_json_round_trip():
     d = e.to_json_dict("volume")
     assert d == {"mean": 1.5, "stderr": 0.25, "n_samples": 123, "seed": 9,
                  "workers": 4, "quantity": "volume"}
+
+
+# every public estimator takes an Arrangement or a MatroidView of one
+CAPPED3 = [capped_cylinder_shape(3, 1.0)] * 3
+ONE_ARGUMENT_CONVENTION = {
+    "mmc_d0": lambda a: mmc_d0(a, 0b011),
+    "mmc_mc": lambda a: mmc_mc(a, 0b111, 1, 3000, 0),
+    "pressure_exact_d0": pressure_exact_d0,
+    "pressure_coefficient": lambda a: pressure_coefficient(a, 1, 3000, 0),
+    "mmc_asa": lambda a: mmc_asa(a, 0b111, CAPPED3, 1, 3000, 0),
+    "asa_pressure_coefficient": lambda a: asa_pressure_coefficient(
+        a, CAPPED3, 1, 3000, 0),
+    "check_dr": lambda a: _sides(check_dr(a, 1, 3000, 0)),
+    "check_asa_dr": lambda a: _sides(check_asa_dr(a, CAPPED3, 1, 3000, 0)),
+}
+
+
+def _sides(report):
+    return report.lhs, report.rhs, report.z
+
+
+@pytest.mark.parametrize("name", list(ONE_ARGUMENT_CONVENTION))
+def test_estimators_take_an_arrangement_or_a_view(name):
+    call = ONE_ARGUMENT_CONVENTION[name]
+    assert call(braid(3)) == call(MatroidView(braid(3)))

@@ -15,7 +15,7 @@ from oracles import ball_sides, per_base_polymer_estimate, surface_sides
 from polygas import (MatroidView, asa_volume_mc, braid, capped_cylinder_shape,
                      coxeter_b, coxeter_d, custom, cylinder_shape, dowling,
                      pressure_coefficient, project_expectation, sphere_area,
-                     surface_measure_total, volume_mc, z_score)
+                     surface_measure_total, uniform_ball, volume_mc, z_score)
 from polygas.matroid import mask_elements
 from polygas.mayer import BLOCK, CHUNK
 from polygas.polymer import _ball_sides, live_base_table
@@ -324,9 +324,10 @@ def test_block_draws_put_base_values_on_their_radii(arr, dim):
     radii = np.asarray(arr.radii)
     table = view.base_table
     tube = mayer._Sides(
-        table, mayer._ball_draw(table, radii, dim, mayer._unit_ball),
+        table, mayer._ball_draw(table, radii, dim, uniform_ball),
         mayer._tube_value(view, table, mayer._chi_weight(view),
-                          mayer._beyond_radii(table, radii)))
+                          mayer._beyond_radii(table, radii)),
+        np.ones(table.masks.size))
     rng = np.random.default_rng(9)
     k, rows = 3, 5
     for sides in (_ball_sides(view, dim, radii, live=False), tube):

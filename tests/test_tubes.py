@@ -171,7 +171,7 @@ def test_tube_boundary_draws_give_finite_weights(monkeypatch):
         out[:] = rng.choice((-1.0, 1.0), size=(count, d))
         return out
 
-    monkeypatch.setattr(mayer, "_unit_ball", corner_draw)
+    monkeypatch.setattr(mayer, "uniform_ball", corner_draw)
     est = pressure_coefficient(view, 1, 4096, 0)
     assert math.isfinite(est.mean) and math.isfinite(est.stderr)
     est = mmc_mc(view, view.ground_mask, 1, 4096, 0)

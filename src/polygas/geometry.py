@@ -8,6 +8,18 @@ point is a bottom-uniform y and a uniform point of the unit circle
 (`sample_unit_sphere(2, ...)`) scaled by the circle radius rho(y).  The
 sphere and ball draws here are the only ones: the ball polymers draw
 `sample_unit_sphere` points, the ball tubes `uniform_ball` points.
+
+Both are trig-free and, up to dim 4, free of normal deviates, which cost
+about four times a uniform one: they build on points uniform in the unit
+disk minus its centre (`_unit_disk`), uniform points of the square
+redrawn where they fall outside.  The circle is p / |p| (von Neumann
+1951), S^2 and S^3 are Marsaglia's (1972) closed forms of one and two
+disk points, the ball of R^2 is the disk point itself, and the ball of R
+is 2u - 1.  The sphere at dim 1 and from dim 5 on normalises Gaussian
+points (a polar-method Gaussian built on disk points does not pay there),
+and a ball from dim 3 on scales a sphere point by a radius.  Temporaries
+live in the buffers of a `_Work`: the stratified kernel hands each draw
+its chunk's, and a draw made without one makes its own.
 """
 
 from __future__ import annotations
@@ -53,42 +65,145 @@ def ball_volume(dim: int) -> float:
     return volume
 
 
+class _Work:
+    """Reusable buffers: one flat array per name, made at the name's first
+    request and grown when a later request asks for more, and viewed by
+    each request as a C-contiguous array of the shape it asks for.  The
+    stratified kernel keeps one per chunk; a draw made without one makes
+    its own, and the same draws come out either way."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def buffer(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        assert flat is None or flat.dtype == dtype, (name, shape, dtype)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _unit_disk(rng: np.random.Generator, points: np.ndarray,
+               work: _Work) -> np.ndarray:
+    """Fill points, a C-contiguous (count, 2) float array, with points
+    uniform in the unit disk minus its centre, and return their squared
+    norms, (count,), in a buffer of work.  Each row starts as a uniform
+    point of the square [-1, 1)^2; the rows outside the disk or at its
+    centre are then drawn again, in row order, from batches of fresh
+    square points half again as many as they need, keeping the candidates
+    that land inside, until no row is left.  So the draws depend only on
+    the generator's state and count."""
+    count = points.shape[0]
+    sq = work.buffer("disk_sq", (count,))
+    rng.random(out=points)
+    points *= 2.0
+    points -= 1.0
+    np.multiply(points[:, 0], points[:, 0], out=sq)
+    y_sq = work.buffer("disk_y_sq", (count,))
+    np.multiply(points[:, 1], points[:, 1], out=y_sq)
+    sq += y_sq
+    rejected = np.greater_equal(sq, 1.0, out=work.buffer("disk_out", (count,), bool))
+    if not sq.all():        # a point at the centre (probability 2^-106 a row)
+        rejected |= sq == 0.0
+    todo = np.flatnonzero(rejected)
+    # each point as one complex entry: a row gather and scatter of 2-float
+    # rows costs ~5x more
+    as_complex = points.view(complex)[:, 0]
+    while todo.size:
+        fresh = rng.random((todo.size + (todo.size >> 1) + 8, 2))
+        fresh *= 2.0
+        fresh -= 1.0
+        fresh_sq = _norms_sq(fresh)
+        inside = np.flatnonzero((fresh_sq < 1.0) & (fresh_sq > 0.0))[:todo.size]
+        rows, todo = todo[:inside.size], todo[inside.size:]
+        as_complex[rows] = fresh.view(complex)[inside, 0]
+        sq[rows] = fresh_sq[inside]
+    return sq
+
+
 def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int,
-                       out: np.ndarray | None = None):
-    """Uniform points on S^(dim-1) by Gaussian normalization; unit norm to
-    1e-12.  With `out`, a C-contiguous (size, dim) float array, the points
-    are written there (the same draws) and out is returned."""
+                       out: np.ndarray | None = None,
+                       work: _Work | None = None):
+    """Uniform points on S^(dim-1), unit norm to 1e-12.  At dim 2, 3 and 4
+    they are built from points p = (u, v) uniform in the unit disk minus
+    its centre, s = |p|^2 (`_unit_disk`): p / sqrt(s) on the circle (von
+    Neumann 1951); (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s) on S^2, and
+    from two disk points (u1, v1, u2 f, v2 f), f = sqrt((1 - s1) / s2), on
+    S^3 (Marsaglia 1972).  At dim 1 and from dim 5 on they are Gaussian
+    points normalised.  With `out`, a C-contiguous (size, dim) float array,
+    the points are written there and out is returned; `work` holds the
+    draw's temporaries (a fresh _Work without it).  The draws are the same
+    with or without either."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if out is None:
-        g = rng.standard_normal((size, dim))
+        out = np.empty((size, dim))
+    elif out.shape != (size, dim) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape "
+                         f"{(size, dim)}, not {out.shape}")
+    if work is None:
+        work = _Work()
+    if dim == 2:
+        norm = _unit_disk(rng, out, work)
+        np.sqrt(norm, out=norm)
+        out[:, 0] /= norm
+        out[:, 1] /= norm
+    elif dim == 3:
+        disk = work.buffer("disk", (size, 2))
+        sq = _unit_disk(rng, disk, work)
+        np.multiply(sq, -2.0, out=out[:, 2])
+        out[:, 2] += 1.0
+        np.subtract(1.0, sq, out=sq)
+        np.sqrt(sq, out=sq)
+        sq *= 2.0
+        np.multiply(disk[:, 0], sq, out=out[:, 0])
+        np.multiply(disk[:, 1], sq, out=out[:, 1])
+    elif dim == 4:
+        # the two disk points of a row are its two coordinate pairs
+        sq = _unit_disk(rng, out.reshape(2 * size, 2), work)
+        first, second = sq[0::2], sq[1::2]
+        np.subtract(1.0, first, out=first)
+        np.divide(first, second, out=first)
+        np.sqrt(first, out=first)
+        out[:, 2] *= first
+        out[:, 3] *= first
     else:
-        if out.shape != (size, dim):
-            raise ValueError(f"out has shape {out.shape}, not {(size, dim)}")
         g = rng.standard_normal(out=out)
-    norms = np.sqrt(_norms_sq(g))[:, None]
-    # resample the (probability-zero) degenerate rows rather than dividing by ~0
-    while np.any(norms < 1e-12):
-        bad = norms[:, 0] < 1e-12
-        g[bad] = rng.standard_normal((int(bad.sum()), dim))
         norms = np.sqrt(_norms_sq(g))[:, None]
-    g /= norms
-    return g
+        # resample the (probability-zero) degenerate rows rather than dividing by ~0
+        while np.any(norms < 1e-12):
+            bad = norms[:, 0] < 1e-12
+            g[bad] = rng.standard_normal((int(bad.sum()), dim))
+            norms = np.sqrt(_norms_sq(g))[:, None]
+        g /= norms
+    return out
 
 
 def uniform_ball(dim: int, rng: np.random.Generator, size: int,
-                 out: np.ndarray | None = None):
+                 out: np.ndarray | None = None, work: _Work | None = None):
     """Uniform points in the unit ball of R^dim (empty columns for dim = 0):
-    uniform on [-1, 1] for dim = 1, else a sphere point scaled by a radius
-    u^(1/dim).  With `out`, a C-contiguous (size, dim) float array, the
-    points are written there (the same draws) and out is returned."""
+    2u - 1 for u uniform on [0, 1) at dim 1, a point of the unit disk minus
+    its centre at dim 2 (`_unit_disk`), else a sphere point scaled by a
+    radius r^(1/dim), r uniform on [0, 1).  With `out`, a C-contiguous
+    (size, dim) float array, the points are written there and out is
+    returned; `work` holds the draw's temporaries (a fresh _Work without
+    it).  The draws are the same with or without either."""
     if out is None:
         out = np.empty((size, dim))
+    if work is None:
+        work = _Work()
     if dim == 1:
-        out[:] = rng.uniform(-1.0, 1.0, (size, 1))
-    elif dim > 1:
-        sample_unit_sphere(dim, rng, size, out=out)
-        out *= (rng.random(size) ** (1.0 / dim))[:, None]
+        rng.random(out=out)
+        out *= 2.0
+        out -= 1.0
+    elif dim == 2:
+        _unit_disk(rng, out, work)
+    elif dim > 2:
+        sample_unit_sphere(dim, rng, size, out=out, work=work)
+        radius = rng.random(out=work.buffer("ball_radius", (size,)))
+        radius **= 1.0 / dim
+        out *= radius[:, None]
     return out
 
 

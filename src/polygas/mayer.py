@@ -77,7 +77,7 @@ from functools import reduce
 import numpy as np
 
 from .arrangement import Arrangement, _mask_bits, _norms_sq
-from .geometry import ASAShape, RNGStream, ball_volume, uniform_ball
+from .geometry import ASAShape, RNGStream, _Work, ball_volume, uniform_ball
 from .matroid import BaseTable, MatroidView, popcount, view_of
 
 CHUNK = 1 << 16
@@ -265,24 +265,6 @@ class _Sides:
     weights: np.ndarray
 
 
-class _Work:
-    """Buffers for the blocks of one chunk: one flat array per name, made
-    at the name's first request and grown when a later block asks for
-    more, and viewed by each block as a C-contiguous array of the shape it
-    asks for."""
-
-    def __init__(self):
-        self._flat = {}
-
-    def buffer(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        assert flat is None or flat.dtype == dtype, (name, shape, dtype)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
-
-
 def _matmul_runs(block, maps: np.ndarray, h: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
     """out[:, j, i] = maps[base + j] @ h[:, j, i] for each row i of each run
@@ -382,10 +364,11 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
 
 def _ball_draw(table: BaseTable, radii: np.ndarray, dim: int, unit):
     """draw(rng, block, work) for balls: base value R_e * u_e for each
-    element e of a run's base.  unit(dim, rng, count, out) writes the u_e of
-    the block's count = n * k * rows base values, count points of R^dim,
-    into out, the real coordinates of the base values, (count, dim) in
-    (element, run, row) order; they are then scaled in place by the radii.
+    element e of a run's base.  unit(dim, rng, count, out, work) writes the
+    u_e of the block's count = n * k * rows base values, count points of
+    R^dim, into out, the real coordinates of the base values, (count, dim)
+    in (element, run, row) order, with its temporaries in work's buffers;
+    they are then scaled in place by the radii.
     The base values have the base table's dtype: a complex value holds
     coordinates (2j, 2j + 1) as the real and imaginary part of entry j."""
     # per-base radii with the bases on axis 1: (n, bases)
@@ -396,7 +379,7 @@ def _ball_draw(table: BaseTable, radii: np.ndarray, dim: int, unit):
     def draw(rng, block, work):
         base, k, rows = block
         h = work.buffer("h", (n, k, rows, dim))
-        unit(dim, rng, n * k * rows, h.reshape(-1, dim))
+        unit(dim, rng, n * k * rows, h.reshape(-1, dim), work)
         h *= base_radii[:, base:base + k, None, None]
         return h.view(dtype)
 

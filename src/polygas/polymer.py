@@ -42,14 +42,14 @@ from itertools import combinations
 import numpy as np
 
 from .arrangement import Arrangement, _checked_radii, _norms_sq
-from .geometry import (RNGStream, sample_unit_sphere, sphere_area,
+from .geometry import (RNGStream, _Work, sample_unit_sphere, sphere_area,
                        surface_measure_total)
 from .matroid import (BaseTable, LinearOrder, MatroidError, MatroidView,
                       view_of)
 from .mayer import (Z_LIMIT, MCEstimate, _accept_block, _beyond_radii,
                     _ball_draw, _check_shapes, _chi_weight,
                     _polymer_estimate, _region_estimate, _shape_draw,
-                    _shape_test, _Sides, _Work, z_score)
+                    _shape_test, _Sides, z_score)
 
 
 @dataclass(frozen=True)
@@ -396,16 +396,17 @@ def polymer_svg(path, arr, seed: int = 0):
     Arrangement or a MatroidView of one."""
     view = view_of(arr)
     arr = view.arrangement
-    bases = list(view.bases())
+    sides = _ball_sides(view, 2, arr.radii, live=False)
     rng = RNGStream(seed, 0).generator()
     for _ in range(1000):       # draws before giving up
-        base_mask = bases[int(rng.integers(len(bases)))]
-        sample = sample_for_base(view, base_mask, 2, rng)
-        if sample.accepted:
+        # a uniform base, then one row for it, as sample_for_base draws it
+        row = int(rng.integers(sides.table.masks.size))
+        accepted, x = _one_base_block(row, 1, rng, sides)
+        if accepted[0]:
             break
     else:
         raise RuntimeError("no accepted sample found")
-    pts = _real_coordinates(sample.x)
+    pts = _real_coordinates(x[0])
     rmin = min(arr.radii)
     lo = pts.min() - rmin
     hi = pts.max() + rmin

@@ -25,7 +25,9 @@ And the slow paths the polymer volumes are checked against:
 `per_base_polymer_estimate`, one chunked run per base with its own block
 of random streams, which solves for the configuration and applies the
 non-base functionals to it, with per-base sides (`ball_sides`,
-`surface_sides`) that loop over hyperplanes; and
+`surface_sides`) that loop over hyperplanes, the ball directions drawn
+as normalised Gaussian points (`gaussian_sphere`), not by the library's
+sphere draw; and
 `empty_strata_by_fractions`, the strata the ball kernel may skip, by one
 Fraction inverse per base.
 """
@@ -39,7 +41,7 @@ import numpy as np
 
 from polygas.arrangement import _mask_bits
 from polygas.exact_linalg import Cyclotomic, FieldMismatchError, integer_inverses
-from polygas.geometry import bounding_halfwidth, sample_unit_sphere
+from polygas.geometry import bounding_halfwidth
 from polygas.matroid import mask_elements
 from polygas.mayer import (MCEstimate, _contains, _parity, _region_estimate,
                            pressure_exact_d0, run_chunked)
@@ -569,15 +571,23 @@ def pressure_coefficient_enumerated(view, d: int, n_samples: int, seed: int,
     return mc_sum(parts, seed, workers)
 
 
+def gaussian_sphere(dim, rng, count):
+    """count uniform points on S^(dim-1): standard normal points over their
+    np.linalg.norm."""
+    g = rng.standard_normal((count, dim))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
 def ball_sides(arr, dim, radii):
     """(draw, outside) of one base's rows for balls: draw(rng, count,
-    base_idx) gives R_e * u_e, u_e uniform on the sphere of R^dim (paired
-    into complex coordinates for cyclotomic arrangements), and
-    outside(vals, outside_idx) holds where every non-base norm exceeds R_e."""
+    base_idx) gives R_e * u_e, u_e uniform on the sphere of R^dim
+    (`gaussian_sphere`, paired into complex coordinates for cyclotomic
+    arrangements), and outside(vals, outside_idx) holds where every
+    non-base norm exceeds R_e."""
     radii = np.asarray(radii, dtype=float)
 
     def draw(rng, count, base_idx):
-        u = sample_unit_sphere(dim, rng, count * len(base_idx)).reshape(
+        u = gaussian_sphere(dim, rng, count * len(base_idx)).reshape(
             count, len(base_idx), dim)
         if not arr.complexified:
             u = u[..., 0::2] + 1j * u[..., 1::2]

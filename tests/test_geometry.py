@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import gaussian_sphere
 from polygas.arrangement import ArrangementError, braid, coxeter_d
-from polygas.geometry import (ASAShape, RNGStream, ball_volume,
+from polygas.geometry import (ASAShape, RNGStream, _Work, ball_volume,
                               bounding_halfwidth, capped_cylinder_shape,
                               cylinder_shape, sample_unit_sphere, sphere_shape,
                               surface_measure_total, uniform_ball)
@@ -62,12 +63,64 @@ def test_sphere_d4_coordinate_variance():
 
 
 def test_sphere_normalization_matches_linalg_norm():
-    # the column-wise norms keep sphere draws (and so every region golden)
-    # bit for bit as np.linalg.norm gave them, below 8 dimensions
-    for dim in range(1, 8):
-        g = RNGStream(5, dim).generator().standard_normal((1000, dim))
+    # dims 1 and 5-7 normalise Gaussian points: the column-wise norms give
+    # the points bit for bit as np.linalg.norm does below 8 dimensions
+    for dim in (1, 5, 6, 7):
         pts = sample_unit_sphere(dim, RNGStream(5, dim).generator(), 1000)
-        assert np.array_equal(pts, g / np.linalg.norm(g, axis=1, keepdims=True))
+        assert np.array_equal(
+            pts, gaussian_sphere(dim, RNGStream(5, dim).generator(), 1000))
+    # dims 2-4 are built from disk points, a stream of their own: each
+    # coordinate has the law of the normalised Gaussian points' (two-sample
+    # KS at pinned seeds)
+    for dim in (2, 3, 4):
+        pts = sample_unit_sphere(dim, RNGStream(5, dim).generator(), 20_000)
+        ref = gaussian_sphere(dim, RNGStream(6, dim).generator(), 20_000)
+        for axis in range(dim):
+            assert stats.ks_2samp(pts[:, axis], ref[:, axis]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_sphere_fourth_moments(dim):
+    # E[x_i^4] = 3 / (dim (dim + 2)) on S^(dim-1), each coordinate within
+    # 4 sigma
+    n = 400_000
+    x4 = sample_unit_sphere(dim, rng_for(20 + dim), n) ** 4
+    bound = 4 * x4.std(axis=0) / math.sqrt(n)
+    assert np.all(np.abs(x4.mean(axis=0) - 3 / (dim * (dim + 2))) < bound)
+
+
+class _FirstFillRejected:
+    """A generator whose first random(out=...) fill makes every disk
+    candidate the centre, a point of the circle or a point outside it; its
+    later draws are a real generator's."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._first = True
+
+    def random(self, size=None, out=None):
+        values = self._rng.random(size, out=out)
+        if self._first:
+            self._first = False
+            # (0.5, 0.5) -> (0, 0); (0, 0.5) -> (-1, 0); (0.9, 0.95) -> (0.8, 0.9)
+            pairs = values.reshape(-1, 2)
+            for i, pair in enumerate(((0.5, 0.5), (0.0, 0.5), (0.9, 0.95))):
+                pairs[i::3] = pair
+        return values
+
+
+@pytest.mark.parametrize("draw, dim", [(sample_unit_sphere, 2),
+                                       (sample_unit_sphere, 3),
+                                       (sample_unit_sphere, 4),
+                                       (uniform_ball, 2)])
+def test_disk_redraw_leaves_no_rejected_point(draw, dim):
+    pts = draw(dim, _FirstFillRejected(rng_for(30)), 5000)
+    assert np.all(np.isfinite(pts))
+    norms = np.linalg.norm(pts, axis=1)
+    if draw is uniform_ball:
+        assert np.all((norms > 0.0) & (norms < 1.0))
+    else:
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 # The hat-box split of a point of S^(D-1) is plain slicing: w = the first two
@@ -114,14 +167,34 @@ def test_uniform_ball_radial_law():
     assert uniform_ball(0, rng_for(9), 5).shape == (5, 0)
 
 
-@pytest.mark.parametrize("dim", [0, 1, 2, 3])
-def test_uniform_ball_fills_out_with_the_same_draws(dim):
-    out = np.empty((1000, dim))
-    assert uniform_ball(dim, rng_for(10), 1000, out=out) is out
-    assert np.array_equal(out, uniform_ball(dim, rng_for(10), 1000))
-    assert np.all(np.sum(out * out, axis=1) <= 1.0)
+@pytest.mark.parametrize(
+    "draw, dim",
+    [pytest.param(uniform_ball, dim, id=str(dim)) for dim in range(4)]
+    + [pytest.param(sample_unit_sphere, dim, id=f"sphere{dim}")
+       for dim in range(1, 6)])
+def test_uniform_ball_fills_out_with_the_same_draws(draw, dim):
+    # with or without out and work, and with a work whose buffers hold a
+    # larger earlier draw, the same bits
+    want = draw(dim, rng_for(10), 1000)
+    used = _Work()
+    draw(dim, rng_for(11), 3000, work=used)
+    for kwargs in ({"out": True}, {"work": _Work()}, {"work": used},
+                   {"out": True, "work": used}):
+        out = np.full((1000, dim), np.nan)
+        if kwargs.pop("out", False):
+            assert draw(dim, rng_for(10), 1000, out=out, **kwargs) is out
+        else:
+            out = draw(dim, rng_for(10), 1000, **kwargs)
+        assert np.array_equal(out, want)
+    norms_sq = np.sum(want * want, axis=1)
+    if draw is sample_unit_sphere:
+        assert np.max(np.abs(norms_sq - 1.0)) < 1e-12
+        return
+    assert np.all(norms_sq <= 1.0)
     if dim == 1:    # uniform on [-1, 1]: radius |u| uniform on [0, 1]
-        assert stats.kstest(np.abs(out[:, 0]), "uniform").pvalue > 1e-3
+        assert stats.kstest(np.abs(want[:, 0]), "uniform").pvalue > 1e-3
+        # 2u - 1 in place is rng.uniform(-1, 1) bit for bit
+        assert np.array_equal(want[:, 0], rng_for(10).uniform(-1.0, 1.0, 1000))
 
 
 def test_surface_measure_closed_forms():

@@ -9,6 +9,7 @@ from polygas.arrangement import (ArrangementError, braid, coxeter_b, coxeter_d,
 from polygas.geometry import (RNGStream, capped_cylinder_shape, cylinder_shape,
                               sphere_area, sphere_shape)
 from polygas.matroid import LinearOrder, MatroidError, MatroidView, mask_elements
+from polygas import polymer
 from polygas.mayer import z_score
 from polygas.polymer import (_ball_sides, _one_base_block, asa_volume_mc,
                              dump_samples_csv,
@@ -240,6 +241,53 @@ def test_dump_and_svg(tmp_path):
     svg_path = tmp_path / "poly.svg"
     polymer_svg(svg_path, braid(3), seed=1)
     assert svg_path.read_text().startswith("<svg")
+
+
+def _svg_per_try(path, arr, seed):
+    """polymer_svg as one sample_for_base call per try, which builds the
+    ball sides anew every time: the reference for the file's bytes."""
+    view = MatroidView(arr)
+    bases = list(view.bases())
+    rng = RNGStream(seed, 0).generator()
+    for _ in range(1000):
+        base_mask = bases[int(rng.integers(len(bases)))]
+        sample = sample_for_base(view, base_mask, 2, rng)
+        if sample.accepted:
+            break
+    pts = sample.x
+    rmin = min(arr.radii)
+    lo = pts.min() - rmin
+    scale = 400.0 / max(pts.max() + rmin - lo, 1e-9)
+
+    def sx(v):
+        return 20 + (v - lo) * scale
+
+    disks = "\n".join(
+        f'  <circle cx="{sx(p[0]):.2f}" cy="{sx(p[1]):.2f}" '
+        f'r="{rmin / 2 * scale:.2f}" fill="#8aa" stroke="#345"/>'
+        for p in pts)
+    with open(path, "w") as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="440" '
+                 f'height="440">\n{disks}\n</svg>\n')
+
+
+def test_polymer_svg_builds_its_sides_once(tmp_path, monkeypatch):
+    # braid(5) needs several tries at seed 0; every try draws from the one
+    # set of sides, the same bits as a sample_for_base call per try
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[1:])
+        return _ball_sides(*args, **kwargs)
+
+    arr = braid(5)
+    with monkeypatch.context() as patch:
+        patch.setattr(polymer, "_ball_sides", counted)
+        polymer_svg(tmp_path / "once.svg", arr, seed=0)
+    assert len(builds) == 1
+    _svg_per_try(tmp_path / "per_try.svg", arr, 0)
+    assert ((tmp_path / "once.svg").read_bytes()
+            == (tmp_path / "per_try.svg").read_bytes())
 
 
 def test_dump_samples_csv_interleaves_complex_coordinates(tmp_path):

@@ -167,7 +167,7 @@ def test_tube_boundary_draws_give_finite_weights(monkeypatch):
             dropped += int(arr.gamma_masks(x[None])[0]) & base != base
     assert dropped > 0
 
-    def corner_draw(d, rng, count, out):
+    def corner_draw(d, rng, count, out, work):
         out[:] = rng.choice((-1.0, 1.0), size=(count, d))
         return out
 

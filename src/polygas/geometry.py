@@ -68,7 +68,8 @@ def ball_volume(dim: int) -> float:
 class _Work:
     """Reusable buffers: one flat array per name, made at the name's first
     request and grown when a later request asks for more, and viewed by
-    each request as a C-contiguous array of the shape it asks for.  The
+    each request as a C-contiguous array of the shape it asks for.  A
+    request for a name made with another dtype is refused (TypeError).  The
     stratified kernel keeps one per chunk; a draw made without one makes
     its own, and the same draws come out either way."""
 
@@ -78,7 +79,9 @@ class _Work:
     def buffer(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         size = math.prod(shape)
         flat = self._flat.get(name)
-        assert flat is None or flat.dtype == dtype, (name, shape, dtype)
+        if flat is not None and flat.dtype != dtype:
+            raise TypeError(f"buffer {name!r} holds {flat.dtype}, "
+                            f"not {np.dtype(dtype)}")
         if flat is None or flat.size < size:
             flat = self._flat[name] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
@@ -274,15 +277,6 @@ class ASAShape:
         if self.kind == "cylinder":
             return ball_volume(self.dim - 3) * self.length
         return ball_volume(self.dim - 3) * self.length + ball_volume(self.bottom_dim)
-
-    @property
-    def bottom_outer_radius(self) -> float:
-        """Radius of the smallest origin-centred ball containing the bottom."""
-        if self.kind == "sphere":
-            return 1.0
-        if self.kind == "cylinder":
-            return math.sqrt(1.0 + (self.length / 2.0) ** 2)
-        return 1.0 + self.length / 2.0
 
     def sample_bottom(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Uniform (Lebesgue) points on the bottom."""

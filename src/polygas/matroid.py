@@ -100,9 +100,6 @@ class LinearOrder:
         rng.shuffle(elems)
         return cls(elems)
 
-    def min_of(self, mask: int) -> int:
-        return min(mask_elements(mask), key=self.position.__getitem__)
-
     def __repr__(self):
         return f"LinearOrder({list(self.elements)})"
 

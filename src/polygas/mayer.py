@@ -7,11 +7,12 @@ estimator takes an Arrangement or a MatroidView of one (`view_of`).
 
 Estimation contract: the scheduler `map_chunks` runs a list of chunks,
 one deterministic random stream per chunk, and returns the chunks' results
-in chunk order.  `run_chunked` cuts its samples into CHUNK-row chunks and
-merges their results into one (n, mean, m2); the stratified kernel plans
-its own chunks and merges their results per base.  Worker count only
-decides which thread runs which chunk, so results are bit-identical across
-worker counts for a fixed (seed, n_samples).
+in chunk order; the stratified kernel plans its own chunks and merges
+their results per base.  Worker count only decides which thread runs which
+chunk, so results are bit-identical across worker counts for a fixed
+(seed, n_samples).  No estimator calls `run_chunked`, which cuts its
+samples into CHUNK-row chunks and merges their results into one (n, mean,
+m2): it is kept only for the tests' oracles and the benchmark's tracer.
 
 The stratified kernel estimates a sum over bases of a base weight times
 the mean of a per-row value over that base's draws.  It splits the budget
@@ -362,7 +363,8 @@ def _polymer_estimate(view: MatroidView, n_samples: int, seed: int,
 # sides shared by the polymer and tube estimators
 # --------------------------------------------------------------------------
 
-def _ball_draw(table: BaseTable, radii: np.ndarray, dim: int, unit):
+def _ball_draw(table: BaseTable, radii: np.ndarray, dim: int, unit,
+               frame: bool = False):
     """draw(rng, block, work) for balls: base value R_e * u_e for each
     element e of a run's base.  unit(dim, rng, count, out, work) writes the
     u_e of the block's count = n * k * rows base values, count points of
@@ -370,16 +372,41 @@ def _ball_draw(table: BaseTable, radii: np.ndarray, dim: int, unit):
     in (element, run, row) order, with its temporaries in work's buffers;
     they are then scaled in place by the radii.
     The base values have the base table's dtype: a complex value holds
-    coordinates (2j, 2j + 1) as the real and imaginary part of entry j."""
+    coordinates (2j, 2j + 1) as the real and imaginary part of entry j.
+
+    With `frame`, the directions are drawn in a fixed rotation frame: the
+    first element's u is e_0 = (1, 0, ...), and at dim 3 the second's is
+    (t, sqrt(1 - t^2), 0), t = 2v - 1 for v uniform on [0, 1); unit
+    draws the others only.  This is exact only for a row value that is a
+    function of the norms of the non-base values (a ball polymer's
+    acceptance; see the polymer module docstring)."""
     # per-base radii with the bases on axis 1: (n, bases)
     base_radii = radii[table.elems].T
     n = base_radii.shape[0]
     dtype = table.inv.dtype
+    # elements whose direction the frame fixes: none, the first, or at
+    # dim 3 the first two
+    fixed = min(n, 2 if dim == 3 else 1) if frame else 0
 
     def draw(rng, block, work):
         base, k, rows = block
         h = work.buffer("h", (n, k, rows, dim))
-        unit(dim, rng, n * k * rows, h.reshape(-1, dim), work)
+        if fixed:
+            h[0] = 0.0
+            h[0, ..., 0] = 1.0
+        if fixed == 2:
+            second = h[1].reshape(-1, dim)
+            t = rng.random(out=work.buffer("frame_t", (k * rows,)))
+            t *= 2.0
+            t -= 1.0
+            second[:, 0] = t
+            np.multiply(t, t, out=t)
+            np.subtract(1.0, t, out=t)
+            np.sqrt(t, out=second[:, 1])
+            second[:, 2] = 0.0
+        if fixed < n:
+            unit(dim, rng, (n - fixed) * k * rows,
+                 h[fixed:].reshape(-1, dim), work)
         h *= base_radii[:, base:base + k, None, None]
         return h.view(dtype)
 

@@ -29,6 +29,25 @@ call's radii (`live_base_table`): base B's stratum is empty when some
 non-base f has sum_{e in B} |S_B[f, e]| R_e <= R_f, by the triangle
 inequality, so its acceptance is exactly 0 and its share of the budget
 goes to the other bases.
+
+`volume_mc` (and so `check_dr`, `planar_invariance_check` and the CLI)
+draws its rows in a fixed rotation frame (`mayer._ball_draw`): the first
+direction of every row is e_0 = (1, 0, ...), complex (1, 0, ...) for
+cyclotomic arrangements, and at dim 3 the second is (t, sqrt(1 - t^2), 0)
+with t uniform on [-1, 1]; only the other directions are sphere points.
+This is exact because a row is valued by its acceptance alone, a function
+of the norms |S_B h|_f: one rotation Q of every direction (Q in O(dim),
+or in U(dim / 2) for cyclotomic arrangements, which commutes with the
+complex entries of S_B) leaves every norm as it is.  Given u_1, the Q
+taking u_1 to e_0 sends the other directions to independent uniform ones;
+at dim 3, the rotation about e_0 taking u_2 into the (e_0, e_1) half-plane
+does the same, and u_2's e_0 coordinate is uniform on [-1, 1] by
+Archimedes' theorem.  So every base's acceptance has the law it has under
+the full draw, for one or two sphere points fewer per row.  Values that
+are not rotation invariant keep the full draw: the polymer side of
+`project_expectation` (its g reads coordinates of x), `sample_for_base`,
+`dump_samples_csv` and `polymer_svg` (they return directions and
+configurations), and the tube and warped sides.
 """
 
 from __future__ import annotations
@@ -73,14 +92,16 @@ def _accepted(outside):
     return value
 
 
-def _ball_sides(view: MatroidView, dim: int, radii,
-                live: bool = True) -> _Sides:
+def _ball_sides(view: MatroidView, dim: int, radii, live: bool = True,
+                frame: bool = False) -> _Sides:
     """Sides for balls of the given radii on the rows of the view's base
     table whose strata can accept (`live_base_table`), or on every row when
     not `live`: base value R_e * u_e per element e, u_e a uniform direction
     in R^dim (cyclotomic arrangements need an even dim and pair it into
     complex coordinates), a non-base value outside when its norm exceeds
-    R_e, and base weight sphere_area(dim)^n.  The dimension is refused
+    R_e, and base weight sphere_area(dim)^n.  With `frame`, the directions
+    are drawn in the fixed rotation frame of `mayer._ball_draw`, for
+    callers that read the acceptance flags only.  The dimension is refused
     before any base table is read."""
     arr = view.arrangement
     if dim < 2:
@@ -89,7 +110,8 @@ def _ball_sides(view: MatroidView, dim: int, radii,
         raise ValueError("cyclotomic arrangements need an even polymer dimension")
     table = live_base_table(view, radii) if live else view.base_table
     radii = np.asarray(radii, dtype=float)
-    return _Sides(table, _ball_draw(table, radii, dim, sample_unit_sphere),
+    return _Sides(table, _ball_draw(table, radii, dim, sample_unit_sphere,
+                                    frame),
                   _accepted(_beyond_radii(table, radii)),
                   np.full(table.masks.size, sphere_area(dim) ** arr.ambient_dim))
 
@@ -185,7 +207,7 @@ def volume_mc(arr, dim: int, n_samples: int, seed: int,
     arr = view.arrangement
     radii = arr.radii if radii is None else _checked_radii(radii, arr.size)
     return _polymer_estimate(view, n_samples, seed, workers,
-                             _ball_sides(view, dim, radii))
+                             _ball_sides(view, dim, radii, frame=True))
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,8 @@ the base tubes instead of tube by tube, and
 (`spanning_subsets`), added by `mc_sum`.
 
 And the slow paths the polymer volumes are checked against:
-`per_base_polymer_estimate`, one chunked run per base with its own block
+`per_base_polymer_estimate` (base by base, `per_base_polymer_parts`),
+one chunked run per base with its own block
 of random streams, which solves for the configuration and applies the
 non-base functionals to it, with per-base sides (`ball_sides`,
 `surface_sides`) that loop over hyperplanes, the ball directions drawn
@@ -238,9 +239,14 @@ def safe_count_by_exchange(view, mask, order):
         base = sum(1 << e for e in elems)
         if view.rank_of(base) != n:
             continue
-        count += all(order.min_of(circuit_by_rank(view, base, e)) != e
+        count += all(order_min(order, circuit_by_rank(view, base, e)) != e
                      for e in mask_elements(mask & ~base))
     return count
+
+
+def order_min(order, mask):
+    """The element of mask that comes first in the LinearOrder `order`."""
+    return min(mask_elements(mask), key=order.position.__getitem__)
 
 
 # --------------------------------------------------------------------------
@@ -506,6 +512,16 @@ def _draw_box(arr, rng, count, d, halfwidth):
     return pts
 
 
+def bottom_outer_radius(shape):
+    """Radius of the smallest origin-centred ball containing the bottom of
+    an ASAShape."""
+    if shape.kind == "sphere":
+        return 1.0
+    if shape.kind == "cylinder":
+        return math.sqrt(1.0 + (shape.length / 2.0) ** 2)
+    return 1.0 + shape.length / 2.0
+
+
 def box_estimate(view, d, weight, n_samples, seed, workers=1, *, shapes=None,
                  g=None, stream_base=0):
     """Box estimate of the integral over configurations x of
@@ -521,7 +537,7 @@ def box_estimate(view, d, weight, n_samples, seed, workers=1, *, shapes=None,
     radii = None
     if shapes is not None:
         bits = _mask_bits(arr.size)
-        radii = [s.bottom_outer_radius for s in shapes]
+        radii = [bottom_outer_radius(s) for s in shapes]
     box = bounding_halfwidth(view, radii=radii)
     vol = (2.0 * box.halfwidth) ** (d * arr.ambient_dim)
 
@@ -621,13 +637,13 @@ def surface_sides(shapes):
     return draw, outside
 
 
-def per_base_polymer_estimate(view, n_samples, seed, draw, outside,
-                              base_weight, g=None, workers=1):
-    """Sum over bases of base_weight(base) times the mean over that base's
-    n_samples // |bases| draws of accepted (times g(x)): one run_chunked
-    call per base, with stream block base_index << 32.  The configuration
-    is solved with the base inverse and every non-base functional applied
-    to it."""
+def per_base_polymer_parts(view, n_samples, seed, draw, outside,
+                           base_weight, g=None, workers=1):
+    """For each base, base_weight(base) times the mean over that base's
+    n_samples // |bases| draws of accepted (times g(x)), as a list of
+    estimates in the order of view.bases(): one run_chunked call per base,
+    with stream block base_index << 32.  The configuration is solved with
+    the base inverse and every non-base functional applied to it."""
     arr = view.arrangement
     bases = list(view.bases())
     per_base = n_samples // len(bases)
@@ -649,4 +665,12 @@ def per_base_polymer_estimate(view, n_samples, seed, draw, outside,
 
         parts.append(run_chunked(per_base, seed, workers, values,
                                  stream_base=b_index << 32))
-    return mc_sum(parts, seed, workers)
+    return parts
+
+
+def per_base_polymer_estimate(view, n_samples, seed, draw, outside,
+                              base_weight, g=None, workers=1):
+    """The sum over bases of `per_base_polymer_parts`."""
+    return mc_sum(per_base_polymer_parts(view, n_samples, seed, draw, outside,
+                                         base_weight, g, workers),
+                  seed, workers)

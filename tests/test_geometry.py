@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import polygas.geometry as geometry
 from oracles import gaussian_sphere
 from polygas.arrangement import ArrangementError, braid, coxeter_d
 from polygas.geometry import (ASAShape, RNGStream, _Work, ball_volume,
@@ -195,6 +200,25 @@ def test_uniform_ball_fills_out_with_the_same_draws(draw, dim):
         assert stats.kstest(np.abs(want[:, 0]), "uniform").pvalue > 1e-3
         # 2u - 1 in place is rng.uniform(-1, 1) bit for bit
         assert np.array_equal(want[:, 0], rng_for(10).uniform(-1.0, 1.0, 1000))
+
+
+def test_work_refuses_a_name_reused_with_another_dtype():
+    work = _Work()
+    first = work.buffer("a", (4,))
+    assert work.buffer("a", (2, 4)).dtype == first.dtype    # grown, same dtype
+    with pytest.raises(TypeError, match="'a'"):
+        work.buffer("a", (2,), bool)
+    # a raise, not an assert: python -O refuses it too
+    code = ("from polygas.geometry import _Work\n"
+            "w = _Work(); w.buffer('a', (4,))\n"
+            "try:\n    w.buffer('a', (2,), bool)\n"
+            "except TypeError:\n    print('refused')\n")
+    # the subprocess imports the same polygas as this process
+    source_root = str(Path(geometry.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-O", "-c", code], text=True,
+                         capture_output=True, check=True,
+                         env={**os.environ, "PYTHONPATH": source_root})
+    assert run.stdout == "refused\n"
 
 
 def test_surface_measure_closed_forms():

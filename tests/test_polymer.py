@@ -74,6 +74,16 @@ def test_accepted_samples_satisfy_constraints():
     assert found > 0
 
 
+def test_sample_for_base_keeps_the_full_draw():
+    # volume_mc's rotation frame fixes each row's first direction; the
+    # draws that return directions must not: the first varies with the seed
+    firsts = {tuple(sample_for_base(braid(3), 0b011, dim, rng_for(10 + seed))
+                    .directions[0].round(12))
+              for dim in (2, 3) for seed in range(4)}
+    assert len(firsts) == 8
+    assert all(abs(u[0]) < 1.0 - 1e-9 for u in firsts)
+
+
 def test_volume_braid2_sphere_exact():
     est = volume_mc(braid(2), 3, 5_000, 0)
     assert est.mean == pytest.approx(4 * math.pi, rel=1e-12)

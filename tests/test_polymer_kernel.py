@@ -11,14 +11,18 @@ import numpy as np
 import pytest
 
 import polygas.mayer as mayer
-from oracles import ball_sides, per_base_polymer_estimate, surface_sides
-from polygas import (MatroidView, asa_volume_mc, braid, capped_cylinder_shape,
-                     coxeter_b, coxeter_d, custom, cylinder_shape, dowling,
-                     pressure_coefficient, project_expectation, sphere_area,
-                     surface_measure_total, uniform_ball, volume_mc, z_score)
+from scipy import stats
+
+from oracles import (ball_sides, mc_sum, per_base_polymer_estimate,
+                     per_base_polymer_parts, surface_sides)
+from polygas import (MatroidView, RNGStream, asa_volume_mc, braid,
+                     capped_cylinder_shape, coxeter_b, coxeter_d, custom,
+                     cylinder_shape, dowling, pressure_coefficient,
+                     project_expectation, sphere_area, surface_measure_total,
+                     uniform_ball, volume_mc, z_score)
 from polygas.matroid import mask_elements
 from polygas.mayer import BLOCK, CHUNK
-from polygas.polymer import _ball_sides, live_base_table
+from polygas.polymer import _ball_sides, _one_base_block, live_base_table
 
 # see test_run_views_equal_gathered_products
 ULPS = 4
@@ -166,8 +170,10 @@ def test_projection_g_path_matches_per_base():
     assert_agree_live(report.polymer_side, ref, 2 ** 17, view, arr.radii)
 
 
-@pytest.mark.parametrize("arr, dim", [(braid(6), 3), (dowling(2, 3), 4)],
-                         ids=["braid6", "dowling2_3"])
+@pytest.mark.parametrize("arr, dim", [(braid(6), 3), (dowling(2, 3), 4),
+                                      (braid(4), 2), (braid(4), 5)],
+                         ids=["braid6", "dowling2_3", "braid4-dim2",
+                              "braid4-dim5"])
 def test_workers_bit_identical(arr, dim):
     view = MatroidView(arr)
     n = 3 * 2 ** 16          # several chunks, so the pool has work to split
@@ -330,7 +336,8 @@ def test_block_draws_put_base_values_on_their_radii(arr, dim):
         np.ones(table.masks.size))
     rng = np.random.default_rng(9)
     k, rows = 3, 5
-    for sides in (_ball_sides(view, dim, radii, live=False), tube):
+    for sides in (_ball_sides(view, dim, radii, live=False),
+                  _ball_sides(view, dim, radii, live=False, frame=True), tube):
         _, x = mayer._accept_block((0, k, rows), rng, sides, mayer._Work(),
                                    need_x=True)
         assert x.shape[0] == k * rows
@@ -343,3 +350,69 @@ def test_block_draws_put_base_values_on_their_radii(arr, dim):
                 assert np.all(norms <= radii[elems] + 1e-12)
             else:
                 assert np.all(np.abs(norms - radii[elems]) <= 1e-12)
+
+
+# volume_mc draws in a fixed rotation frame: each row's first direction is
+# e_0, and at dim 3 its second lies in the (e_0, e_1) half-plane.  Each
+# base's acceptance must keep the law it has under the full draw.
+
+def frame_per_base(view, dim, radii, rows, seed):
+    """For each row of the view's base table, sphere_area(dim)^n times the
+    mean acceptance of `rows` draws in the rotation frame, as one block of
+    one run with stream (seed, row)."""
+    sides = _ball_sides(view, dim, radii, live=False, frame=True)
+    parts = []
+    for row, weight in enumerate(sides.weights):
+        accepted, _ = _one_base_block(row, rows, RNGStream(seed, row).generator(),
+                                      sides)
+        parts.append(mayer._estimate(mayer._stats_of(accepted * weight), seed, 1))
+    return parts
+
+
+@pytest.mark.parametrize("arr, dim, radii", [
+    (braid(4), 2, (1, 2, 0.5, 1.5, 1, 3)),
+    (braid(4), 3, (1, 2, 0.5, 1.5, 1, 3)),
+    (coxeter_b(3), 3, None),
+    (dowling(2, 3), 4, None),
+    (braid(4), 5, None)],
+    ids=["braid4-dim2", "braid4-dim3", "coxeterB3-dim3", "dowling2_3-dim4",
+         "braid4-dim5"])
+def test_frame_draw_matches_full_draw_per_base(arr, dim, radii):
+    view = MatroidView(arr)
+    radii = arr.radii if radii is None else radii
+    rows = 2 ** 13
+    got = frame_per_base(view, dim, radii, rows, 70)
+    weight = sphere_area(dim) ** arr.ambient_dim
+    want = per_base_polymer_parts(view, rows * len(got), 71,
+                                  *ball_sides(arr, dim, radii), lambda _: weight)
+    for base, (a, b) in enumerate(zip(got, want)):
+        assert abs(z_score(a, b)) < 4.0, (base, a, b)
+    assert_agree(mc_sum(got, 70, 1), mc_sum(want, 71, 1))
+
+
+@pytest.mark.parametrize(
+    "arr, dim", [(braid(4), 2), (braid(4), 3), (braid(4), 5), (dowling(2, 3), 4)],
+    ids=["braid4-dim2", "braid4-dim3", "braid4-dim5", "dowling2_3-dim4"])
+def test_frame_draw_fixes_the_first_direction(arr, dim):
+    arr = arr.with_radii([1.0 + 0.5 * e for e in range(arr.size)])
+    view = MatroidView(arr)
+    radii = np.asarray(arr.radii)
+    sides = _ball_sides(view, dim, radii, live=False, frame=True)
+    k, rows = 2, 6000
+    h = sides.draw(np.random.default_rng(12), (1, k, rows), mayer._Work())
+    # real coordinates over each element's radius: (n, k, rows, dim)
+    u = h.view(float) / radii[view.base_table.elems[1:1 + k]].T[:, :, None, None]
+    e_0 = np.eye(dim)[0]
+    assert np.all(u[0] == e_0)
+    assert np.max(np.abs(np.sum(u * u, axis=-1) - 1.0)) < 1e-12
+    if dim == 3:
+        # the second direction in the half-plane, its e_0 coordinate
+        # uniform on [-1, 1] (Archimedes)
+        assert np.all(u[1, ..., 2] == 0.0) and np.all(u[1, ..., 1] >= 0.0)
+        t = u[1, ..., 0].reshape(-1)
+        assert stats.kstest(t, "uniform", args=(-1.0, 2.0)).pvalue > 1e-3
+    # the elements the frame leaves free are uniform directions: their
+    # e_0 coordinate has mean 0 and variance 1 / dim
+    free = u[2 if dim == 3 else 1:, ..., 0].reshape(-1)
+    assert abs(free.mean()) < 4 * math.sqrt(1 / dim / free.size)
+    assert free.var() == pytest.approx(1 / dim, rel=0.05)
